@@ -2,9 +2,9 @@
 weight: exact-moment construction, complex zeros, complex Gaussian
 quadrature rules, and numerical validation of the asymptotic theory."""
 
-from .moments import (MonicPolynomial, MomentSequence, Variable, hankel_det,
-                      moment, moment_sequence, monic_op,
-                      orthogonality_residual, rescale_to_tilde)
+from .moments import (MonicPolynomial, Variable, hankel_det, moment,
+                      moment_sequence, monic_op, orthogonality_residual,
+                      rescale_to_tilde)
 from .mpfun import BigComplex, BigReal
 from .quadrule import QuadratureRule, apply_rule, gauss_rule
 from .zeros import ZeroSet, ecdf_vs_psi, find_zeros, zero_line_stats
@@ -12,7 +12,7 @@ from .zeros import ZeroSet, ecdf_vs_psi, find_zeros, zero_line_stats
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigComplex", "BigReal", "MomentSequence", "MonicPolynomial",
+    "BigComplex", "BigReal", "MonicPolynomial",
     "QuadratureRule", "Variable", "ZeroSet", "apply_rule", "ecdf_vs_psi",
     "find_zeros", "gauss_rule", "hankel_det", "moment", "moment_sequence",
     "monic_op", "orthogonality_residual", "rescale_to_tilde",

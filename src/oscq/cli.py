@@ -18,6 +18,7 @@ import sys
 import tempfile
 import time
 
+import mpmath
 from mpmath import mp, mpc, mpf
 
 from . import parametrix as px
@@ -29,7 +30,6 @@ from .verify import SUITES, run_suite
 from .zeros import find_zeros, zero_line_stats
 
 DESK_N_CEILING = 64
-QUAD_MAX_LEVEL = 10
 
 
 def _digits(prec: int) -> int:
@@ -77,8 +77,7 @@ def _base_manifest(command: str, prec_used: int, t0: float) -> dict:
         "eps": fmt(EPS_DEFAULT, 64),
         "rho": fmt(RHO_DEFAULT, 64),
         "chi_profile": CutoffChi().profile_id,
-        "quadrature": {"max_level": QUAD_MAX_LEVEL,
-                       "target": "2^-(prec/4)"},
+        "mpmath_backend": mpmath.libmp.BACKEND,
         "wall_time_s": round(time.time() - t0, 3),
     }
 
@@ -100,16 +99,8 @@ def cmd_zeros(args, parser) -> int:
     t0 = time.time()
     _require_desk_scale(args.n, args.allow_long, parser)
     prec_floor = 64 if args.prec == "auto" else int(args.prec)
-    try:
-        poly = monic_op(args.n, args.nu, prec_floor)
-        tilde = rescale_to_tilde(poly, args.n)
-        zs = find_zeros(tilde)
-    except IndeterminateHankelError as exc:
-        print(f"indeterminate Hankel determinant: {exc}", file=sys.stderr)
-        return 3
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
+    poly = monic_op(args.n, args.nu, prec_floor)
+    zs = find_zeros(rescale_to_tilde(poly, args.n))
     prec = zs.prec
     rows = []
     with workprec(prec):
@@ -201,16 +192,9 @@ def cmd_asymptotics(args, parser) -> int:
     t0 = time.time()
     _require_desk_scale(args.n, args.allow_long, parser)
     prec_floor = 256 if args.prec == "auto" else int(args.prec)
-    try:
-        poly = monic_op(args.n, args.nu, prec_floor)
-        tilde = rescale_to_tilde(poly, args.n)
-    except IndeterminateHankelError as exc:
-        print(f"indeterminate Hankel determinant: {exc}", file=sys.stderr)
-        return 3
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
-    prec = min(tilde.prec, max(prec_floor, 256))
+    poly = monic_op(args.n, args.nu, prec_floor)
+    tilde = rescale_to_tilde(poly, args.n)
+    prec = tilde.prec
     points = _parse_points(args.points, args.regime, prec)
     rows = []
     for z in points:
@@ -258,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     pz.add_argument("--nu", required=True)
     pz.add_argument("--n", type=int, required=True)
     pz.add_argument("--prec", default="auto",
-                    help="'auto' (adaptive) or bits")
+                    help="'auto' (a 64-bit floor) or bits")
     pz.add_argument("--delta", default="0.2",
                     help="disk-exclusion radius for zero-line stats")
     pz.add_argument("--allow-long", action="store_true",
@@ -293,7 +277,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = {"zeros": cmd_zeros, "verify": cmd_verify,
                "asymptotics": cmd_asymptotics}[args.command]
-    return handler(args, parser)
+    try:
+        return handler(args, parser)
+    except IndeterminateHankelError as exc:
+        print(f"indeterminate Hankel determinant: {exc}", file=sys.stderr)
+        return 3
+    except SolverError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

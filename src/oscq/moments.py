@@ -1,11 +1,12 @@
-"""Exact Bessel-weight moments, Hankel determinants, and the monic
-orthogonal polynomials they determine.
+"""Exact Bessel-weight moments, the three-term recurrence they determine,
+and the monic orthogonal polynomials it generates.
 
-The moments are pure gamma-function ratios, m_j = 2^j G((1+nu+j)/2) /
-G((1+nu-j)/2), exact up to rounding.  Degree-n polynomials come from the
-n x n Hankel system with adaptive precision escalation: the matrices are
-exponentially ill-conditioned, so the solve doubles its working precision
-until the re-orthogonality residual certificate passes.
+The gamma-ratio moments m_j = 2^j G((1+nu+j)/2) / G((1+nu-j)/2) obey
+m_0 = 1, m_1 = nu, m_{j+2} = (1+nu+j)(nu-1-j) m_j.  Gautschi's Chebyshev
+algorithm (Orthogonal Polynomials: Computation and Approximation, 2004,
+sec. 2.1.7) maps m_0..m_{2n-1} in O(n^2) to the coefficients of
+P_{k+1} = (x - a_k) P_k - b_k P_{k-1} (b_0 = m_0), losing about 1.25 n
+bits; b_k != 0 for all k < n certifies that P_n exists.
 """
 
 from __future__ import annotations
@@ -16,18 +17,19 @@ from enum import Enum
 
 from mpmath import mp, mpc, mpf
 
-from .mpfun import gamma_fn, recip_gamma, require_prec, round_to, workprec
+from .mpfun import require_prec, round_to, workprec
 from .quadrature import quad_ts
 
 PREC_CAP_DEFAULT = 1 << 20
+MIN_POLY_PREC = 256
 
 
 class IndeterminateHankelError(ArithmeticError):
-    """Hankel determinant too small at working precision to certify a sign."""
+    """A b_k (a ratio of Hankel determinants) is not separable from 0."""
 
 
 class SolverError(RuntimeError):
-    """Linear solve missed its residual target after precision escalation."""
+    """A computation missed its accuracy target after precision escalation."""
 
 
 class Variable(Enum):
@@ -36,185 +38,179 @@ class Variable(Enum):
 
 
 @dataclass(frozen=True)
-class MomentSequence:
-    nu: mpf
-    values: tuple
-    prec: int
-
-    def __getitem__(self, j):
-        return self.values[j]
-
-    def __len__(self):
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class MonicPolynomial:
-    """Monic polynomial; coeffs are c_0..c_{n-1}, leading coefficient 1."""
+    """Monic polynomial; coeffs are c_0..c_{n-1}, leading coefficient 1.
+    With a recurrence, pairs (a_k, b_k) for k < degree, it is evaluated by
+    the recurrence, which stays accurate where Horner's rule cancels."""
 
     degree: int
     coeffs: tuple
     variable: Variable
     prec: int
     residual: mpf = field(default_factory=lambda: mpf(0))
+    recurrence: tuple = ()
 
     def eval(self, z, prec: int | None = None):
-        """Horner evaluation at z (mpf or mpc)."""
+        """Value at z (mpf or mpc)."""
         with workprec(prec or self.prec):
             z = mp.mpmathify(z)
             acc = z * 0 + 1
-            for c in reversed(self.coeffs):
-                acc = acc * z + c
+            if self.recurrence:
+                prev = z * 0
+                for a, b in self.recurrence:
+                    prev, acc = acc, (z - a) * acc - b * prev
+            else:
+                for c in reversed(self.coeffs):
+                    acc = acc * z + c
             return +acc
 
     def deriv_eval(self, z, prec: int | None = None):
+        return self.eval_with_deriv(z, prec)[1]
+
+    def eval_with_deriv(self, z, prec: int | None = None):
+        """(P(z), P'(z)) in one pass of the recurrence or of Horner's rule."""
         with workprec(prec or self.prec):
             z = mp.mpmathify(z)
-            n = self.degree
-            acc = z * 0 + n
-            for k in range(n - 1, 0, -1):
-                acc = acc * z + k * self.coeffs[k]
-            return +acc
+            p_prev = d_prev = d = z * 0
+            p = d + 1
+            if self.recurrence:
+                for a, b in self.recurrence:
+                    t = z - a
+                    p_prev, p, d_prev, d = (p, t * p - b * p_prev,
+                                            d, p + t * d - b * d_prev)
+            else:
+                for c in reversed(self.coeffs):
+                    p, d = p * z + c, d * z + p
+            return +p, +d
+
+
+def _moments(count: int, nu):
+    """m_0..m_{count-1} at the ambient precision, by their recurrence."""
+    m = [mpf(1), +nu][:count]
+    for j in range(count - 2):
+        m.append((1 + nu + j) * (nu - 1 - j) * m[j])
+    return m
 
 
 def moment(j: int, nu, prec: int):
     """Regularized moment m_j of the oscillatory Bessel weight."""
     if j < 0:
         raise ValueError("moment index must be >= 0")
-    require_prec(prec)
-    if j == 0:
-        return mpf(1)   # gamma ratio of equal arguments, exactly
-    with workprec(prec):
-        nu = mpf(nu)
-        a = (1 + nu + j) / 2
-        b = (1 + nu - j) / 2
-        rg = recip_gamma(b, prec + 16)
-        if rg == 0:
-            return mpf(0)
-        v = mpf(2) ** j * gamma_fn(a, prec + 16) * rg
-    return round_to(v, prec)
+    return moment_sequence(j, nu, prec)[j]
 
 
-def moment_sequence(kmax: int, nu, prec: int) -> MomentSequence:
+def moment_sequence(kmax: int, nu, prec: int) -> tuple:
     """Moments m_0..m_kmax at the given precision."""
-    vals = tuple(moment(j, nu, prec) for j in range(kmax + 1))
     with workprec(prec):
-        nu = mpf(nu)
-    return MomentSequence(nu=nu, values=vals, prec=prec)
+        vals = _moments(kmax + 1, mpf(nu))
+    return tuple(round_to(v, prec) for v in vals)
 
 
-def _hankel_matrix(n: int, nu, prec: int):
-    ms = moment_sequence(2 * n - 1, nu, prec)
-    return mp.matrix([[ms[i + j] for j in range(n)] for i in range(n)]), ms
-
-
-def _det_at(n: int, nu, prec: int):
-    with workprec(prec):
-        h, _ = _hankel_matrix(n, nu, prec)
-        return mp.det(h)
-
-
-def hankel_det(n: int, nu, prec: int):
-    """Hankel determinant of the moment matrix; nonzero certifies existence.
-
-    Certification: the determinant is recomputed with 64 extra bits and the
-    two values must agree to 2^(-prec/2) relative.  Disagreement (or an
-    exact zero) means the precision cannot separate the value from rounding
-    noise, reported as IndeterminateHankelError rather than a true zero.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    require_prec(prec)
-    d1 = _det_at(n, nu, prec)
-    d2 = _det_at(n, nu, prec + 64)
-    if d2 == 0 or d1 == 0 or abs(d1 - d2) > mpf(2) ** (-prec // 2) * abs(d2):
-        raise IndeterminateHankelError(
-            f"Hankel det not certifiable at prec={prec} "
-            f"(got {mp.nstr(d1, 6)} vs {mp.nstr(d2, 6)})")
-    return round_to(d2, prec)
-
-
-def _prec_cap() -> int:
-    cap = os.environ.get("OSCQ_PREC_CAP")
-    return int(cap) if cap else PREC_CAP_DEFAULT
-
-
-def _solve_hankel(n: int, nu, work: int):
-    """One Hankel solve at fixed precision; returns (coeffs, residual)."""
+def _chebyshev(n: int, nu, work: int):
+    """Pairs (a_k, b_k), k < n, by the Chebyshev algorithm at work bits;
+    sig[l] = L(P_k x^l) for the moment functional L, so sig[k] = h_k."""
     with workprec(work):
-        ms = moment_sequence(2 * n, nu, work)
-        a = mp.matrix([[ms[i + j] for j in range(n)] for i in range(n)])
-        rhs = mp.matrix([-ms[j + n] for j in range(n)])
-        # row equilibration keeps the pivoting meaningful across the
-        # factorially growing rows
-        for i in range(n):
-            s = max(max(abs(a[i, j]) for j in range(n)), abs(rhs[i]))
-            for j in range(n):
-                a[i, j] /= s
-            rhs[i] /= s
-        sol = mp.lu_solve(a, rhs)
-        coeffs = [sol[k] for k in range(n)]
-    # residual of the unscaled system, computed with extra headroom
-    with workprec(2 * work):
-        worst = mpf(0)
-        for j in range(n):
-            r = mpf(0)
-            row_scale = mpf(0)
-            for k in range(n):
-                term = coeffs[k] * ms[j + k]
-                r += term
-                row_scale = max(row_scale, abs(ms[j + k]))
-            r += ms[j + n]
-            row_scale = max(row_scale, abs(ms[j + n]))
-            worst = max(worst, abs(r) / row_scale)
-    return coeffs, worst
+        sig = _moments(2 * n, mpf(nu))
+        old = [0] * (2 * n)
+        rec = [(sig[1] / sig[0], sig[0])]
+        for k in range(1, n):
+            (a, b), h = rec[-1], sig[k - 1]
+            new = [0] * k + [sig[l + 1] - a * sig[l] - b * old[l]
+                             for l in range(k, 2 * n - k)]
+            if new[k] == 0:
+                raise IndeterminateHankelError(f"b_{k} = 0 at {work} bits")
+            rec.append((new[k + 1] / new[k] - sig[k] / h, new[k] / h))
+            old, sig = sig, new
+        return rec
 
 
-def monic_op(n: int, nu, prec: int) -> MonicPolynomial:
-    """Monic orthogonal polynomial P_n (raw frame) from the Hankel system.
+def _solve_recurrence(n: int, nu, work: int):
+    """The recurrence at work bits and its largest disagreement with a run
+    64 bits deeper, relative to |b_k| and to |a_k| + |b_k|^(1/2).  A b_k
+    that disagrees by its own size is not separated from zero."""
+    lo, hi = _chebyshev(n, nu, work), _chebyshev(n, nu, work + 64)
+    with workprec(work + 64):
+        gap = mpf(0)
+        for k, ((a, b), (a2, b2)) in enumerate(zip(lo, hi)):
+            if abs(b - b2) >= abs(b2):
+                raise IndeterminateHankelError(
+                    f"b_{k} not separated from 0 at {work} bits")
+            gap = max(gap, abs(b - b2) / abs(b2),
+                      abs(a - a2) / (abs(a2) + mp.sqrt(abs(b2))))
+    return tuple(lo), gap
 
-    Starts at max(prec, 256, 16 n) bits and doubles until the
-    re-orthogonality residual is below 2^(-work/4); the cap is 2^20 bits
-    (override with OSCQ_PREC_CAP).
-    """
+
+def _certified_recurrence(n: int, nu, prec: int):
+    """The recurrence to 2^-max(prec, 256) relative and its working
+    precision, max(prec, 256) + 2n + 32 bits with the guard doubling while
+    the runs disagree, up to the cap 2^20 (or OSCQ_PREC_CAP)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    require_prec(prec)
-    work = max(prec, 256, 16 * n)
-    cap = _prec_cap()
+    base, guard = max(require_prec(prec), MIN_POLY_PREC), 2 * n + 32
+    cap = int(os.environ.get("OSCQ_PREC_CAP") or PREC_CAP_DEFAULT)
     while True:
+        work = min(base + guard, cap)
         try:
-            hankel_det(n, nu, work)
+            rec, gap = _solve_recurrence(n, nu, work)
         except IndeterminateHankelError:
             if work >= cap:
                 raise
-            work *= 2
-            continue
-        coeffs, residual = _solve_hankel(n, nu, work)
-        if residual <= mpf(2) ** (-(work // 4)):
-            real_coeffs = tuple(
-                c.real if isinstance(c, mpc) else c for c in coeffs)
-            return MonicPolynomial(degree=n, coeffs=real_coeffs,
-                                   variable=Variable.RAW_X, prec=work,
-                                   residual=residual)
-        if work >= cap:
-            raise SolverError(
-                f"Hankel solve residual {mp.nstr(residual, 6)} above target "
-                f"at precision cap {cap}")
-        work *= 2
+        else:
+            if gap <= mpf(2) ** -base:
+                return rec, work
+            if work >= cap:
+                raise SolverError(f"recurrence disagrees by {mp.nstr(gap, 6)}"
+                                  f" at the precision cap {cap}")
+        guard *= 2
+
+
+def hankel_det(n: int, nu, prec: int):
+    """Hankel determinant det[m_{i+j}]_{i,j<n} = prod_{k<n} b_0 ... b_k of
+    the certified recurrence; nonzero certifies existence."""
+    rec, work = _certified_recurrence(n, nu, prec)
+    with workprec(work):
+        h = det = mpf(1)
+        for _, b in rec:
+            h *= b
+            det *= h
+    return round_to(det, prec)
+
+
+def monic_op(n: int, nu, prec: int) -> MonicPolynomial:
+    """Monic orthogonal polynomial P_n (raw frame) of max(prec, 256) bits
+    from its certified recurrence.  The coefficients are expanded from the
+    recurrence at its working precision; the residual is their
+    re-orthogonality residual against exact moments at twice that."""
+    rec, work = _certified_recurrence(n, nu, prec)
+    with workprec(work):
+        older, old = [], [mpf(1)]
+        for a, b in rec:    # P_{k+1} = (x - a_k) P_k - b_k P_{k-1}, low first
+            older, old = old, [x - a * c - b * o for x, c, o in
+                               zip([0] + old, old + [0], older + [0, 0])]
+        coeffs = tuple(old[:-1])
+    with workprec(2 * work):
+        ms = _moments(2 * n, mpf(nu))
+        residual = max(
+            abs(mp.fsum(c * m for c, m in zip(coeffs, ms[j:])) + ms[j + n])
+            / max(abs(m) for m in ms[j:j + n + 1]) for j in range(n))
+    return MonicPolynomial(degree=n, coeffs=coeffs, variable=Variable.RAW_X,
+                           prec=max(prec, MIN_POLY_PREC), residual=residual,
+                           recurrence=rec)
 
 
 def rescale_to_tilde(p: MonicPolynomial, n: int) -> MonicPolynomial:
-    """Rescaled polynomial: coefficient transport c_k -> c_k (i n pi)^(k-n)."""
+    """Rescaled polynomial (i n pi)^-n P(i n pi z): coefficient transport
+    c_k -> c_k (i n pi)^(k-n), a_k -> a_k/(i n pi), b_k -> b_k/(i n pi)^2."""
     if p.variable is not Variable.RAW_X:
         raise ValueError("rescale_to_tilde expects a raw-frame polynomial")
     if p.degree != n:
         raise ValueError("degree mismatch")
-    with workprec(p.prec):
-        base = mpc(0, 1) * n * mp.pi
-        new = tuple(p.coeffs[k] * base ** (k - n) for k in range(n))
+    with workprec(p.prec, guard=2 * n + 64):   # the recurrence's guard bits
+        inv = 1 / (mpc(0, 1) * n * mp.pi)
+        new = tuple(p.coeffs[k] * inv ** (n - k) for k in range(n))
+        rec = tuple((a * inv, (b * inv * inv).real) for a, b in p.recurrence)
     return MonicPolynomial(degree=n, coeffs=new, variable=Variable.RESCALED_Z,
-                           prec=p.prec, residual=p.residual)
+                           prec=p.prec, residual=p.residual, recurrence=rec)
 
 
 def _tail_cutoff(n: int, j: int, prec: int):

@@ -118,10 +118,3 @@ def bessel_y(nu, x, prec: int):
             raise DomainError(f"bessel_y requires x > 0, got {x}")
         v = mp.bessely(nu, x)
     return round_to(v, prec)
-
-
-def bessel_k_complex(nu, z, prec: int):
-    """K_nu at complex argument (used for weight continuation off the real axis)."""
-    with workprec(prec):
-        v = mp.besselk(mpf(nu), mpc(z))
-    return round_to(v, prec)

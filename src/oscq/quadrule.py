@@ -1,10 +1,12 @@
 """Complex Gaussian quadrature for the oscillatory Bessel weight.
 
 Nodes are the zeros of the degree-n orthogonal polynomial (raw frame);
-weights solve the Vandermonde moment system, which is the defining
-property here because the sign-changing weight admits no positive-measure
-Christoffel shortcut.  Exactness over degrees <= 2n-1 against the exact
-moment formula is the certificate.
+weights are the Christoffel numbers 1 / sum_{j<n} P_j(x_k)^2 / h_j with
+h_j = b_0 ... b_j.  The weight changes sign, but the Christoffel-Darboux
+identity behind them needs only a quasi-definite moment functional (Deano,
+Huybrechs and Kuijlaars, J. Approx. Theory 162, 2010, on complex Gaussian
+quadrature).  Exactness over degrees <= 2n-1 against the exact moments is
+the certificate.
 """
 
 from __future__ import annotations
@@ -28,25 +30,6 @@ class QuadratureRule:
     prec: int
 
 
-def _vandermonde_solve(nodes, ms, n: int, prec: int):
-    """Solve sum_k w_k x_k^j = m_j (j < n) at 2x precision with two steps
-    of iterative refinement."""
-    work = 2 * prec
-    with workprec(work):
-        a = mp.matrix(n, n)
-        for j in range(n):
-            for k in range(n):
-                a[j, k] = nodes[k] ** j
-        b = mp.matrix([ms[j] for j in range(n)])
-        w = mp.lu_solve(a, b)
-        for _ in range(2):
-            with workprec(2 * work):
-                r = mp.matrix([b[j] - sum(a[j, k] * w[k] for k in range(n))
-                               for j in range(n)])
-            w += mp.lu_solve(a, r)
-        return [+w[k] for k in range(n)]
-
-
 def gauss_rule(n: int, nu, prec: int) -> QuadratureRule:
     """Gaussian rule for the regularized oscillatory weight.
 
@@ -58,11 +41,17 @@ def gauss_rule(n: int, nu, prec: int) -> QuadratureRule:
     poly = monic_op(n, nu, prec)
     tilde = rescale_to_tilde(poly, n)
     zs = find_zeros(tilde, prec=max(prec, min(tilde.prec, 2 * prec)))
-    with workprec(zs.prec):
+    with workprec(zs.prec, guard=64):
         base = mpc(0, 1) * n * mp.pi
-        nodes = [base * w for w in zs.roots]
+        nodes, weights = [base * w for w in zs.roots], []
+        for x in nodes:     # Christoffel numbers by the raw recurrence
+            p_prev, p, h, s = 0, mpf(1), mpf(1), 0
+            for a, b in poly.recurrence:
+                h *= b
+                s += p * p / h
+                p_prev, p = p, (x - a) * p - b * p_prev
+            weights.append(1 / s)
     ms = moment_sequence(2 * n - 1, nu, 2 * zs.prec)
-    weights = _vandermonde_solve(nodes, ms, n, zs.prec)
     with workprec(2 * zs.prec):
         nu = mpf(nu)
         mscale = max(abs(ms[j]) for j in range(2 * n))

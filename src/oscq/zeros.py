@@ -17,12 +17,13 @@ from .moments import MonicPolynomial, SolverError, Variable
 from .mpfun import workprec
 
 MAX_SWEEPS = 500
+FLOAT_TOL = 1e-12   # hand-over point of the float stage
 
 
 @dataclass(frozen=True)
 class ZeroSet:
     roots: tuple          # mpc, sorted by (Re, Im)
-    residuals: tuple      # final Newton-correction magnitudes |P/P'|
+    residuals: tuple      # each root's last Newton correction |P/P'|
     variable: Variable
     prec: int
 
@@ -31,21 +32,71 @@ class ZeroSet:
 
 
 def _initial_guesses(p: MonicPolynomial, prec: int):
+    """Seeds on an ellipse around [-1,1], or on the unit circle (raw)."""
     n = p.degree
     with workprec(prec):
-        out = []
-        for j in range(n):
-            th = 2 * mp.pi * (j + mpf(1) / 2) / n
-            if p.variable is Variable.RESCALED_Z:
-                # ellipse around [-1,1], where the roots accumulate
-                out.append(mpc(mpf("1.2") * mp.cos(th), mpf("0.4") * mp.sin(th)))
-            else:
-                out.append(mpc(mp.cos(th), mp.sin(th)))
-        return out
+        rx, ry = ((mpf("1.2"), mpf("0.4"))
+                  if p.variable is Variable.RESCALED_Z else (1, 1))
+        return [mpc(rx * mp.cos(th), ry * mp.sin(th)) for th in
+                (2 * mp.pi * (j + mpf(1) / 2) / n for j in range(n))]
+
+
+def _float_eval_with_deriv(recurrence):
+    """z -> (c P(z), c P'(z)) for some c > 0, in Python complex floats;
+    the values are rescaled whenever they leave [1e-100, 1e100]."""
+    ab = [(complex(a), complex(b)) for a, b in recurrence]
+
+    def pair(z):
+        p_prev, p, d_prev, d = 0j, 1 + 0j, 0j, 0j
+        for a, b in ab:
+            t = z - a
+            p_prev, p, d_prev, d = (p, t * p - b * p_prev,
+                                    d, p + t * d - b * d_prev)
+            s = abs(p) + abs(d)
+            if not 1e-100 < s < 1e100:
+                p_prev, p, d_prev, d = p_prev / s, p / s, d_prev / s, d / s
+        return p, d
+    return pair
+
+
+def _aberth(z, pair, tol, sweeps: int):
+    """Aberth-Ehrlich sweeps on z (Python complex or mpc), pair(w) giving
+    P(w) and P'(w) up to a common factor.  A root is frozen once its Newton
+    correction |P/P'| is below tol.  Returns each root's last correction
+    (0 where P vanished), below tol exactly for the frozen roots."""
+    n = len(z)
+    corr = [tol] * n
+    active = range(n)
+    for _ in range(sweeps):
+        still = []
+        for k in active:
+            pv, dv = pair(z[k])
+            if pv == 0:
+                corr[k] = 0
+                continue
+            if dv == 0:
+                z[k] += tol  # nudge off the critical point
+                still.append(k)
+                continue
+            newton = pv / dv
+            corr[k] = abs(newton)
+            zk = z[k]
+            s = sum(1 / (zk - w) for w in z[:k]) \
+                + sum(1 / (zk - w) for w in z[k + 1:])
+            denom = 1 - newton * s
+            z[k] -= newton if denom == 0 else newton / denom
+            if not corr[k] < tol:
+                still.append(k)
+        active = still
+        if not active:
+            break
+    return corr
 
 
 def find_zeros(p: MonicPolynomial, prec: int | None = None) -> ZeroSet:
-    """All roots of p with Newton residuals below 2^(-prec/2)."""
+    """All roots of p with Newton corrections below 2^(-prec/2), by Aberth
+    at prec + 64 bits from the seeds, or from the same loop run in floats
+    first when p carries its recurrence."""
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
     prec = prec or p.prec
@@ -53,43 +104,21 @@ def find_zeros(p: MonicPolynomial, prec: int | None = None) -> ZeroSet:
     tol = mpf(2) ** (-(prec // 2))
     with workprec(prec, guard=64):
         z = _initial_guesses(p, prec)
-        if n == 1:
-            z = [mpc(-p.coeffs[0])]
-        worst = mpf(0)
-        for _ in range(MAX_SWEEPS):
-            worst = mpf(0)
-            for k in range(n):
-                pv = p.eval(z[k], prec + 64)
-                if pv == 0:
-                    continue
-                dv = p.deriv_eval(z[k], prec + 64)
-                if dv == 0:
-                    z[k] += tol  # nudge off the critical point
-                    continue
-                newton = pv / dv
-                worst = max(worst, abs(newton))
-                s = mp.zero
-                for j in range(n):
-                    if j != k:
-                        s += 1 / (z[k] - z[j])
-                denom = 1 - newton * s
-                z[k] -= newton if denom == 0 else newton / denom
-            if worst < tol:
-                break
-        else:
+        if p.recurrence:
+            zf = [complex(w) for w in z]
+            _aberth(zf, _float_eval_with_deriv(p.recurrence), FLOAT_TOL,
+                    MAX_SWEEPS)
+            z = [mpc(w) for w in zf]
+        corr = _aberth(z, lambda w: p.eval_with_deriv(w, prec + 64), tol,
+                       MAX_SWEEPS)
+        if not max(corr) < tol:
             raise SolverError(
                 f"Aberth iteration did not converge in {MAX_SWEEPS} sweeps; "
-                f"worst Newton correction {mp.nstr(worst, 6)}")
-        roots = tuple(mpc(w) for w in
-                      sorted(z, key=lambda w: (w.real, w.imag)))
-        residuals = []
-        for w in roots:
-            dv = p.deriv_eval(w, prec + 64)
-            residuals.append(abs(p.eval(w, prec + 64) / dv) if dv != 0
-                             else mpf(0))
-        residuals = tuple(residuals)
-    return ZeroSet(roots=roots, residuals=residuals,
-                   variable=p.variable, prec=prec)
+                f"worst Newton correction {mp.nstr(max(corr), 6)}")
+        order = sorted(range(n), key=lambda k: (z[k].real, z[k].imag))
+        return ZeroSet(roots=tuple(mpc(z[k]) for k in order),
+                       residuals=tuple(mpf(corr[k]) for k in order),
+                       variable=p.variable, prec=prec)
 
 
 @dataclass(frozen=True)

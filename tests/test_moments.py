@@ -194,9 +194,9 @@ def test_solver_error_on_unreachable_residual(monkeypatch):
 
     def fake_solve(n, nu, work):
         calls["n"] += 1
-        return [mpf(0)] * n, mpf(1)
+        return ((mpf(0), mpf(1)),) * n, mpf(1)
 
-    monkeypatch.setattr(moments, "_solve_hankel", fake_solve)
+    monkeypatch.setattr(moments, "_solve_recurrence", fake_solve)
     monkeypatch.setenv("OSCQ_PREC_CAP", "512")
     with pytest.raises(SolverError):
         monic_op(2, "0.25", 256)

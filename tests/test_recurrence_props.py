@@ -1,0 +1,91 @@
+"""Property tests of the recurrence core over nu in [0, 1): exact moments,
+Christoffel weights, conjugate symmetry and Hankel determinants, each
+against an independent route."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
+
+from oscq.moments import hankel_det, moment_sequence
+from oscq.mpfun import workprec
+from oscq.quadrule import gauss_rule
+
+from test_moments import _bareiss_det
+
+PREC = 256
+TOL = mpf(2) ** (-(PREC // 2))
+
+# nu on the 1e-6 grid, as decimal strings like the CLI takes them
+nus = st.floats(0, 0.999999).map(lambda x: f"{x:.6f}")
+props = settings(max_examples=25, deadline=None, derandomize=True,
+                 database=None)
+_RULES: dict = {}
+
+
+def rule(n, nu):
+    key = (n, nu)
+    if key not in _RULES:
+        _RULES[key] = gauss_rule(n, nu, PREC)
+    return _RULES[key]
+
+
+def _vandermonde_weights(nodes, nu, prec):
+    """Oracle: solve sum_k w_k x_k^j = m_j, j < n, by LU with pivoting."""
+    n = len(nodes)
+    ms = moment_sequence(n - 1, nu, prec)
+    with workprec(prec):
+        a = mp.matrix([[x ** j for x in nodes] for j in range(n)])
+        w = mp.lu_solve(a, mp.matrix(list(ms)))
+        return [w[k] for k in range(n)]
+
+
+@props
+@given(nu=nus)
+def test_moment_recurrence_matches_gamma_ratio(nu):
+    got = moment_sequence(41, nu, PREC)
+    with workprec(2 * PREC):
+        x = mpf(nu)
+        for j in range(42):
+            ref = mpf(2) ** j * mp.gamma((1 + x + j) / 2) \
+                * mp.rgamma((1 + x - j) / 2)
+            assert abs(got[j] - ref) <= mpf(2) ** (16 - PREC) * abs(ref), j
+
+
+@props
+@given(n=st.integers(1, 12), nu=nus)
+def test_christoffel_weights_match_vandermonde(n, nu):
+    r = rule(n, nu)
+    ref = _vandermonde_weights(r.nodes, nu, 4 * PREC)
+    with workprec(4 * PREC):
+        scale = max(abs(w) for w in ref)
+        for w, v in zip(r.weights, ref):
+            assert abs(w - v) <= TOL * scale
+
+
+@props
+@given(n=st.integers(1, 12), nu=nus)
+def test_weights_sum_to_one(n, nu):
+    with workprec(2 * PREC):
+        assert abs(mp.fsum(rule(n, nu).weights) - 1) <= TOL
+
+
+@props
+@given(n=st.integers(1, 12), nu=nus)
+def test_nodes_and_weights_close_under_conjugation(n, nu):
+    r = rule(n, nu)
+    with workprec(2 * PREC):
+        for x, w in zip(r.nodes, r.weights):
+            k = min(range(n), key=lambda j: abs(mp.conj(x) - r.nodes[j]))
+            assert abs(mp.conj(x) - r.nodes[k]) <= TOL * max(1, abs(x))
+            assert abs(mp.conj(w) - r.weights[k]) <= TOL * max(1, abs(w))
+
+
+@props
+@given(n=st.integers(1, 8), nu=nus)
+def test_hankel_det_matches_bareiss(n, nu):
+    got = hankel_det(n, nu, PREC)
+    ms = moment_sequence(2 * n - 2, nu, 4 * PREC)
+    mat = [[ms[i + j] for j in range(n)] for i in range(n)]
+    ref = _bareiss_det(mat, n, 4 * PREC)
+    with workprec(4 * PREC):
+        assert abs(got - ref) <= TOL * abs(ref)
