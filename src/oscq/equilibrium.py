@@ -5,50 +5,19 @@ phi, and the oscillation phase theta_n.
 The measure has density psi(x) = log((1+sqrt(1-x^2))/|x|)/pi on [-1,1];
 it is even, integrates to one, diverges logarithmically at the origin and
 vanishes like a square root at the edges.  All quadrature goes through the
-tanh-sinh engine with ranges split at the singular points.
+tanh-sinh engine with ranges split at the singular points, to its default
+target 2^-(prec/4); every function takes its working precision in bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from mpmath import mp, mpc, mpf
 
 from .branches import arccos_branch, sqrt_onecut
-from .mpfun import DomainError, require_prec, round_to, workprec
+from .mpfun import DomainError, round_to, workprec
 from .quadrature import quad_ts
 
 DEFAULT_PREC = 192
-
-
-@dataclass(frozen=True)
-class EquilibriumContext:
-    """Precision and quadrature policy for the integral-backed operations.
-
-    The quadrature target may only tighten the default 2^-(prec/4)."""
-
-    prec: int = DEFAULT_PREC
-    quad_target: object = None   # None -> 2^-(prec/4)
-    max_level: int = 10
-
-    def __post_init__(self):
-        require_prec(self.prec)
-        if self.quad_target is not None \
-                and mpf(self.quad_target) > mpf(2) ** (-(self.prec // 4)):
-            raise ValueError("quadrature target must be at most 2^-(prec/4)")
-
-    def target(self):
-        if self.quad_target is not None:
-            return mpf(self.quad_target)
-        return mpf(2) ** (-(self.prec // 4))
-
-
-def _ctx(ctx_or_prec) -> EquilibriumContext:
-    if isinstance(ctx_or_prec, EquilibriumContext):
-        return ctx_or_prec
-    if ctx_or_prec is None:
-        return EquilibriumContext()
-    return EquilibriumContext(prec=require_prec(int(ctx_or_prec)))
 
 
 def psi_real(x, prec: int = DEFAULT_PREC):
@@ -120,10 +89,8 @@ def ell_const(prec: int = DEFAULT_PREC):
     return round_to(v, prec)
 
 
-def g_fn(z, ctx=None):
+def g_fn(z, prec: int = DEFAULT_PREC):
     """Log potential integral(log(z-x) psi(x) dx); analytic off (-oo, 1]."""
-    c = _ctx(ctx)
-    prec = c.prec
     with workprec(prec):
         z = mpc(z)
         if z.imag == 0 and z.real <= 1:
@@ -133,15 +100,12 @@ def g_fn(z, ctx=None):
         def f(x):
             return mp.log(z - x) * psi_real(x, prec + 64)
 
-        v, _ = quad_ts(f, [-1, 0, 1], prec, target=c.target(),
-                       max_level=c.max_level)
+        v, _ = quad_ts(f, [-1, 0, 1], prec)
     return round_to(v, prec)
 
 
-def g_log_abs(x, ctx=None):
+def g_log_abs(x, prec: int = DEFAULT_PREC):
     """integral(log|x-t| psi(t) dt) for real x (the shared real part of g+-)."""
-    c = _ctx(ctx)
-    prec = c.prec
     with workprec(prec):
         x = mpf(x)
         points = sorted({mpf(-1), mpf(0), mpf(1), x}) \
@@ -150,12 +114,11 @@ def g_log_abs(x, ctx=None):
         def f(t):
             return mp.log(abs(x - t)) * psi_real(t, prec + 64)
 
-        v, _ = quad_ts(f, points, prec, target=c.target(),
-                       max_level=c.max_level)
+        v, _ = quad_ts(f, points, prec)
     return round_to(v, prec)
 
 
-def g_boundary(x, side: int, ctx=None):
+def g_boundary(x, side: int, prec: int = DEFAULT_PREC):
     """One-sided boundary value of g on the real axis.
 
     side=+1 approaches from the upper half plane, side=-1 from below.
@@ -164,52 +127,49 @@ def g_boundary(x, side: int, ctx=None):
     """
     if side not in (1, -1):
         raise ValueError("side must be +1 or -1")
-    c = _ctx(ctx)
-    with workprec(c.prec):
+    with workprec(prec):
         x = mpf(x)
-        gr = g_log_abs(x, c)
+        gr = g_log_abs(x, prec)
         xc = min(max(x, mpf(-1)), mpf(1))
-        tail = 1 - psi_cdf(xc, c.prec)
+        tail = 1 - psi_cdf(xc, prec)
         v = gr + side * mpc(0, 1) * mp.pi * tail
-    return round_to(v, c.prec)
+    return round_to(v, prec)
 
 
-def phi_fn(z, ctx=None):
+def phi_fn(z, prec: int = DEFAULT_PREC):
     """phi = g - V/2 - ell/2, analytic off ((-oo,1] union i R)."""
-    c = _ctx(ctx)
-    with workprec(c.prec):
+    with workprec(prec):
         z = mpc(z)
         if z.real == 0:
             raise DomainError("phi jumps across the imaginary axis; "
                               "use phi_imag_side")
         v_field = mp.pi * z if z.real > 0 else -mp.pi * z
-        v = g_fn(z, c) - v_field / 2 - ell_const(c.prec) / 2
-    return round_to(v, c.prec)
+        v = g_fn(z, prec) - v_field / 2 - ell_const(prec) / 2
+    return round_to(v, prec)
 
 
-def phi_boundary(x, side: int, ctx=None):
+def phi_boundary(x, side: int, prec: int = DEFAULT_PREC):
     """One-sided value of phi on (-1,1); purely imaginary up to quadrature."""
-    c = _ctx(ctx)
-    with workprec(c.prec):
+    with workprec(prec):
         x = mpf(x)
-        v = g_boundary(x, side, c) - mp.pi * abs(x) / 2 - ell_const(c.prec) / 2
-    return round_to(v, c.prec)
+        v = (g_boundary(x, side, prec) - mp.pi * abs(x) / 2
+             - ell_const(prec) / 2)
+    return round_to(v, prec)
 
 
-def phi_imag_side(y, side: str, ctx=None):
+def phi_imag_side(y, side: str, prec: int = DEFAULT_PREC):
     """phi on the imaginary axis z=iy from the 'left' or 'right' half plane.
 
     With the axis oriented upward, the left half plane is the + side.
     """
-    c = _ctx(ctx)
     sign = {"left": 1, "right": -1}[side]
-    with workprec(c.prec):
+    with workprec(prec):
         y = mpf(y)
         if y == 0:
             raise DomainError("phi is singular at the origin")
         z = mpc(0, y)
-        v = g_fn(z, c) + sign * mp.pi * z / 2 - ell_const(c.prec) / 2
-    return round_to(v, c.prec)
+        v = g_fn(z, prec) + sign * mp.pi * z / 2 - ell_const(prec) / 2
+    return round_to(v, prec)
 
 
 def re_phi_imag_axis(s, prec: int = DEFAULT_PREC):
@@ -227,14 +187,12 @@ def re_phi_imag_axis(s, prec: int = DEFAULT_PREC):
     return round_to(v, prec)
 
 
-def theta_n(z, n: int, ctx=None):
+def theta_n(z, n: int, prec: int = DEFAULT_PREC):
     """Oscillation phase: n pi integral_z^1 psi + arccos(z)/4 - pi/4.
 
     The path is the straight segment from z to 1, which stays inside
     {Re > 0} \\ [1, oo) for the admissible z; real-valued on (0,1).
     """
-    c = _ctx(ctx)
-    prec = c.prec
     with workprec(prec):
         z = mpc(z)
         if z.real <= 0:
@@ -248,16 +206,14 @@ def theta_n(z, n: int, ctx=None):
             def f(s):
                 return psi_real(s, prec + 64)
 
-            integral, _ = quad_ts(f, [x, 1], prec, target=c.target(),
-                                  max_level=c.max_level)
+            integral, _ = quad_ts(f, [x, 1], prec)
         else:
             w = 1 - z
 
             def f(t):
                 return psi_complex(z + t * w, prec + 64)
 
-            integral, _ = quad_ts(f, [0, 1], prec, target=c.target(),
-                                  max_level=c.max_level)
+            integral, _ = quad_ts(f, [0, 1], prec)
             integral = integral * w
         v = n * mp.pi * integral + arccos_branch(z) / 4 - mp.pi / 4
         if real_path:

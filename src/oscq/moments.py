@@ -33,54 +33,48 @@ class SolverError(RuntimeError):
 
 
 class Variable(Enum):
-    RAW_X = "raw_x"          # P_n(x), real coefficients
+    RAW_X = "raw_x"          # P_n(x), real recurrence
     RESCALED_Z = "rescaled_z"  # (i n pi)^-n P_n(i n pi z)
 
 
 @dataclass(frozen=True)
 class MonicPolynomial:
-    """Monic polynomial; coeffs are c_0..c_{n-1}, leading coefficient 1.
-    With a recurrence, pairs (a_k, b_k) for k < degree, it is evaluated by
-    the recurrence, which stays accurate where Horner's rule cancels."""
+    """Monic polynomial of degree len(recurrence), stored as its three-term
+    recurrence P_{k+1} = (x - a_k) P_k - b_k P_{k-1}, pairs (a_k, b_k), and
+    evaluated by it, which stays accurate where the power basis cancels."""
 
-    degree: int
-    coeffs: tuple
+    recurrence: tuple
     variable: Variable
     prec: int
     residual: mpf = field(default_factory=lambda: mpf(0))
-    recurrence: tuple = ()
+
+    @property
+    def degree(self) -> int:
+        return len(self.recurrence)
 
     def eval(self, z, prec: int | None = None):
         """Value at z (mpf or mpc)."""
         with workprec(prec or self.prec):
             z = mp.mpmathify(z)
-            acc = z * 0 + 1
-            if self.recurrence:
-                prev = z * 0
-                for a, b in self.recurrence:
-                    prev, acc = acc, (z - a) * acc - b * prev
-            else:
-                for c in reversed(self.coeffs):
-                    acc = acc * z + c
+            prev = z * 0
+            acc = prev + 1
+            for a, b in self.recurrence:
+                prev, acc = acc, (z - a) * acc - b * prev
             return +acc
 
     def deriv_eval(self, z, prec: int | None = None):
         return self.eval_with_deriv(z, prec)[1]
 
     def eval_with_deriv(self, z, prec: int | None = None):
-        """(P(z), P'(z)) in one pass of the recurrence or of Horner's rule."""
+        """(P(z), P'(z)) in one pass of the recurrence."""
         with workprec(prec or self.prec):
             z = mp.mpmathify(z)
             p_prev = d_prev = d = z * 0
             p = d + 1
-            if self.recurrence:
-                for a, b in self.recurrence:
-                    t = z - a
-                    p_prev, p, d_prev, d = (p, t * p - b * p_prev,
-                                            d, p + t * d - b * d_prev)
-            else:
-                for c in reversed(self.coeffs):
-                    p, d = p * z + c, d * z + p
+            for a, b in self.recurrence:
+                t = z - a
+                p_prev, p, d_prev, d = (p, t * p - b * p_prev,
+                                        d, p + t * d - b * d_prev)
             return +p, +d
 
 
@@ -176,41 +170,45 @@ def hankel_det(n: int, nu, prec: int):
     return round_to(det, prec)
 
 
+def _coefficients(recurrence) -> tuple:
+    """Power-basis coefficients c_0..c_{n-1} (leading 1 omitted) of the
+    recurrence's polynomial, expanded at the ambient precision."""
+    older, old = [], [mpf(1)]
+    for a, b in recurrence:    # low coefficient first
+        older, old = old, [x - a * c - b * o for x, c, o in
+                           zip([0] + old, old + [0], older + [0, 0])]
+    return tuple(old[:-1])
+
+
 def monic_op(n: int, nu, prec: int) -> MonicPolynomial:
     """Monic orthogonal polynomial P_n (raw frame) of max(prec, 256) bits
-    from its certified recurrence.  The coefficients are expanded from the
-    recurrence at its working precision; the residual is their
-    re-orthogonality residual against exact moments at twice that."""
+    from its certified recurrence.  The residual is the re-orthogonality
+    residual against exact moments, at twice the recurrence's working
+    precision, of the coefficients expanded at that precision."""
     rec, work = _certified_recurrence(n, nu, prec)
     with workprec(work):
-        older, old = [], [mpf(1)]
-        for a, b in rec:    # P_{k+1} = (x - a_k) P_k - b_k P_{k-1}, low first
-            older, old = old, [x - a * c - b * o for x, c, o in
-                               zip([0] + old, old + [0], older + [0, 0])]
-        coeffs = tuple(old[:-1])
+        coeffs = _coefficients(rec)
     with workprec(2 * work):
         ms = _moments(2 * n, mpf(nu))
         residual = max(
             abs(mp.fsum(c * m for c, m in zip(coeffs, ms[j:])) + ms[j + n])
             / max(abs(m) for m in ms[j:j + n + 1]) for j in range(n))
-    return MonicPolynomial(degree=n, coeffs=coeffs, variable=Variable.RAW_X,
-                           prec=max(prec, MIN_POLY_PREC), residual=residual,
-                           recurrence=rec)
+    return MonicPolynomial(recurrence=rec, variable=Variable.RAW_X,
+                           prec=max(prec, MIN_POLY_PREC), residual=residual)
 
 
 def rescale_to_tilde(p: MonicPolynomial, n: int) -> MonicPolynomial:
-    """Rescaled polynomial (i n pi)^-n P(i n pi z): coefficient transport
-    c_k -> c_k (i n pi)^(k-n), a_k -> a_k/(i n pi), b_k -> b_k/(i n pi)^2."""
+    """Rescaled polynomial (i n pi)^-n P(i n pi z): a_k -> a_k/(i n pi),
+    b_k -> b_k/(i n pi)^2."""
     if p.variable is not Variable.RAW_X:
         raise ValueError("rescale_to_tilde expects a raw-frame polynomial")
     if p.degree != n:
         raise ValueError("degree mismatch")
     with workprec(p.prec, guard=2 * n + 64):   # the recurrence's guard bits
         inv = 1 / (mpc(0, 1) * n * mp.pi)
-        new = tuple(p.coeffs[k] * inv ** (n - k) for k in range(n))
         rec = tuple((a * inv, (b * inv * inv).real) for a, b in p.recurrence)
-    return MonicPolynomial(degree=n, coeffs=new, variable=Variable.RESCALED_Z,
-                           prec=p.prec, residual=p.residual, recurrence=rec)
+    return MonicPolynomial(recurrence=rec, variable=Variable.RESCALED_Z,
+                           prec=p.prec, residual=p.residual)
 
 
 def _tail_cutoff(n: int, j: int, prec: int):

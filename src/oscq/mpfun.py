@@ -1,9 +1,10 @@
-"""Arbitrary-precision scalar layer: precision plumbing and special functions.
+"""Arbitrary-precision scalar layer: precision plumbing, gamma and 1/gamma.
 
 Values are mpmath ``mpf`` / ``mpc`` (aliased ``BigReal`` / ``BigComplex``);
 every operation takes an explicit working precision in bits and evaluates
 internally with guard bits before rounding down to the requested precision.
-Relative error contract for the transcendental functions: <= 2**(-prec+16).
+Relative error contract for the gamma functions: <= 2**(-prec+16).  The
+other layers call mpmath's Bessel functions (``mp.besselk``) directly.
 
 mpmath rounds on every construction and operation at the ambient context,
 so all argument conversion happens inside the functions' own workprec
@@ -85,36 +86,4 @@ def recip_gamma(x, prec: int):
         if is_nonpositive_integer(x):
             return mpf(0)
         v = mp.rgamma(x)
-    return round_to(v, prec)
-
-
-def bessel_k(nu, x, prec: int):
-    """Modified Bessel function K_nu(x) for x > 0, 0 <= nu < 1."""
-    with workprec(prec):
-        nu, x = mpf(nu), mpf(x)
-        if x <= 0:
-            raise DomainError(f"bessel_k requires x > 0, got {x}")
-        if not (0 <= nu < 1):
-            raise DomainError(f"bessel_k requires 0 <= nu < 1, got {nu}")
-        v = mp.besselk(nu, x)
-    return round_to(v, prec)
-
-
-def bessel_j(nu, x, prec: int):
-    """Bessel function J_nu(x) for x > 0."""
-    with workprec(prec):
-        nu, x = mpf(nu), mpf(x)
-        if x <= 0:
-            raise DomainError(f"bessel_j requires x > 0, got {x}")
-        v = mp.besselj(nu, x)
-    return round_to(v, prec)
-
-
-def bessel_y(nu, x, prec: int):
-    """Bessel function Y_nu(x) for x > 0."""
-    with workprec(prec):
-        nu, x = mpf(nu), mpf(x)
-        if x <= 0:
-            raise DomainError(f"bessel_y requires x > 0, got {x}")
-        v = mp.bessely(nu, x)
     return round_to(v, prec)

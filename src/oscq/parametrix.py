@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from mpmath import mp, mpc, mpf
 
 from .branches import beta_quartic, f_exterior, sqrt_offcut, sqrt_onecut
-from .equilibrium import (EquilibriumContext, epsilon_n, g_fn, psi_complex,
-                          theta_n)
+from .equilibrium import epsilon_n, g_fn, psi_complex, theta_n
 from .mpfun import DomainError, require_prec, round_to, workprec
 from .quadrature import quad_ts
 
@@ -187,11 +187,6 @@ class D1Grid:
                 total += wk * (1 / (z - t) + 1 / (z + t))
             return +total
 
-    def mean(self):
-        """integral over [-1,1] of k(t) dt."""
-        with workprec(self.prec, guard=32):
-            return +(2 * mp.fsum(self.wk))
-
 
 def _grid_level(prec: int) -> int:
     for cutoff, level in GRID_SPLIT_LEVELS.items():
@@ -200,11 +195,11 @@ def _grid_level(prec: int) -> int:
     return 8
 
 
-def build_d1_grid(n: int, nu, prec: int, level: int | None = None) -> D1Grid:
+def build_d1_grid(n: int, nu, prec: int) -> D1Grid:
     """Construct the frozen grid; splits at the weight's character change
     x* = 1/(n pi) and at the endpoints."""
     require_prec(prec)
-    level = level or _grid_level(prec)
+    level = _grid_level(prec)
     from .quadrature import _nodes_new
     nodes, wk = [], []
     # guard must cover the closest node offsets ~2^-(prec+48) near t=1
@@ -228,42 +223,39 @@ def build_d1_grid(n: int, nu, prec: int, level: int | None = None) -> D1Grid:
                   nodes=tuple(nodes), wk=tuple(wk))
 
 
-_D1_CACHE: dict = {}
-
-
 def _get_grid(n: int, nu, prec: int) -> D1Grid:
-    with workprec(prec):
-        key = (n, mp.nstr(mpf(nu), 40), prec)
-    grid = _D1_CACHE.get(key)
-    if grid is None:
-        grid = build_d1_grid(n, nu, prec)
-        _D1_CACHE[key] = grid
-    return grid
+    """The grid for (n, nu, prec), cached on nu as build_d1_grid reads it."""
+    with workprec(prec, guard=64):
+        nu = mpf(nu)
+    return _cached_grid(n, nu, prec)
+
+
+@lru_cache(maxsize=32)
+def _cached_grid(n: int, nu: mpf, prec: int) -> D1Grid:
+    return build_d1_grid(n, nu, prec)
 
 
 def d1n(z, n: int, nu, prec: int, grid: D1Grid | None = None,
-        adaptive: bool = False, extra_splits=()):
+        adaptive: bool = False):
     """First Szego factor for the normalized weight, off [-1,1].
 
     Default path sums over the cached frozen grid; adaptive=True runs the
-    tanh-sinh engine per call (optionally with extra kernel-resolving split
-    points), used as the independent route in tests.
+    tanh-sinh engine per call, used as the independent route in tests.
     """
     with workprec(prec, guard=32):
         z = mpc(z)
         if _on_cut(z):
             raise DomainError("d1n is cut along [-1,1]")
-        nu = mpf(nu)
         if adaptive:
-            points = sorted({mpf(0), mpf(1), 1 / (n * mp.pi)}
-                            | {mpf(p) for p in extra_splits})
+            nu = mpf(nu)
+            points = [mpf(0), 1 / (n * mp.pi), mpf(1)]
 
             def f(t):
                 k = _k_log_weight(t, n, nu, prec + 32)
                 return k * (1 / (z - t) + 1 / (z + t))
 
             integral, _ = quad_ts(f, points, prec)
-        else:
+        else:   # the caller's nu, so every caller shares the cached grid
             integral = (grid or _get_grid(n, nu, prec)).cauchy(z)
         v = mp.exp(sqrt_offcut(z) / (2 * mp.pi) * integral)
     return round_to(v, prec)
@@ -282,14 +274,13 @@ def d_infty_n(n: int, nu, prec: int):
     return round_to(v, prec)
 
 
-def outer_eval(z, n: int, nu, prec: int, min_dist=None,
-               ctx: EquilibriumContext | None = None) -> AsymptoticPrediction:
+def outer_eval(z, n: int, nu, prec: int,
+               min_dist=None) -> AsymptoticPrediction:
     """Leading outer approximation of the rescaled polynomial off [-1,1].
 
     value = exp(n g) * (z(z+s)/(2(z^2-1)))^(1/4) * (phase factor)^(-nu/4);
     error_scale is the master scale epsilon_n.
     """
-    ctx = ctx or EquilibriumContext(prec=prec)
     with workprec(prec):
         z = mpc(z)
         nu = mpf(nu)
@@ -297,7 +288,7 @@ def outer_eval(z, n: int, nu, prec: int, min_dist=None,
         if dist_to_interval(z, prec) < gate:
             raise DomainError(
                 f"outer regime needs dist(z, [-1,1]) >= {gate}")
-        g = g_fn(z, ctx)
+        g = g_fn(z, prec)
         b = beta_quartic(z)
         n011 = (b + 1 / b) / 2
         pref = (mpf(2) ** (mpf(1) / 4) * n011
@@ -316,14 +307,12 @@ def _check_inner_domain(z, delta, box_im):
                           "oscillatory regime")
 
 
-def inner_terms(z, n: int, nu, prec: int,
-                ctx: EquilibriumContext | None = None):
+def inner_terms(z, n: int, nu, prec: int):
     """Prefactor and the two oscillatory exponential terms at Re z > 0.
 
     Returns (prefactor, t_plus, t_minus) with the approximation equal to
     prefactor * (t_plus + t_minus) to leading order.
     """
-    ctx = ctx or EquilibriumContext(prec=prec)
     with workprec(prec):
         z = mpc(z)
         if z.real <= 0:
@@ -334,14 +323,14 @@ def inner_terms(z, n: int, nu, prec: int,
                 / (mpf(2) ** (mpf(1) / 4) * (2 * mp.e) ** n
                    * sqrt_onecut(z) ** (mpf(1) / 2)))
         expo = nu * mp.pi / 2 * psi_complex(z, prec + 16) \
-            + mpc(0, 1) * theta_n(z, n, ctx)
+            + mpc(0, 1) * theta_n(z, n, prec)
         tp = mp.exp(expo)
         tm = 1 / tp
     return round_to(pref, prec), round_to(tp, prec), round_to(tm, prec)
 
 
-def inner_eval(z, n: int, nu, prec: int, delta=None, box_im=None,
-               ctx: EquilibriumContext | None = None) -> AsymptoticPrediction:
+def inner_eval(z, n: int, nu, prec: int, delta=None,
+               box_im=None) -> AsymptoticPrediction:
     """Oscillatory-regime approximation near (-1,1).
 
     Reflection handles Re z < 0 through the conjugation symmetry of the
@@ -358,13 +347,13 @@ def inner_eval(z, n: int, nu, prec: int, delta=None, box_im=None,
         if reflect:
             z = -mp.conj(z)
     if reflect:
-        inner = inner_eval(z, n, nu, prec, delta, box_im, ctx)
+        inner = inner_eval(z, n, nu, prec, delta, box_im)
         with workprec(prec):
             value = mp.conj(inner.value) * (-1) ** n
         return AsymptoticPrediction(value=round_to(value, prec),
                                     error_scale=inner.error_scale,
                                     regime=Regime.INNER)
-    pref, tp, tm = inner_terms(z, n, nu, prec, ctx)
+    pref, tp, tm = inner_terms(z, n, nu, prec)
     with workprec(prec):
         value = pref * (tp + tm)
         scale = 3 * mp.log(n) / n + epsilon_n(n, nu, prec)
@@ -373,11 +362,9 @@ def inner_eval(z, n: int, nu, prec: int, delta=None, box_im=None,
                                 regime=Regime.INNER)
 
 
-def zero_condition_defect(z, n: int, nu, prec: int,
-                          ctx: EquilibriumContext | None = None):
+def zero_condition_defect(z, n: int, nu, prec: int):
     """|Re(nu pi psi/2) - Im theta_n|: small iff the two oscillatory terms
     can cancel, the leading-order zero condition."""
-    ctx = ctx or EquilibriumContext(prec=prec)
     with workprec(prec):
         z = mpc(z)
         if z.real < 0:
@@ -387,5 +374,5 @@ def zero_condition_defect(z, n: int, nu, prec: int,
                               "axis")
         nu = mpf(nu)
         v = abs((nu * mp.pi / 2 * psi_complex(z, prec + 16)).real
-                - mpc(theta_n(z, n, ctx)).imag)
+                - mpc(theta_n(z, n, prec)).imag)
     return round_to(v, prec)

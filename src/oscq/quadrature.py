@@ -19,6 +19,8 @@ from mpmath import mp, mpf
 
 from .mpfun import workprec
 
+MIN_LEVEL = 3   # levels every segment runs before it may stop
+
 
 class QuadratureError(RuntimeError):
     """Quadrature failed to reach the requested accuracy."""
@@ -75,13 +77,14 @@ def _segment_sum(f, a, b, level: int, prec: int):
     return total * width / 2
 
 
-def quad_ts(f, points, prec: int, target=None, min_level: int = 3,
-            max_level: int = 10, raise_on_fail: bool = True):
+def quad_ts(f, points, prec: int, target=None, max_level: int = 10,
+            raise_on_fail: bool = True):
     """Integrate f over the segments defined by consecutive `points`.
 
-    target: absolute-or-relative error goal (default 2**(-prec/4), the
-    context contract).  Returns (value, err_estimate); raises
-    QuadratureError when the goal is missed unless raise_on_fail=False.
+    target: absolute-or-relative error goal (default 2**(-prec/4)).  Each
+    segment runs at least MIN_LEVEL levels and at most max_level.  Returns
+    (value, err_estimate); raises QuadratureError when the goal is missed
+    unless raise_on_fail=False.
     """
     if target is None:
         target = mpf(2) ** (-(prec // 4))
@@ -100,7 +103,7 @@ def quad_ts(f, points, prec: int, target=None, min_level: int = 3,
                 est = raw * mpf(2) ** (-level)
                 seg_err = abs(est - prev)
                 prev = est
-                if level >= min_level and seg_err <= seg_target * max(1, abs(est)):
+                if level >= MIN_LEVEL and seg_err <= seg_target * max(1, abs(est)):
                     break
             value += prev
             err += seg_err

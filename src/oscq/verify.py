@@ -433,12 +433,14 @@ def suite_zeros(prec: int = 256, nu="0", n_list=None, **_) -> list[CheckRecord]:
             tilde = rescale_to_tilde(poly, n)
             zs = find_zeros(tilde)
             tol = mpf(2) ** (-(zs.prec // 2) + 16)
-            vieta = abs(mp.fsum(zs.roots) + tilde.coeffs[-1])
+            # c_{n-1} = -sum a_k and c_0 = P(0)
+            vieta = abs(mp.fsum(zs.roots)
+                        - mp.fsum(a for a, _ in tilde.recurrence))
             out.append(_le(f"Vieta sum n={n}", vieta, tol * n))
             prod = mpf(1)
             for r in zs.roots:
                 prod = prod * r
-            vieta_p = abs(prod - (-1) ** n * tilde.coeffs[0])
+            vieta_p = abs(prod - (-1) ** n * tilde.eval(0))
             out.append(_le(f"Vieta product n={n}", vieta_p, tol * n))
             sym = mpf(0)
             for r in zs.roots:
@@ -452,18 +454,22 @@ def suite_zeros(prec: int = 256, nu="0", n_list=None, **_) -> list[CheckRecord]:
             zs2 = find_zeros(tilde)
             out.append(_rec(f"determinism n={n}", 0, "bitwise equal",
                             zs.roots == zs2.roots))
-        # constructive round trip on a random degree-8 polynomial
-        roots = [mpc(2 * rng.random() - 1, 2 * rng.random() - 1)
-                 for _ in range(8)]
-        coeffs = [mpc(1)]
-        for r in roots:
-            coeffs = [c * (-r) + (coeffs[i - 1] if i > 0 else 0)
-                      for i, c in enumerate(coeffs)] + [mpc(1)]
-        poly = MonicPolynomial(degree=8, coeffs=tuple(coeffs[:-1]),
-                               variable=Variable.RAW_X, prec=prec)
-        zs = find_zeros(poly)
+        # constructive round trip on a random degree-8 recurrence: its
+        # roots are the eigenvalues of the Jacobi matrix [b_k, a_k, 1]
+        def draw():
+            return mpc(2 * rng.random() - 1, 2 * rng.random() - 1)
+
+        rec = tuple((draw(), draw()) for _ in range(8))
+        jac = mp.matrix(8)
+        for k, (a, b) in enumerate(rec):
+            jac[k, k] = a
+            if k:
+                jac[k, k - 1], jac[k - 1, k] = b, 1
+        roots = mp.eig(jac, left=False, right=False)
+        zs = find_zeros(MonicPolynomial(recurrence=rec,
+                                        variable=Variable.RAW_X, prec=prec))
         worst = mpf(0)
-        for r in sorted(roots, key=lambda w: (w.real, w.imag)):
+        for r in roots:
             worst = max(worst, min(abs(r - got) for got in zs.roots))
         out.append(_le("constructive round-trip degree 8", worst,
                        mpf(2) ** (-(prec // 2) + 24)))

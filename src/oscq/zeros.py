@@ -94,21 +94,18 @@ def _aberth(z, pair, tol, sweeps: int):
 
 
 def find_zeros(p: MonicPolynomial, prec: int | None = None) -> ZeroSet:
-    """All roots of p with Newton corrections below 2^(-prec/2), by Aberth
-    at prec + 64 bits from the seeds, or from the same loop run in floats
-    first when p carries its recurrence."""
+    """All roots of p with Newton corrections below 2^(-prec/2): Aberth
+    in floats from the seeds, then at prec + 64 bits from the float roots."""
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
     prec = prec or p.prec
     n = p.degree
     tol = mpf(2) ** (-(prec // 2))
     with workprec(prec, guard=64):
-        z = _initial_guesses(p, prec)
-        if p.recurrence:
-            zf = [complex(w) for w in z]
-            _aberth(zf, _float_eval_with_deriv(p.recurrence), FLOAT_TOL,
-                    MAX_SWEEPS)
-            z = [mpc(w) for w in zf]
+        zf = [complex(w) for w in _initial_guesses(p, prec)]
+        _aberth(zf, _float_eval_with_deriv(p.recurrence), FLOAT_TOL,
+                MAX_SWEEPS)
+        z = [mpc(w) for w in zf]
         corr = _aberth(z, lambda w: p.eval_with_deriv(w, prec + 64), tol,
                        MAX_SWEEPS)
         if not max(corr) < tol:

@@ -193,12 +193,6 @@ def test_psi_even_nonnegative_cdf_monotone():
             prev = c
 
 
-def test_context_target_invariant():
-    eq.EquilibriumContext(prec=192, quad_target=mpf(2) ** -64)
-    with pytest.raises(ValueError):
-        eq.EquilibriumContext(prec=192, quad_target=mpf(2) ** -16)
-
-
 def test_epsilon_n_decreasing():
     with workprec(128):
         vals = [eq.epsilon_n(n, "0.25", 128) for n in (8, 16, 32, 64)]

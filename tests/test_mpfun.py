@@ -3,10 +3,9 @@ import random
 import pytest
 from mpmath import mp, mpf
 
-from oscq.mpfun import (DomainError, PoleError, bessel_j, bessel_k, bessel_y,
-                        gamma_fn, recip_gamma, workprec)
+from oscq.mpfun import PoleError, gamma_fn, recip_gamma, workprec
 
-from conftest import agrees, rel_agrees
+from conftest import rel_agrees
 
 PREC = 128
 
@@ -30,75 +29,6 @@ def test_gamma_values_and_pole():
         gamma_fn(-2, PREC)
 
 
-def test_bessel_k_half_integer_closed_form():
-    with workprec(256):
-        ref = mp.sqrt(mp.pi / 2) * mp.exp(-1)
-    assert rel_agrees(bessel_k(mpf(1) / 2, 1, 256), ref, mpf(2) ** -240)
-
-
-def test_bessel_k_small_argument_law():
-    # K_nu(x) ~ Gamma(nu) 2^(nu-1) x^(-nu) as x -> 0; the first correction
-    # is of relative size (x/2)^(2 nu), about 1e-3 at x=1e-6 for nu=1/4
-    nu = mpf(1) / 4
-
-    def rel_dev(x):
-        got = bessel_k(nu, x, PREC)
-        with workprec(256):
-            ref = gamma_fn(nu, 256) * mpf(2) ** (nu - 1) * x ** (-nu)
-            return abs(got - ref) / ref
-
-    with workprec(256):
-        d6 = rel_dev(mpf(10) ** -6)
-        d10 = rel_dev(mpf(10) ** -10)
-        assert d6 <= mpf(10) ** -3
-        assert d10 <= mpf(10) ** -4
-        # correction shrinks at the sqrt rate
-        assert d10 <= d6 * mpf(10) ** -1
-
-
-def test_bessel_k_large_argument_law():
-    # K_nu(x) ~ sqrt(pi/(2x)) e^-x leading term
-    nu, x = mpf(1) / 4, mpf(50)
-    got = bessel_k(nu, x, PREC)
-    with workprec(256):
-        ref = mp.sqrt(mp.pi / (2 * x)) * mp.exp(-x)
-    assert rel_agrees(got, ref, mpf(10) ** -2)
-
-
-def test_bessel_domain_errors():
-    for fn in (bessel_k, bessel_j, bessel_y):
-        with pytest.raises(DomainError):
-            fn(mpf(1) / 4, 0, PREC)
-        with pytest.raises(DomainError):
-            fn(mpf(1) / 4, -2, PREC)
-    with pytest.raises(DomainError):
-        bessel_k(mpf(3) / 2, 1, PREC)
-
-
-def test_half_integer_j_y_zeros():
-    # J_(1/2)(pi) = 0 and Y_(1/2)(pi/2) = 0 in closed form
-    with workprec(256):
-        assert agrees(bessel_j(mpf(1) / 2, mp.pi, 256), 0, mpf(2) ** -230)
-        assert agrees(bessel_y(mpf(1) / 2, mp.pi / 2, 256), 0, mpf(2) ** -230)
-
-
-def test_wronskian_with_central_differences():
-    # J_nu(x) Y_nu'(x) - J_nu'(x) Y_nu(x) = 2/(pi x), derivatives by
-    # central differences at 4x precision
-    prec = 128
-    nu = mpf(1) / 4
-    with workprec(4 * prec):
-        x = mpf("3.7")
-        h = mpf(2) ** (-int(0.6 * prec))
-        jp = (bessel_j(nu, x + h, 4 * prec)
-              - bessel_j(nu, x - h, 4 * prec)) / (2 * h)
-        yp = (bessel_y(nu, x + h, 4 * prec)
-              - bessel_y(nu, x - h, 4 * prec)) / (2 * h)
-        w = bessel_j(nu, x, 4 * prec) * yp - jp * bessel_y(nu, x, 4 * prec)
-        ref = 2 / (mp.pi * x)
-        assert abs(w - ref) <= mpf(10) ** (-int(0.3 * prec)) * abs(ref)
-
-
 def test_recip_gamma_inverse_identity_sweep():
     rng = random.Random(1234)
     prec = 128
@@ -111,18 +41,6 @@ def test_recip_gamma_inverse_identity_sweep():
             worst = max(worst,
                         abs(recip_gamma(x, prec) * gamma_fn(x, prec) - 1))
         assert worst <= mpf(2) ** (-prec + 20)
-
-
-def test_positivity_sweep():
-    prec = 96
-    with workprec(prec):
-        for nu in (mpf("0.1"), mpf("0.25"), mpf("0.5")):
-            for k in range(40):
-                x = mpf(10) ** (mpf(-3) + 5 * mpf(k) / 39)
-                jv = bessel_j(nu, x, prec)
-                yv = bessel_y(nu, x, prec)
-                assert jv * jv + yv * yv > 0
-                assert bessel_k(nu, x, prec) > 0
 
 
 def test_precision_scaling():

@@ -82,6 +82,19 @@ def test_d1_grid_cache_bit_identical():
     assert px.d1n(z, 9, NU, 128) == px.d1n(z, 9, NU, 128, grid=g2)
 
 
+def test_d1_grid_cache_keys_on_exact_nu():
+    # nu values that agree to 40 digits but differ at 128 bits get two grids
+    near = NU + "0" * 40 + "1"
+    px._get_grid(9, NU, 128)
+    grid = px._get_grid(9, near, 128)
+    fresh = px.build_d1_grid(9, near, 128)
+    assert grid.nu == fresh.nu and grid.wk == fresh.wk
+    # and d1n reads that grid rather than building one for a rounded nu
+    misses = px._cached_grid.cache_info().misses
+    px.d1n(mpc("0.1", "0.4"), 9, near, 128)
+    assert px._cached_grid.cache_info().misses == misses
+
+
 def test_d_infty_limit_value_and_trend():
     with workprec(256):
         assert abs(px.d_infty_n(20, "0.5", 192) - mpf(2) ** mpf("0.25")) \

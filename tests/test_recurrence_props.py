@@ -1,15 +1,16 @@
 """Property tests of the recurrence core over nu in [0, 1): exact moments,
-Christoffel weights, conjugate symmetry and Hankel determinants, each
-against an independent route."""
+polynomial values and derivatives, Christoffel weights, conjugate symmetry
+and Hankel determinants, each against an independent route."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
-from oscq.moments import hankel_det, moment_sequence
+from oscq.moments import _coefficients, hankel_det, moment_sequence
 from oscq.mpfun import workprec
 from oscq.quadrule import gauss_rule
 
+from conftest import get_tilde
 from test_moments import _bareiss_det
 
 PREC = 256
@@ -49,6 +50,22 @@ def test_moment_recurrence_matches_gamma_ratio(nu):
             ref = mpf(2) ** j * mp.gamma((1 + x + j) / 2) \
                 * mp.rgamma((1 + x - j) / 2)
             assert abs(got[j] - ref) <= mpf(2) ** (16 - PREC) * abs(ref), j
+
+
+@props
+@given(n=st.integers(1, 24), nu=nus, x=st.floats(-1.5, 1.5),
+       y=st.floats(-0.5, 0.5))
+def test_eval_with_deriv_matches_horner(n, nu, x, y):
+    pt = get_tilde(n, nu)
+    val, der = pt.eval_with_deriv(mpc(x, y), pt.prec)
+    with workprec(2 * pt.prec):
+        z = mpc(x, y)
+        ref, dref = mpc(1), mpc(0)
+        for c in reversed(_coefficients(pt.recurrence)):
+            ref, dref = ref * z + c, dref * z + ref
+        assert abs(val - ref) <= mpf(2) ** (-pt.prec + 32) * max(1, abs(ref))
+        assert abs(der - dref) <= \
+            mpf(2) ** (-pt.prec + 32) * max(1, abs(dref))
 
 
 @props

@@ -12,7 +12,7 @@ PREC = 256
 
 
 def test_quadratic_roots():
-    p = MonicPolynomial(degree=2, coeffs=(mpf(1), mpf(0)),
+    p = MonicPolynomial(recurrence=((0, 1), (0, -1)),   # x^2 + 1
                         variable=Variable.RAW_X, prec=PREC)
     zs = find_zeros(p)
     with workprec(PREC):
@@ -37,8 +37,9 @@ def test_vieta_sum():
     zs = get_zeros(8, "0.25")
     tilde = get_tilde(8, "0.25")
     with workprec(zs.prec):
-        scale = max(1, abs(tilde.coeffs[-1]))
-        assert abs(mp.fsum(zs.roots) + tilde.coeffs[-1]) <= \
+        c = -mp.fsum(a for a, _ in tilde.recurrence)   # c_{n-1}
+        scale = max(1, abs(c))
+        assert abs(mp.fsum(zs.roots) + c) <= \
             mpf(2) ** (-(zs.prec // 2) + 16) * scale
 
 
@@ -73,7 +74,7 @@ def test_zero_line_empty_retained():
 
 
 def test_zero_line_requires_rescaled_frame():
-    p = MonicPolynomial(degree=1, coeffs=(mpf(1),),
+    p = MonicPolynomial(recurrence=((-1, 1),),   # x + 1
                         variable=Variable.RAW_X, prec=PREC)
     zs = find_zeros(p)
     with pytest.raises(ValueError):
