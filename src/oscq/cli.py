@@ -25,11 +25,11 @@ from . import parametrix as px
 from .moments import (IndeterminateHankelError, SolverError, monic_op,
                       rescale_to_tilde)
 from .mpfun import DomainError, workprec
-from .smallnorm import EPS_DEFAULT, RHO_DEFAULT, CutoffChi
+from .smallnorm import CHI_PROFILE, EPS_DEFAULT, RHO_DEFAULT
 from .verify import SUITES, run_suite
 from .zeros import find_zeros, zero_line_stats
 
-DESK_N_CEILING = 64
+DESK_N_CEILING = 200
 
 
 def _digits(prec: int) -> int:
@@ -76,7 +76,7 @@ def _base_manifest(command: str, prec_used: int, t0: float) -> dict:
         "delta": "0.2",
         "eps": fmt(EPS_DEFAULT, 64),
         "rho": fmt(RHO_DEFAULT, 64),
-        "chi_profile": CutoffChi().profile_id,
+        "chi_profile": CHI_PROFILE,
         "mpmath_backend": mpmath.libmp.BACKEND,
         "wall_time_s": round(time.time() - t0, 3),
     }

@@ -2,6 +2,11 @@
 imaginary segment: the jump entries j1/j2, the Bessel-ratio shape bounds,
 the kernel functions eta1/eta2 with their cutoff, and the operator-norm
 integrals whose decay certifies the local analysis.
+
+The kernels are evaluated in mirrored pairs, |j1(iy)| with |j2(-iy)| and
+|eta1(iy)| with |eta2(-iy)|: one Bessel pair, one cutoff value and one D1
+read per axis point y > 0, D1 at -iy being conj D1(iy) by Schwarz
+reflection.  The public single-kernel functions select from the pair.
 """
 
 from __future__ import annotations
@@ -16,17 +21,10 @@ from .parametrix import D1Grid, _get_grid, d1n, d2, w_pm_imag
 from .quadrature import quad_ts
 
 
-def _fixed(s, prec: int = 128):
-    old = mp.prec
-    mp.prec = prec
-    try:
-        return mpf(s)
-    finally:
-        mp.prec = old
-
-
-RHO_DEFAULT = _fixed("0.4")
-EPS_DEFAULT = _fixed("0.12")   # < min(1/(2e), rho/3) for rho = 0.4
+with workprec(128, guard=0):
+    RHO_DEFAULT = mpf("0.4")
+    EPS_DEFAULT = mpf("0.12")   # < min(1/(2e), rho/3) for rho = 0.4
+CHI_PROFILE = "smoothstep-exp"
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,6 @@ class CutoffChi:
     identically 0 beyond 2*eps, exp(-1/t)-smoothstep between."""
 
     eps: mpf = field(default_factory=lambda: EPS_DEFAULT)
-    profile_id: str = "smoothstep-exp"
 
     def __post_init__(self):
         with workprec(128):
@@ -64,13 +61,20 @@ def _bessel_pair(s, nu, prec: int):
         return mp.besselj(nu, s), mp.bessely(nu, s)
 
 
-def j1_modulus(y, n: int, nu, prec: int):
-    """|j1(iy)| via the Hankel reduction: real Bessel functions at n pi y
-    and the closed form for Re phi on the axis."""
+def _axis_y(y):
+    """y at the caller's working precision; the kernels need y > 0."""
+    y = mpf(y)
+    if y <= 0:
+        raise DomainError("y must be positive")
+    return y
+
+
+def _j_moduli(y, n: int, nu, prec: int):
+    """(|j1(iy)|, |j2(-iy)|) via the Hankel reduction: one pair of real
+    Bessel functions at n pi y, the closed form for Re phi on the axis,
+    and the numerators |J cos(nu pi) - Y sin(nu pi)| and |J|."""
     with workprec(prec):
-        y = mpf(y)
-        if y <= 0:
-            raise DomainError("y must be positive")
+        y = _axis_y(y)
         nu = mpf(nu)
         s = n * mp.pi * y
         jv, yv = _bessel_pair(s, nu, prec + 16)
@@ -80,61 +84,48 @@ def j1_modulus(y, n: int, nu, prec: int):
         # verified against the direct assembly in j1_direct
         amp = 4 * mp.exp(-2 * n * re_phi_imag_axis(y, prec + 16)) \
             / (mp.sqrt(2 * n) * mp.pi)
-        v = amp * num / den
-    return round_to(v, prec)
+        v1 = amp * num / den
+        v2 = amp * abs(jv) / den
+    return round_to(v1, prec), round_to(v2, prec)
+
+
+def j1_modulus(y, n: int, nu, prec: int):
+    """|j1(iy)|, see _j_moduli."""
+    return _j_moduli(y, n, nu, prec)[0]
 
 
 def j2_modulus(y, n: int, nu, prec: int):
-    """|j2(-iy)|, same reduction with the plain J numerator."""
-    with workprec(prec):
-        y = mpf(y)
-        if y <= 0:
-            raise DomainError("y must be positive")
-        nu = mpf(nu)
-        s = n * mp.pi * y
-        jv, yv = _bessel_pair(s, nu, prec + 16)
-        amp = 4 * mp.exp(-2 * n * re_phi_imag_axis(y, prec + 16)) \
-            / (mp.sqrt(2 * n) * mp.pi)
-        v = amp * abs(jv) / (jv * jv + yv * yv)
-    return round_to(v, prec)
+    """|j2(-iy)|, see _j_moduli."""
+    return _j_moduli(y, n, nu, prec)[1]
 
 
-def j1_direct(y, n: int, nu, prec: int):
-    """j1(iy) assembled from its defining jump-entry structure: one-sided
-    weights and phase values on the axis.  Independent of the Hankel
-    reduction; used as a cross-check oracle."""
+def _j_jump(s, n: int, nu, prec: int):
+    """The jump entry at z = is (s of either sign, already an mpf),
+    assembled from one-sided weights and phase values on the axis.
+    Independent of the Hankel reduction; a cross-check oracle."""
     with workprec(prec):
-        y = mpf(y)
-        if y <= 0:
-            raise DomainError("y must be positive")
         nu = mpf(nu)
-        z = mpc(0, y)
+        z = mpc(0, s)
         g = g_fn(z, prec)
         ell = ell_const(prec)
         phi_plus = g + mp.pi * z / 2 - ell / 2    # left half plane limit
         phi_minus = g - mp.pi * z / 2 - ell / 2   # right half plane limit
         ph = mp.exp(nu * mp.pi * mpc(0, 1) / 2)
-        v = ph * mp.exp(-2 * n * phi_minus) / w_pm_imag(y, "-", n, nu, prec) \
-            - mp.exp(-2 * n * phi_plus) / ph / w_pm_imag(y, "+", n, nu, prec)
+        v = ph * mp.exp(-2 * n * phi_minus) / w_pm_imag(s, "-", n, nu, prec) \
+            - mp.exp(-2 * n * phi_plus) / ph / w_pm_imag(s, "+", n, nu, prec)
     return round_to(v, prec)
+
+
+def j1_direct(y, n: int, nu, prec: int):
+    """j1(iy) from the jump-entry structure (cross-check)."""
+    with workprec(prec):
+        return _j_jump(_axis_y(y), n, nu, prec)
 
 
 def j2_direct(y, n: int, nu, prec: int):
-    """j2(-iy) assembled from the jump-entry structure (cross-check)."""
+    """j2(-iy) = -(the j1 assembly at -iy) (cross-check)."""
     with workprec(prec):
-        y = mpf(y)
-        if y <= 0:
-            raise DomainError("y must be positive")
-        nu = mpf(nu)
-        z = mpc(0, -y)
-        g = g_fn(z, prec)
-        ell = ell_const(prec)
-        phi_plus = g + mp.pi * z / 2 - ell / 2
-        phi_minus = g - mp.pi * z / 2 - ell / 2
-        ph = mp.exp(nu * mp.pi * mpc(0, 1) / 2)
-        v = -ph * mp.exp(-2 * n * phi_minus) / w_pm_imag(-y, "-", n, nu, prec) \
-            + mp.exp(-2 * n * phi_plus) / ph / w_pm_imag(-y, "+", n, nu, prec)
-    return round_to(v, prec)
+        return -_j_jump(-_axis_y(y), n, nu, prec)
 
 
 def bessel_ratio_bounds_check(s, nu, prec: int = 96):
@@ -160,32 +151,34 @@ def bessel_ratio_bounds_check(s, nu, prec: int = 96):
             "lhs2": round_to(lhs2, prec), "rhs2": round_to(rhs2, prec)}
 
 
-def eta1_modulus(y, n: int, nu, chi: CutoffChi, prec: int,
-                 grid: D1Grid | None = None):
-    """|eta1(iy)| = |j1| |D1 D2|^2 chi on the positive imaginary axis."""
+def _eta_moduli(y, n: int, nu, chi: CutoffChi, prec: int,
+                grid: D1Grid | None = None):
+    """(|eta1(iy)|, |eta2(-iy)|) = (|j1| |D1 D2|^2 chi at iy, |j2| |D1 D2|^2
+    chi at -iy).  One cutoff value, one D1 read: by Schwarz reflection
+    D1(-iy) = conj D1(iy)."""
     c = chi(y, prec)
     if c == 0:
-        return mpf(0)
+        return mpf(0), mpf(0)
     with workprec(prec):
         y = mpf(y)
-        z = mpc(0, y)
-        dd = abs(d1n(z, n, nu, prec, grid=grid) * d2(z, nu, prec)) ** 2
-        v = j1_modulus(y, n, nu, prec) * dd * c
-    return round_to(v, prec)
+        j1, j2 = _j_moduli(y, n, nu, prec)
+        up, down = mpc(0, y), mpc(0, -y)
+        d = d1n(up, n, nu, prec, grid=grid)
+        v1 = j1 * abs(d * d2(up, nu, prec)) ** 2 * c
+        v2 = j2 * abs(mp.conj(d) * d2(down, nu, prec)) ** 2 * c
+    return round_to(v1, prec), round_to(v2, prec)
+
+
+def eta1_modulus(y, n: int, nu, chi: CutoffChi, prec: int,
+                 grid: D1Grid | None = None):
+    """|eta1(iy)| on the positive imaginary axis, see _eta_moduli."""
+    return _eta_moduli(y, n, nu, chi, prec, grid)[0]
 
 
 def eta2_modulus(y, n: int, nu, chi: CutoffChi, prec: int,
                  grid: D1Grid | None = None):
     """|eta2(-iy)| on the negative imaginary axis (y > 0)."""
-    c = chi(y, prec)
-    if c == 0:
-        return mpf(0)
-    with workprec(prec):
-        y = mpf(y)
-        z = mpc(0, -y)
-        dd = abs(d1n(z, n, nu, prec, grid=grid) * d2(z, nu, prec)) ** 2
-        v = j2_modulus(y, n, nu, prec) * dd * c
-    return round_to(v, prec)
+    return _eta_moduli(y, n, nu, chi, prec, grid)[1]
 
 
 def eta_bound_check(y, n: int, nu, chi: CutoffChi, prec: int = 128):
@@ -201,8 +194,7 @@ def eta_bound_check(y, n: int, nu, chi: CutoffChi, prec: int = 128):
         decay = mp.exp(-2 * n * re_phi_imag_axis(y, prec + 16))
         b1 = y ** nu * decay
         b2 = (n ** (2 * nu) * y ** nu + n * y ** (1 - nu)) * decay
-        e1 = eta1_modulus(y, n, nu, chi, prec, grid=grid)
-        e2 = eta2_modulus(y, n, nu, chi, prec, grid=grid)
+        e1, e2 = _eta_moduli(y, n, nu, chi, prec, grid)
     return {"eta1_mod": e1, "bound1": round_to(b1, prec),
             "eta2_mod": e2, "bound2": round_to(b2, prec)}
 
@@ -226,10 +218,12 @@ def k_norm_bounds(n: int, nu, chi: CutoffChi | None = None,
         # integrand peaks near 1/(n log n); give the quadrature that split
         peak = mpf(1) / (n * max(1, mp.log(n)))
         points = sorted({mpf(0), +peak, +min(4 * peak, hi), hi})
-        for key, kernel in (("k1_bound", eta1_modulus),
-                            ("k2_bound", eta2_modulus)):
+        pairs = {}   # node y -> both moduli; the two integrals share nodes
+        for key, side in (("k1_bound", 0), ("k2_bound", 1)):
             def f(y):
-                e = kernel(y, n, nu, chi, prec, grid=grid)
+                if y not in pairs:
+                    pairs[y] = _eta_moduli(y, n, nu, chi, prec, grid)
+                e = pairs[y][side]
                 return e * e / y
 
             val, _ = quad_ts(f, points, prec,

@@ -1,5 +1,6 @@
-"""Shared fixtures: session-wide polynomial/zero caches so the expensive
-Hankel solves and Aberth runs happen once per (n, nu)."""
+"""Shared fixtures: session-wide polynomial/zero/operator-norm caches so
+the expensive recurrence solves, Aberth runs and small-norm integrals
+happen once per (n, nu)."""
 
 from __future__ import annotations
 
@@ -7,10 +8,12 @@ from mpmath import mp, mpf
 
 from oscq.moments import monic_op, rescale_to_tilde
 from oscq.mpfun import workprec
+from oscq.smallnorm import k_norm_bounds
 from oscq.zeros import find_zeros
 
 _POLY: dict = {}
 _ZEROS: dict = {}
+_K_NORMS: dict = {}
 
 
 def get_poly(n: int, nu, prec: int = 256):
@@ -32,6 +35,13 @@ def get_zeros(n: int, nu, prec: int = 256, solve_prec: int | None = None):
         _ZEROS[key] = find_zeros(
             tilde, prec=solve_prec or min(tilde.prec, 512))
     return _ZEROS[key]
+
+
+def get_k_norms(n: int, nu, prec: int = 128):
+    key = (n, str(nu), prec)
+    if key not in _K_NORMS:
+        _K_NORMS[key] = k_norm_bounds(n, nu, prec=prec)
+    return _K_NORMS[key]
 
 
 def agrees(a, b, tol, prec: int = 512) -> bool:

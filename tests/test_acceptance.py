@@ -16,7 +16,7 @@ from oscq.quadrature import quad_ts
 from oscq.quadrule import gauss_rule
 from oscq.zeros import ecdf_vs_psi, zero_line_stats
 
-from conftest import get_tilde, get_zeros, nstr, report
+from conftest import get_k_norms, get_tilde, get_zeros, nstr, report
 
 
 def test_ac1_imaginary_axis_law_nu0():
@@ -151,7 +151,7 @@ def test_ac8_small_norm_decay():
     for nu_s in ("0.25", "0.5"):
         with workprec(prec):
             nu = mpf(nu_s)
-            res = {n: sn.k_norm_bounds(n, nu_s, prec=prec)
+            res = {n: get_k_norms(n, nu_s, prec)
                    for n in (16, 32, 64, 128)}
             prods[nu_s] = res
             b1 = {n: res[n]["k1_bound"] * n ** nu * mp.log(n) ** nu

@@ -44,7 +44,7 @@ def test_zeros_determinism(tmp_path):
 
 
 def test_zeros_desk_ceiling(tmp_path):
-    r = run_cli("zeros", "--nu", "0.25", "--n", "100",
+    r = run_cli("zeros", "--nu", "0.25", "--n", "201",
                 "--out", str(tmp_path / "x.csv"))
     assert r.returncode == 2
     assert "allow-long" in r.stderr

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from mpmath import mp, mpc, mpf
 
@@ -6,6 +8,7 @@ from oscq import parametrix as px
 from oscq import verify
 from oscq.branches import f_exterior
 from oscq.mpfun import DomainError, workprec
+from oscq.smallnorm import EPS_DEFAULT
 
 from conftest import get_tilde
 
@@ -93,6 +96,22 @@ def test_d1_grid_cache_keys_on_exact_nu():
     misses = px._cached_grid.cache_info().misses
     px.d1n(mpc("0.1", "0.4"), 9, near, 128)
     assert px._cached_grid.cache_info().misses == misses
+
+
+def test_d1n_schwarz_reflection_on_axis_bitwise():
+    # the small-norm kernels read D1 once per axis point and take
+    # D1(-iy) = conj D1(iy), so the grid sum must honour it to the last bit
+    rng = random.Random(4)
+    for nu in ("0.25", "0.5"):
+        grid = px._get_grid(16, nu, 128)
+        for _ in range(20):
+            with workprec(128):
+                y = 2 * EPS_DEFAULT * (1 - mpf(rng.random()))  # (0, 2 eps]
+                up, down = mpc(0, y), mpc(0, -y)
+            a = px.d1n(up, 16, nu, 128, grid=grid)
+            b = px.d1n(down, 16, nu, 128, grid=grid)
+            with workprec(128):
+                assert b._mpc_ == mp.conj(a)._mpc_, (nu, y)
 
 
 def test_d_infty_limit_value_and_trend():
