@@ -4,11 +4,14 @@ happen once per (n, nu)."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 from mpmath import mp, mpf
 
+from oscq import smallnorm
 from oscq.moments import monic_op, rescale_to_tilde
 from oscq.mpfun import workprec
-from oscq.smallnorm import k_norm_bounds
+from oscq.parametrix import D1Grid
 from oscq.zeros import find_zeros
 
 _POLY: dict = {}
@@ -38,9 +41,37 @@ def get_zeros(n: int, nu, prec: int = 256, solve_prec: int | None = None):
 
 
 def get_k_norms(n: int, nu, prec: int = 128):
+    return _k_norm_run(n, nu, prec)[0]
+
+
+def get_k_norm_reads(n: int, nu, prec: int = 128):
+    """(D1 grid reads, distinct integrand nodes with chi(y) != 0) counted
+    during the cached k_norm_bounds run."""
+    return _k_norm_run(n, nu, prec)[1:]
+
+
+def _k_norm_run(n: int, nu, prec: int):
     key = (n, str(nu), prec)
     if key not in _K_NORMS:
-        _K_NORMS[key] = k_norm_bounds(n, nu, prec=prec)
+        nodes, reads = set(), [0]
+        cauchy, quad = D1Grid.cauchy, smallnorm.quad_ts
+
+        def counting_cauchy(self, z):
+            reads[0] += 1
+            return cauchy(self, z)
+
+        def recording_quad(f, *args, **kwargs):
+            def g(y):
+                nodes.add(y)
+                return f(y)
+            return quad(g, *args, **kwargs)
+
+        with mock.patch.object(D1Grid, "cauchy", counting_cauchy), \
+                mock.patch.object(smallnorm, "quad_ts", recording_quad):
+            res = smallnorm.k_norm_bounds(n, nu, prec=prec)
+        chi = smallnorm.CutoffChi()
+        live = sum(1 for y in nodes if chi(y, prec) != 0)
+        _K_NORMS[key] = (res, reads[0], live)
     return _K_NORMS[key]
 
 

@@ -1,12 +1,11 @@
 import pytest
 from mpmath import mp, mpf
 
-from oscq import parametrix as px
 from oscq import smallnorm as sn
 from oscq import verify
 from oscq.mpfun import workprec
 
-from conftest import get_k_norms
+from conftest import get_k_norm_reads, get_k_norms
 
 NU = "0.25"
 PREC = 128
@@ -109,30 +108,10 @@ def test_k_norm_bounds_structure():
         assert r["k1_bound"] > 0 and r["k2_bound"] > 0
         assert abs(r["product"] - r["k1_bound"] * r["k2_bound"]) \
             <= mpf(2) ** -100
-
-
-def test_k_norm_bounds_reads_d1_once_per_node(monkeypatch):
     # the k1 and k2 integrals share their nodes, and each node with
     # chi(y) != 0 costs one D1 grid read for both kernels
-    nodes, reads = set(), []
-    cauchy, quad = px.D1Grid.cauchy, sn.quad_ts
-
-    def counting_cauchy(self, z):
-        reads.append(z)
-        return cauchy(self, z)
-
-    def recording_quad(f, *args, **kwargs):
-        def g(y):
-            nodes.add(y)
-            return f(y)
-        return quad(g, *args, **kwargs)
-
-    monkeypatch.setattr(px.D1Grid, "cauchy", counting_cauchy)
-    monkeypatch.setattr(sn, "quad_ts", recording_quad)
-    sn.k_norm_bounds(16, NU, prec=PREC)
-    chi = sn.CutoffChi()
-    live = [y for y in nodes if chi(y, PREC) != 0]
-    assert live and len(reads) == len(live)
+    reads, live = get_k_norm_reads(16, NU, PREC)
+    assert live and reads == live
 
 
 def test_suite_smallnorm_all_pass():
