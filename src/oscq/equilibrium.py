@@ -4,18 +4,20 @@ phi, and the oscillation phase theta_n.
 
 The measure has density psi(x) = log((1+sqrt(1-x^2))/|x|)/pi on [-1,1];
 it is even, integrates to one, diverges logarithmically at the origin and
-vanishes like a square root at the edges.  All quadrature goes through the
-tanh-sinh engine with ranges split at the singular points, to its default
-target 2^-(prec/4); every function takes its working precision in bits.
+vanishes like a square root at the edges.  Everything derived from it
+goes through one closed antiderivative F of psi (Saff & Totik,
+Logarithmic Potentials with External Fields, ch. IV): the CDF is
+1/2 +- F(|x|), phi = i pi (1/2 - F) in the first quadrant, g follows by
+reflection, and theta_n = n pi (1/2 - F) + arccos(z)/4 - pi/4.  Every
+function takes its working precision in bits.
 """
 
 from __future__ import annotations
 
 from mpmath import mp, mpc, mpf
 
-from .branches import arccos_branch, sqrt_onecut
-from .mpfun import DomainError, round_to, workprec
-from .quadrature import quad_ts
+from .branches import arccos_branch, sqrt_offcut, sqrt_onecut
+from .mpfun import GUARD_BITS, DomainError, round_to, workprec
 
 DEFAULT_PREC = 192
 
@@ -44,15 +46,20 @@ def psi_complex(z, prec: int = DEFAULT_PREC):
     return round_to(v, prec)
 
 
-def _cdf_half(t, prec: int):
-    """integral of psi over [0, t] for t in [0, 1], closed antiderivative."""
-    with workprec(prec):
-        t = mpf(t)
-        if t == 0:
-            return mpf(0)
-        if t == 1:
-            return mpf(1) / 2
-        return (t * mp.log((1 + mp.sqrt(1 - t * t)) / t) + mp.asin(t)) / mp.pi
+def _primitive(z):
+    """F(z) = integral_0^z psi = (z log((1+(1-z^2)^(1/2))/z) + arcsin z)/pi
+    for Re z >= 0 at the ambient precision; F(0) = 0, F(1) = 1/2.  Above
+    the real axis, (1-z^2)^(1/2) = -i w and arcsin z = pi/2 + i log(z+w)
+    with w = (z^2-1)^(1/2) analytic across (1, oo), so [1, oo) gets the
+    limit from Im z > 0; below, F(conj z) = conj F(z)."""
+    if z.imag < 0:
+        return mp.conj(_primitive(mp.conj(z)))
+    if z == 0:
+        return mpc(0)
+    w = sqrt_offcut(z)
+    i = mpc(0, 1)
+    return mpf(1) / 2 + (z * mp.log((1 - i * w) / z)
+                         + i * mp.log(z + w)) / mp.pi
 
 
 def psi_cdf(x, prec: int = DEFAULT_PREC):
@@ -61,7 +68,7 @@ def psi_cdf(x, prec: int = DEFAULT_PREC):
         x = mpf(x)
         if abs(x) > 1:
             raise DomainError("psi_cdf domain is [-1,1]")
-        half = _cdf_half(abs(x), prec)
+        half = _primitive(mpc(abs(x))).real
         v = mpf(1) / 2 + half if x >= 0 else mpf(1) / 2 - half
     return round_to(v, prec)
 
@@ -89,6 +96,22 @@ def ell_const(prec: int = DEFAULT_PREC):
     return round_to(v, prec)
 
 
+def _g(z, prec: int):
+    """g at z off (-oo, 1], or its limit from above on the real axis:
+    phi = i pi (1/2 - F) on the closed first quadrant, g(conj z) = conj g(z)
+    and g(z) = conj g(-conj z) + i pi (psi is even).  i pi F and pi z/2
+    cancel down to ~log z, so the guard bits grow with log2|z|."""
+    with workprec(prec, guard=GUARD_BITS + max(0, mp.mag(z))):
+        if z.imag < 0:
+            return mp.conj(_g(mp.conj(z), prec))
+        q = z if z.real >= 0 else -mp.conj(z)
+        v = (mpc(0, 1) * mp.pi * (mpf(1) / 2 - _primitive(q)) + mp.pi * q / 2
+             - 1 - mp.ln(2))   # ell/2 = -1 - log 2
+        if z.real < 0:
+            v = mp.conj(v) + mpc(0, mp.pi)
+    return round_to(v, prec)
+
+
 def g_fn(z, prec: int = DEFAULT_PREC):
     """Log potential integral(log(z-x) psi(x) dx); analytic off (-oo, 1]."""
     with workprec(prec):
@@ -96,26 +119,7 @@ def g_fn(z, prec: int = DEFAULT_PREC):
         if z.imag == 0 and z.real <= 1:
             raise DomainError("g is cut along (-oo, 1]; "
                               "use g_boundary for limits")
-
-        def f(x):
-            return mp.log(z - x) * psi_real(x, prec + 64)
-
-        v, _ = quad_ts(f, [-1, 0, 1], prec)
-    return round_to(v, prec)
-
-
-def g_log_abs(x, prec: int = DEFAULT_PREC):
-    """integral(log|x-t| psi(t) dt) for real x (the shared real part of g+-)."""
-    with workprec(prec):
-        x = mpf(x)
-        points = sorted({mpf(-1), mpf(0), mpf(1), x}) \
-            if -1 < x < 1 else [mpf(-1), mpf(0), mpf(1)]
-
-        def f(t):
-            return mp.log(abs(x - t)) * psi_real(t, prec + 64)
-
-        v, _ = quad_ts(f, points, prec)
-    return round_to(v, prec)
+    return _g(z, prec)
 
 
 def g_boundary(x, side: int, prec: int = DEFAULT_PREC):
@@ -128,12 +132,8 @@ def g_boundary(x, side: int, prec: int = DEFAULT_PREC):
     if side not in (1, -1):
         raise ValueError("side must be +1 or -1")
     with workprec(prec):
-        x = mpf(x)
-        gr = g_log_abs(x, prec)
-        xc = min(max(x, mpf(-1)), mpf(1))
-        tail = 1 - psi_cdf(xc, prec)
-        v = gr + side * mpc(0, 1) * mp.pi * tail
-    return round_to(v, prec)
+        v = _g(mpc(mpf(x)), prec)
+        return v if side > 0 else mp.conj(v)
 
 
 def phi_fn(z, prec: int = DEFAULT_PREC):
@@ -149,7 +149,7 @@ def phi_fn(z, prec: int = DEFAULT_PREC):
 
 
 def phi_boundary(x, side: int, prec: int = DEFAULT_PREC):
-    """One-sided value of phi on (-1,1); purely imaginary up to quadrature."""
+    """One-sided value of phi on (-1,1); purely imaginary up to rounding."""
     with workprec(prec):
         x = mpf(x)
         v = (g_boundary(x, side, prec) - mp.pi * abs(x) / 2
@@ -173,7 +173,7 @@ def phi_imag_side(y, side: str, prec: int = DEFAULT_PREC):
 
 
 def re_phi_imag_axis(s, prec: int = DEFAULT_PREC):
-    """Re phi on the imaginary axis at distance s>0 from 0 (closed form).
+    """Re phi on the imaginary axis at distance s>0 from 0: pi Im F(is).
 
     Equals -s log s + s log(1+sqrt(1+s^2)) + log(s+sqrt(1+s^2)); bounded
     below by s log(1/s).
@@ -182,42 +182,23 @@ def re_phi_imag_axis(s, prec: int = DEFAULT_PREC):
         s = mpf(s)
         if s <= 0:
             raise DomainError("s must be positive")
-        r = mp.sqrt(1 + s * s)
-        v = -s * mp.log(s) + s * mp.log(1 + r) + mp.log(s + r)
+        v = mp.pi * _primitive(mpc(0, s)).imag
     return round_to(v, prec)
 
 
 def theta_n(z, n: int, prec: int = DEFAULT_PREC):
-    """Oscillation phase: n pi integral_z^1 psi + arccos(z)/4 - pi/4.
-
-    The path is the straight segment from z to 1, which stays inside
-    {Re > 0} \\ [1, oo) for the admissible z; real-valued on (0,1).
-    """
+    """Oscillation phase: n pi integral_z^1 psi + arccos(z)/4 - pi/4,
+    with the integral 1/2 - F(z) in closed form; real-valued on (0,1)."""
     with workprec(prec):
         z = mpc(z)
         if z.real <= 0:
             raise DomainError("theta_n requires Re z > 0")
         if z.imag == 0 and z.real >= 1:
             raise DomainError("theta_n is cut along [1, oo)")
-        real_path = z.imag == 0
-        if real_path:
-            x = z.real
-
-            def f(s):
-                return psi_real(s, prec + 64)
-
-            integral, _ = quad_ts(f, [x, 1], prec)
-        else:
-            w = 1 - z
-
-            def f(t):
-                return psi_complex(z + t * w, prec + 64)
-
-            integral, _ = quad_ts(f, [0, 1], prec)
-            integral = integral * w
-        v = n * mp.pi * integral + arccos_branch(z) / 4 - mp.pi / 4
-        if real_path:
-            v = mpc(v).real
+        v = (n * mp.pi * (mpf(1) / 2 - _primitive(z))
+             + arccos_branch(z) / 4 - mp.pi / 4)
+        if z.imag == 0:
+            v = v.real
     return round_to(v, prec)
 
 
@@ -228,16 +209,4 @@ def epsilon_n(n: int, nu, prec: int = DEFAULT_PREC):
     with workprec(prec):
         nu = mpf(nu)
         v = mpf(n) ** (nu - mpf(1) / 2) / mp.log(n) ** (nu + mpf(1) / 2)
-    return round_to(v, prec)
-
-
-def decay_integral(alpha, n: int, prec: int = DEFAULT_PREC):
-    """integral_0^(1/e) y^alpha exp(-4 n y log(1/y)) dy (trend checks)."""
-    with workprec(prec):
-        alpha = mpf(alpha)
-
-        def f(y):
-            return y ** alpha * mp.exp(4 * n * y * mp.log(y))
-
-        v, _ = quad_ts(f, [0, mp.exp(-1)], prec)
     return round_to(v, prec)

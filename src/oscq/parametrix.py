@@ -274,8 +274,7 @@ def d_infty_n(n: int, nu, prec: int):
     return round_to(v, prec)
 
 
-def outer_eval(z, n: int, nu, prec: int,
-               min_dist=None) -> AsymptoticPrediction:
+def outer_eval(z, n: int, nu, prec: int) -> AsymptoticPrediction:
     """Leading outer approximation of the rescaled polynomial off [-1,1].
 
     value = exp(n g) * (z(z+s)/(2(z^2-1)))^(1/4) * (phase factor)^(-nu/4);
@@ -284,10 +283,8 @@ def outer_eval(z, n: int, nu, prec: int,
     with workprec(prec):
         z = mpc(z)
         nu = mpf(nu)
-        gate = mpf("0.2") if min_dist is None else mpf(min_dist)
-        if dist_to_interval(z, prec) < gate:
-            raise DomainError(
-                f"outer regime needs dist(z, [-1,1]) >= {gate}")
+        if dist_to_interval(z, prec) < mpf("0.2"):
+            raise DomainError("outer regime needs dist(z, [-1,1]) >= 0.2")
         g = g_fn(z, prec)
         b = beta_quartic(z)
         n011 = (b + 1 / b) / 2
@@ -299,9 +296,10 @@ def outer_eval(z, n: int, nu, prec: int,
                                 regime=Regime.OUTER)
 
 
-def _check_inner_domain(z, delta, box_im):
-    if abs(z.imag) > box_im or abs(z.real) > 1:
+def _check_inner_domain(z):
+    if abs(z.imag) > mpf("0.1") or abs(z.real) > 1:
         raise DomainError("point outside the validated oscillatory box")
+    delta = mpf("0.2")
     if abs(z) < delta or abs(z - 1) < delta or abs(z + 1) < delta:
         raise DomainError("point inside an excluded disk of the "
                           "oscillatory regime")
@@ -329,8 +327,7 @@ def inner_terms(z, n: int, nu, prec: int):
     return round_to(pref, prec), round_to(tp, prec), round_to(tm, prec)
 
 
-def inner_eval(z, n: int, nu, prec: int, delta=None,
-               box_im=None) -> AsymptoticPrediction:
+def inner_eval(z, n: int, nu, prec: int) -> AsymptoticPrediction:
     """Oscillatory-regime approximation near (-1,1).
 
     Reflection handles Re z < 0 through the conjugation symmetry of the
@@ -340,22 +337,12 @@ def inner_eval(z, n: int, nu, prec: int, delta=None,
     """
     with workprec(prec):
         z = mpc(z)
-        delta = mpf("0.2") if delta is None else mpf(delta)
-        box_im = mpf("0.1") if box_im is None else mpf(box_im)
-        _check_inner_domain(z, delta, box_im)
+        _check_inner_domain(z)
         reflect = z.real < 0
-        if reflect:
-            z = -mp.conj(z)
-    if reflect:
-        inner = inner_eval(z, n, nu, prec, delta, box_im)
-        with workprec(prec):
-            value = mp.conj(inner.value) * (-1) ** n
-        return AsymptoticPrediction(value=round_to(value, prec),
-                                    error_scale=inner.error_scale,
-                                    regime=Regime.INNER)
-    pref, tp, tm = inner_terms(z, n, nu, prec)
-    with workprec(prec):
+        pref, tp, tm = inner_terms(-mp.conj(z) if reflect else z, n, nu, prec)
         value = pref * (tp + tm)
+        if reflect:
+            value = mp.conj(value) * (-1) ** n
         scale = 3 * mp.log(n) / n + epsilon_n(n, nu, prec)
     return AsymptoticPrediction(value=round_to(value, prec),
                                 error_scale=round_to(scale, prec),

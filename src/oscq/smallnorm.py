@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from mpmath import mp, mpc, mpf
 
-from .equilibrium import ell_const, g_fn, re_phi_imag_axis
+from .equilibrium import phi_imag_side, re_phi_imag_axis
 from .mpfun import DomainError, require_prec, round_to, workprec
 from .parametrix import D1Grid, _get_grid, d1n, d2, w_pm_imag
 from .quadrature import quad_ts
@@ -105,11 +105,8 @@ def _j_jump(s, n: int, nu, prec: int):
     Independent of the Hankel reduction; a cross-check oracle."""
     with workprec(prec):
         nu = mpf(nu)
-        z = mpc(0, s)
-        g = g_fn(z, prec)
-        ell = ell_const(prec)
-        phi_plus = g + mp.pi * z / 2 - ell / 2    # left half plane limit
-        phi_minus = g - mp.pi * z / 2 - ell / 2   # right half plane limit
+        phi_plus = phi_imag_side(s, "left", prec)
+        phi_minus = phi_imag_side(s, "right", prec)
         ph = mp.exp(nu * mp.pi * mpc(0, 1) / 2)
         v = ph * mp.exp(-2 * n * phi_minus) / w_pm_imag(s, "-", n, nu, prec) \
             - mp.exp(-2 * n * phi_plus) / ph / w_pm_imag(s, "+", n, nu, prec)
@@ -169,16 +166,14 @@ def _eta_moduli(y, n: int, nu, chi: CutoffChi, prec: int,
     return round_to(v1, prec), round_to(v2, prec)
 
 
-def eta1_modulus(y, n: int, nu, chi: CutoffChi, prec: int,
-                 grid: D1Grid | None = None):
+def eta1_modulus(y, n: int, nu, chi: CutoffChi, prec: int):
     """|eta1(iy)| on the positive imaginary axis, see _eta_moduli."""
-    return _eta_moduli(y, n, nu, chi, prec, grid)[0]
+    return _eta_moduli(y, n, nu, chi, prec)[0]
 
 
-def eta2_modulus(y, n: int, nu, chi: CutoffChi, prec: int,
-                 grid: D1Grid | None = None):
+def eta2_modulus(y, n: int, nu, chi: CutoffChi, prec: int):
     """|eta2(-iy)| on the negative imaginary axis (y > 0)."""
-    return _eta_moduli(y, n, nu, chi, prec, grid)[1]
+    return _eta_moduli(y, n, nu, chi, prec)[1]
 
 
 def eta_bound_check(y, n: int, nu, chi: CutoffChi, prec: int = 128):
@@ -200,11 +195,12 @@ def eta_bound_check(y, n: int, nu, chi: CutoffChi, prec: int = 128):
 
 
 def k_norm_bounds(n: int, nu, chi: CutoffChi | None = None,
-                  prec: int = 128, target=None):
+                  prec: int = 128):
     """Hilbert-Schmidt style operator-norm bounds
 
     k1 = (integral_0^(2 eps) |eta1(iy)|^2 / y dy)^(1/2), same for k2, and
-    their product, which must decay like a power of 1/log n.
+    their product, which must decay like a power of 1/log n.  The
+    integrals run to 2^-(prec/8).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -226,8 +222,7 @@ def k_norm_bounds(n: int, nu, chi: CutoffChi | None = None,
                 e = pairs[y][side]
                 return e * e / y
 
-            val, _ = quad_ts(f, points, prec,
-                             target=target or mpf(2) ** (-prec // 8))
+            val, _ = quad_ts(f, points, prec, target=mpf(2) ** (-prec // 8))
             out[key] = round_to(mp.sqrt(abs(val)), prec)
         out["product"] = round_to(out["k1_bound"] * out["k2_bound"], prec)
     return out

@@ -24,9 +24,6 @@ from .quadrature import quad_ts
 from .quadrule import apply_rule, gauss_rule
 from .zeros import ZeroSet, ecdf_vs_psi, find_zeros, zero_line_stats
 
-SUITES = ("equilibrium", "parametrix", "smallnorm", "quadrature", "zeros")
-
-
 @dataclass
 class CheckRecord:
     name: str
@@ -47,6 +44,37 @@ def _rec(name, measured, threshold, passed) -> CheckRecord:
 def _le(name, measured, bound) -> CheckRecord:
     return _rec(name, measured, f"<= {mp.nstr(mpf(bound), 8)}",
                 mpf(measured) <= mpf(bound))
+
+
+def g_by_quadrature(z, prec: int):
+    """Oracle for eq.g_fn: integral(log(z-x) psi(x) dx) by tanh-sinh to
+    2^-(prec/4), split at 0 and at the near-singular point Re z."""
+    with workprec(prec):
+        z = mpc(z)
+        near = min(max(z.real, mpf(-1)), mpf(1))
+        v, _ = quad_ts(lambda x: mp.log(z - x) * eq.psi_real(x, prec + 64),
+                       sorted({mpf(-1), mpf(0), mpf(1), near}), prec)
+    return v
+
+
+def theta_by_quadrature(z, n: int, prec: int):
+    """Oracle for eq.theta_n: n pi (psi integrated along the segment from
+    z to 1) + arccos(z)/4 - pi/4, by tanh-sinh to 2^-(prec/4)."""
+    with workprec(prec):
+        z = mpc(z)
+        w = 1 - z
+        v, _ = quad_ts(lambda t: eq.psi_complex(z + t * w, prec + 64),
+                       [0, 1], prec)
+        return n * mp.pi * v * w + mp.acos(z) / 4 - mp.pi / 4
+
+
+def decay_integral(alpha, n: int, prec: int):
+    """integral_0^(1/e) y^alpha exp(-4 n y log(1/y)) dy (trend checks)."""
+    with workprec(prec):
+        a = mpf(alpha)
+        v, _ = quad_ts(lambda y: y ** a * mp.exp(4 * n * y * mp.log(y)),
+                       [0, mp.exp(-1)], prec)
+    return v
 
 
 def suite_equilibrium(prec: int = 256, **_) -> list[CheckRecord]:
@@ -93,9 +121,25 @@ def suite_equilibrium(prec: int = 256, **_) -> list[CheckRecord]:
         s = mpf("0.3")
         out.append(_le("re phi closed form vs quadrature at s=0.3",
                        abs(eq.re_phi_imag_axis(s, prec)
-                           - eq.phi_imag_side(s, "right", prec).real), tol))
+                           - (g_by_quadrature(mpc(0, s), prec).real
+                              - ell / 2)), tol))
+        # closed forms against the quadrature oracles: the four quadrants,
+        # both halves of the imaginary axis and the real axis beyond 1
+        for zs in ("0.5+0.5j", "-0.7+0.3j", "-0.4-0.6j", "0.8-0.2j",
+                   "2j", "-1.5j", "1.5", "3"):
+            z = mp.mpmathify(zs)
+            got = eq.g_fn(z, prec)
+            out.append(_le(f"g closed form vs quadrature at {zs}",
+                           abs(got - g_by_quadrature(z, prec))
+                           / max(1, abs(got)), tol))
+        for zs in ("0.5", "0.3+0.05j", "0.45-0.02j", "0.8+0.5j"):
+            z = mp.mpmathify(zs)
+            got = eq.theta_n(z, 16, prec)
+            out.append(_le(f"theta_n closed form vs quadrature at {zs}",
+                           abs(got - theta_by_quadrature(z, 16, prec))
+                           / max(1, abs(got)), tol))
         x, n = mpf("0.5"), 7
-        th = eq.theta_n(x, n, prec)
+        th = theta_by_quadrature(x, n, prec)
         intpart = th + mp.pi / 4 - mp.acos(x) / 4
         ref = (-mpc(0, 1) * n * eq.phi_boundary(x, 1, prec)).real
         out.append(_le("theta integral matches -i n phi_+ at 0.5",
@@ -104,7 +148,7 @@ def suite_equilibrium(prec: int = 256, **_) -> list[CheckRecord]:
         # (effective log is log(4 n log n)), so the fit takes the
         # project-wide slack factor 3
         for alpha in ("0.5", "1", "2"):
-            vals = {m: eq.decay_integral(alpha, m, prec)
+            vals = {m: decay_integral(alpha, m, prec)
                     for m in (16, 64, 256)}
             a = mpf(alpha)
             c16 = vals[16] * (16 * mp.log(16)) ** (a + 1)
@@ -500,10 +544,14 @@ def suite_zeros(prec: int = 256, nu="0", n_list=None, **_) -> list[CheckRecord]:
     return out
 
 
-def run_suite(name: str, **kwargs) -> list[CheckRecord]:
-    fn = {"equilibrium": suite_equilibrium, "parametrix": suite_parametrix,
+SUITES = {"equilibrium": suite_equilibrium, "parametrix": suite_parametrix,
           "smallnorm": suite_smallnorm, "quadrature": suite_quadrature,
-          "zeros": suite_zeros}.get(name)
+          "zeros": suite_zeros}
+
+
+def run_suite(name: str, **kwargs) -> list[CheckRecord]:
+    fn = SUITES.get(name)
     if fn is None:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+        raise ValueError(f"unknown suite {name!r}; choose from "
+                         f"{tuple(SUITES)}")
     return fn(**{k: v for k, v in kwargs.items() if v is not None})

@@ -14,6 +14,9 @@ from oscq.mpfun import workprec
 from oscq.parametrix import D1Grid
 from oscq.zeros import find_zeros
 
+# bound at import: tests may monkeypatch smallnorm.k_norm_bounds to read
+# this cache, which must still reach the real computation
+_k_norm_bounds = smallnorm.k_norm_bounds
 _POLY: dict = {}
 _ZEROS: dict = {}
 _K_NORMS: dict = {}
@@ -68,7 +71,7 @@ def _k_norm_run(n: int, nu, prec: int):
 
         with mock.patch.object(D1Grid, "cauchy", counting_cauchy), \
                 mock.patch.object(smallnorm, "quad_ts", recording_quad):
-            res = smallnorm.k_norm_bounds(n, nu, prec=prec)
+            res = _k_norm_bounds(n, nu, prec=prec)
         chi = smallnorm.CutoffChi()
         live = sum(1 for y in nodes if chi(y, prec) != 0)
         _K_NORMS[key] = (res, reads[0], live)

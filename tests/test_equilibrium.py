@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from oscq import equilibrium as eq
@@ -95,6 +97,15 @@ def test_g_total_mass_at_infinity():
         assert abs(eq.g_fn(z, 192) - mp.log(z)) <= mpf(10) ** -5
 
 
+def test_g_keeps_precision_at_large_argument():
+    # i pi F and pi z/2 cancel down to log z; the guard bits must cover it
+    z = mpf(10) ** 30
+    got = eq.g_fn(z, PREC)
+    with workprec(2 * PREC):
+        ref = mp.log(z)   # g(z) = log z - O(z^-2)
+        assert abs(got - ref) <= mpf(2) ** (8 - PREC) * ref
+
+
 def test_g_real_beyond_support_and_phi_consistency():
     with workprec(384):
         g2 = eq.g_fn(mpf(2), 384)
@@ -104,6 +115,18 @@ def test_g_real_beyond_support_and_phi_consistency():
         assert abs(g2 - (ell / 2 + mp.pi + phi2)) <= mpf(2) ** -80
         # strict variational inequality restated through phi
         assert 2 * mpc(phi2).real < 0
+
+
+def test_g_near_the_cut_matches_boundary_values():
+    # 1e-8 off the support, where the log potential is nearly singular,
+    # g must be close to its boundary values g_+-
+    for x, side in (("0.5", 1), ("-0.5", 1), ("-0.5", -1)):
+        with workprec(PREC):
+            z = mpc(mpf(x), side * mpf(10) ** -8)
+        got = eq.g_fn(z, PREC)
+        ref = eq.g_boundary(x, side, PREC)
+        with workprec(PREC):
+            assert abs(got - ref) <= mpf(10) ** -6
 
 
 def test_g_jump_across_negative_axis():
@@ -147,7 +170,8 @@ def test_re_phi_matches_quadrature_route():
     with workprec(256):
         s = mpf("0.3")
         cf = eq.re_phi_imag_axis(s, 256)
-        quad = eq.phi_imag_side(s, "right", 256).real
+        quad = verify.g_by_quadrature(mpc(0, s), 256).real \
+            - eq.ell_const(256) / 2
         assert abs(cf - quad) <= mpf(2) ** -60
 
 
@@ -165,7 +189,7 @@ def test_theta_real_on_support():
 def test_theta_matches_phi_route():
     with workprec(256):
         x, n = mpf(1) / 2, 7
-        th = eq.theta_n(x, n, 256)
+        th = verify.theta_by_quadrature(x, n, 256)
         intpart = th + mp.pi / 4 - mp.acos(x) / 4
         ref = (-mpc(0, 1) * n * eq.phi_boundary(x, 1, 256)).real
         assert abs(intpart - ref) <= mpf(2) ** -60
@@ -203,3 +227,32 @@ def test_suite_equilibrium_all_pass():
     records = verify.suite_equilibrium(prec=256)
     failures = [r for r in records if not r.passed]
     assert not failures, failures
+
+
+# closed forms against the verify oracles (tanh-sinh quadrature of the
+# defining integrals), to the oracles' own target 2^-(prec/4)
+props = settings(max_examples=25, deadline=None, derandomize=True,
+                 database=None)
+TARGET = mpf(2) ** -(PREC // 4)
+
+
+@props
+@given(x=st.floats(-3, 3), y=st.floats(1e-3, 3), sign=st.sampled_from((1, -1)))
+def test_g_matches_quadrature_oracle(x, y, sign):
+    z = mpc(x, sign * y)
+    got = eq.g_fn(z, PREC)
+    ref = verify.g_by_quadrature(z, PREC)
+    with workprec(PREC):
+        assert abs(got - ref) <= TARGET * max(1, abs(ref))
+
+
+@props
+@given(x=st.floats(0.2, 1), y=st.floats(-0.1, 0.1), n=st.integers(1, 200))
+def test_theta_matches_quadrature_oracle(x, y, n):
+    # Re z > 0 half of the validated oscillatory box
+    assume(abs(complex(x, y) - 1) >= 0.2)
+    z = mpc(x, y)
+    got = eq.theta_n(z, n, PREC)
+    ref = verify.theta_by_quadrature(z, n, PREC)
+    with workprec(PREC):
+        assert abs(got - ref) <= TARGET * max(1, abs(ref))

@@ -6,7 +6,6 @@ from mpmath import mp, mpc, mpf
 from oscq import equilibrium as eq
 from oscq import parametrix as px
 from oscq import verify
-from oscq.branches import f_exterior
 from oscq.mpfun import DomainError, workprec
 from oscq.smallnorm import EPS_DEFAULT
 
@@ -57,16 +56,6 @@ def test_szego_power_trivial_and_limit():
         assert abs(px.szego_power(2, mpf("-0.5"), 256) - ref) <= mpf(2) ** -240
 
 
-def test_d1n_closed_form_oracle_nu_half():
-    # W_n is exactly |x|^(-1/2) at nu=1/2, so the Cauchy construction must
-    # reproduce the power-weight Szego function for every n
-    for z in (mpc(0, "0.1"), mpc(2), mpc("0.4", "0.8")):
-        got = px.d1n(z, 20, "0.5", PREC)
-        with workprec(256):
-            ref = (f_exterior(z) / z) ** (mpf(1) / 4)
-            assert abs(got - ref) <= mpf(2) ** -44 * abs(ref)
-
-
 def test_d1n_grid_and_adaptive_agree():
     z = mpc("0.3", "0.6")
     a = px.d1n(z, 12, NU, PREC)
@@ -112,15 +101,6 @@ def test_d1n_schwarz_reflection_on_axis_bitwise():
             b = px.d1n(down, 16, nu, 128, grid=grid)
             with workprec(128):
                 assert b._mpc_ == mp.conj(a)._mpc_, (nu, y)
-
-
-def test_d_infty_limit_value_and_trend():
-    with workprec(256):
-        assert abs(px.d_infty_n(20, "0.5", 192) - mpf(2) ** mpf("0.25")) \
-            <= mpf(2) ** -44
-        diffs = [abs(px.d_infty_n(m, NU, 128) - mpf(2) ** mpf("0.25"))
-                 for m in (25, 50, 100)]
-        assert diffs[0] > diffs[1] > diffs[2]
 
 
 def test_d2_mapping_values():

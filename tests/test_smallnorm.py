@@ -65,13 +65,6 @@ def test_j_direct_assembly_cross_check():
             assert abs(m2 - d2) <= mpf(2) ** -44 * m2
 
 
-def test_j1_equals_j2_at_nu_zero():
-    with workprec(PREC):
-        a = sn.j1_modulus(mpf("0.1"), 8, 0, PREC)
-        b = sn.j2_modulus(mpf("0.1"), 8, 0, PREC)
-        assert abs(a - b) <= mpf(2) ** -100 * a
-
-
 def test_bessel_ratio_shapes():
     with workprec(PREC):
         r = sn.bessel_ratio_bounds_check(mpf("0.37"), NU, PREC)
@@ -114,7 +107,13 @@ def test_k_norm_bounds_structure():
     assert live and reads == live
 
 
-def test_suite_smallnorm_all_pass():
+def test_suite_smallnorm_all_pass(monkeypatch):
+    # the suite's k_norm_bounds runs are AC-8's; read them from the cache
+    def cached(n, nu, chi, prec):
+        assert chi == sn.CutoffChi()
+        return get_k_norms(n, nu, prec)
+
+    monkeypatch.setattr(sn, "k_norm_bounds", cached)
     records = verify.suite_smallnorm(prec=128)
     failures = [r for r in records if not r.passed]
     assert not failures, failures
