@@ -3,8 +3,12 @@ asymptotic evaluators for the rescaled polynomials.
 
 The first Szego factor is a Cauchy-type integral of log W_n against the
 Chebyshev kernel; it is evaluated either through a frozen per-(n, nu)
-quadrature grid (fast, cached, bit-reproducible) or adaptively.  The
-second factor and the matrix model are closed forms.
+quadrature grid (fast, cached, bit-reproducible) or adaptively.  The grid
+holds its nodes and weights as Python-int mantissas at one shared
+exponent, and a read is one fixed-point integer sum at a scale chosen from
+z (see D1Grid.cauchy), the way mpmath sums its own series.  Its limit at
+infinity is the grid's weight sum.  The second factor and the matrix
+model are closed forms.
 """
 
 from __future__ import annotations
@@ -163,29 +167,82 @@ def _k_log_weight(t, n: int, nu, prec: int):
         return logw / mp.sqrt((1 - t) * (1 + t))
 
 
+def _man_exp(x):
+    """Signed (mantissa, exponent) of an mpf: x = man * 2^exp."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+def _fixed(man: int, exp: int, scale: int) -> int:
+    """man * 2^(exp+scale) as an int, truncated toward zero, so negating
+    man negates the result exactly."""
+    k = exp + scale
+    if k >= 0:
+        return man << k
+    return -(-man >> -k) if man < 0 else man >> -k
+
+
 @dataclass(frozen=True)
 class D1Grid:
     """Frozen composite tanh-sinh grid for the log-weight Cauchy integral.
 
-    Stores positive-axis nodes and premultiplied log-weight values; the
-    kernel is folded for the even integrand.  Immutable snapshot: cached
-    and freshly built grids are bit-identical.
+    Stores positive-axis nodes and premultiplied log-weight values as int
+    mantissas at the shared exponent -scale (value = mantissa * 2^-scale);
+    the kernel is folded for the even integrand.  scale is the deepest
+    node exponent, so every node is held exactly, and the weights to the
+    same absolute resolution.  Immutable snapshot: cached and freshly
+    built grids are bit-identical.
     """
 
     n: int
     nu: mpf
     prec: int
     level: int
-    nodes: tuple      # t_i in (0,1)
+    scale: int        # payload value = mantissa * 2^-scale
+    nodes: tuple      # t_i in (0,1), int mantissas
     wk: tuple         # w_i * h * k(t_i), trapezoidal factor included
 
+    def read_scale(self, z) -> int:
+        """Fixed-point scale W (bits) of a read at z: prec + 64 plus four
+        bits per binade of dist(z, [-1,1]) below 1 (dist <= |z|, so this
+        also covers small |z|) and per binade of |z| above 1."""
+        near = dist_to_interval(z, 96)
+        return (self.prec + 64 + 4 * max(0, 1 - mp.mag(near))
+                + 4 * max(0, mp.mag(z)))
+
     def cauchy(self, z):
-        """integral over [-1,1] of k(t)/(z-t) dt via the folded grid."""
+        """integral over [-1,1] of k(t)/(z-t) dt via the folded grid, z off
+        [-1,1] (d1n checks).
+
+        The sum over i of wk_i (1/(z-t_i) + 1/(z+t_i)) is formed as
+        2z * sum wk_i (a_i - ib)/(a_i^2 + b^2), a_i = Re z^2 - t_i^2,
+        b = Im z^2, in Python ints at scale 2^W (read_scale) with one
+        integer division per node.  z^2 is taken exactly from z's
+        mantissas and truncated toward zero, so conj z flips only the sign
+        of b and the read honours Schwarz reflection bit for bit.
+        """
         with workprec(self.prec, guard=32):
-            total = mp.zero
-            for t, wk in zip(self.nodes, self.wk):
-                total += wk * (1 / (z - t) + 1 / (z + t))
-            return +total
+            z = mpc(z)
+            w = self.read_scale(z)
+            xr, er = _man_exp(z.real)
+            xi, ei = _man_exp(z.imag)
+            a0 = _fixed(xr * xr, 2 * er, w) - _fixed(xi * xi, 2 * ei, w)
+            b = _fixed(2 * xr * xi, er + ei, w)
+            bb = b * b
+            tshift = 2 * self.scale - w     # t^2 from scale 2*scale to w
+            if tshift >= 0:
+                t2s = (t * t >> tshift for t in self.nodes)
+            else:
+                t2s = (t * t << -tshift for t in self.nodes)
+            qshift = 3 * w - self.scale     # q = wk/(a^2+b^2) at scale w
+            re = im = 0
+            for t2, wk in zip(t2s, self.wk):
+                a = a0 - t2
+                q = (wk << qshift) // (a * a + bb)
+                re += q * a
+                im += q
+            s = mpc(mpf((re, -2 * w)), mpf((-b * im, -2 * w)))
+            return 2 * z * s
 
 
 def _grid_level(prec: int) -> int:
@@ -219,8 +276,10 @@ def build_d1_grid(n: int, nu, prec: int) -> D1Grid:
                         nodes.append(t)
                         wk.append(w * h_final * width / 2
                                   * _k_log_weight(t, n, nu, prec))
-    return D1Grid(n=n, nu=nu, prec=prec, level=level,
-                  nodes=tuple(nodes), wk=tuple(wk))
+    scale = -min(t._mpf_[2] for t in nodes)
+    return D1Grid(n=n, nu=nu, prec=prec, level=level, scale=scale,
+                  nodes=tuple(_fixed(*_man_exp(t), scale) for t in nodes),
+                  wk=tuple(_fixed(*_man_exp(v), scale) for v in wk))
 
 
 def _get_grid(n: int, nu, prec: int) -> D1Grid:
@@ -239,7 +298,9 @@ def d1n(z, n: int, nu, prec: int, grid: D1Grid | None = None,
         adaptive: bool = False):
     """First Szego factor for the normalized weight, off [-1,1].
 
-    Default path sums over the cached frozen grid; adaptive=True runs the
+    Default path is one fixed-point read of the cached frozen grid
+    (D1Grid.cauchy, whose scale follows z, so the grid sum keeps the
+    working precision for every z off the cut); adaptive=True runs the
     tanh-sinh engine per call, used as the independent route in tests.
     """
     with workprec(prec, guard=32):
@@ -262,15 +323,12 @@ def d1n(z, n: int, nu, prec: int, grid: D1Grid | None = None,
 
 
 def d_infty_n(n: int, nu, prec: int):
-    """Limit of the first Szego factor at infinity (tends to 2^(1/4))."""
+    """Limit of the first Szego factor at infinity (tends to 2^(1/4)):
+    exp(sum wk / pi) over the cached grid, the weight sum taken exactly
+    in ints (1/(2 pi) times the folded even integral of k)."""
+    grid = _get_grid(n, nu, prec)
     with workprec(prec, guard=32):
-        nu = mpf(nu)
-
-        def f(t):
-            return _k_log_weight(t, n, nu, prec + 32)
-
-        integral, _ = quad_ts(f, [mpf(0), 1 / (n * mp.pi), mpf(1)], prec)
-        v = mp.exp(integral / mp.pi)   # (1/2pi) * folded even integral
+        v = mp.exp(mpf((sum(grid.wk), -grid.scale)) / mp.pi)
     return round_to(v, prec)
 
 

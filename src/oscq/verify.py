@@ -57,6 +57,16 @@ def g_by_quadrature(z, prec: int):
     return v
 
 
+def d_infty_by_quadrature(n: int, nu, prec: int):
+    """Oracle for px.d_infty_n: exp of (1/pi) times the folded integral of
+    the log-weight kernel over (0,1), by tanh-sinh to 2^-(prec/4)."""
+    with workprec(prec, guard=32):
+        nu = mpf(nu)
+        v, _ = quad_ts(lambda t: px._k_log_weight(t, n, nu, prec + 32),
+                       [mpf(0), 1 / (n * mp.pi), mpf(1)], prec)
+        return mp.exp(v / mp.pi)
+
+
 def theta_by_quadrature(z, n: int, prec: int):
     """Oracle for eq.theta_n: n pi (psi integrated along the segment from
     z to 1) + arccos(z)/4 - pi/4, by tanh-sinh to 2^-(prec/4)."""
@@ -290,6 +300,10 @@ def suite_parametrix(prec: int = 192, nu="0.25", **_) -> list[CheckRecord]:
                 ok = False
             prev = diff
         out.append(_rec("d_infty trend to 2^(1/4)", prev, "decreasing", ok))
+        out.append(_le("d_infty grid sum vs quadrature oracle (n=25)",
+                       abs(px.d_infty_n(25, nu, prec)
+                           - d_infty_by_quadrature(25, nu, prec)),
+                       mpf(2) ** (-(prec // 4))))
         # weight facts
         wv = px.w_weight(mpf("0.3"), 10, "0.5", prec)
         out.append(_le("weight nu=1/2 closed form",

@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from oscq import equilibrium as eq
@@ -101,6 +104,60 @@ def test_d1n_schwarz_reflection_on_axis_bitwise():
             b = px.d1n(down, 16, nu, 128, grid=grid)
             with workprec(128):
                 assert b._mpc_ == mp.conj(a)._mpc_, (nu, y)
+
+
+def _cauchy_by_mpc(grid, z):
+    """Oracle for D1Grid.cauchy: the unfolded sum over the exact payload
+    values in mpc, at a precision that covers the read's own scale."""
+    with workprec(2 * grid.read_scale(z) + 64):
+        total = mp.zero
+        for t, wk in zip(grid.nodes, grid.wk):
+            t, wk = mpf((t, -grid.scale)), mpf((wk, -grid.scale))
+            total += wk * (1 / (z - t) + 1 / (z + t))
+        return total
+
+
+def _rel_err(got, ref):
+    with workprec(512):
+        return abs(got - ref) / abs(ref)
+
+
+props = settings(max_examples=25, deadline=None, derandomize=True,
+                 database=None)
+# exact binary points: the imaginary axis from 2^-300 to 2, 1e-9 to 1e-3
+# off (-1,1), and 1.25 < |z| <= 1e20 in every direction; either half-plane
+axis_points = st.floats(-300, 1).map(lambda e: (0.0, 2.0 ** e))
+near_cut = st.tuples(st.floats(-0.999, 0.999),
+                     st.floats(-9, -3).map(lambda e: 10.0 ** e))
+far_points = st.tuples(st.floats(0.1, 20), st.floats(-math.pi, math.pi)).map(
+    lambda p: (10 ** p[0] * math.cos(p[1]), 10 ** p[0] * abs(math.sin(p[1]))))
+
+
+@props
+@given(xy=st.one_of(axis_points, near_cut, far_points),
+       sign=st.sampled_from((1, -1)))
+def test_d1_grid_read_matches_mpc_sum(xy, sign):
+    grid = px._get_grid(16, NU, 128)
+    z = mpc(xy[0], sign * xy[1])
+    assert _rel_err(grid.cauchy(z), _cauchy_by_mpc(grid, z)) \
+        <= mpf(2) ** -grid.prec
+
+
+def test_d1_grid_read_scale_follows_z(monkeypatch):
+    # the quad_ts nodes of k_norm_bounds reach y ~ 2^-182; the read scale
+    # grows with 1/dist(z, [-1,1]) and with |z|, where a fixed one fails
+    grid = px._get_grid(16, NU, 128)
+    with workprec(128):
+        tiny, huge = mpc(0, mpf(2) ** -182), mpc(mpf(10) ** 20)
+    ref = _cauchy_by_mpc(grid, huge)
+    assert _rel_err(grid.cauchy(huge), ref) <= mpf(2) ** -grid.prec
+    assert _rel_err(grid.cauchy(tiny), _cauchy_by_mpc(grid, tiny)) \
+        <= mpf(2) ** -grid.prec
+    monkeypatch.setattr(px.D1Grid, "read_scale",
+                        lambda self, z: self.prec + 64)
+    with pytest.raises(ZeroDivisionError):
+        grid.cauchy(tiny)
+    assert _rel_err(grid.cauchy(huge), ref) >= 1   # no correct bit left
 
 
 def test_d2_mapping_values():

@@ -107,6 +107,19 @@ def test_k_norm_bounds_structure():
     assert live and reads == live
 
 
+def test_k_norm_bounds_regression_pin():
+    # AC-8's n=16 values as the mpc grid read gave them; the fixed-point
+    # read must reproduce them far below the integrals' 2^-(prec/8) target
+    r = get_k_norms(16, NU, PREC)
+    pinned = {"k1_bound": "0.358369834866596023903346610115",
+              "k2_bound": "3.442594068408977612238947079",
+              "product": "1.233721867808448282604253451"}
+    with workprec(PREC):
+        for key, ref in pinned.items():
+            ref = mpf(ref)
+            assert abs(r[key] - ref) <= mpf(2) ** -64 * ref, key
+
+
 def test_suite_smallnorm_all_pass(monkeypatch):
     # the suite's k_norm_bounds runs are AC-8's; read them from the cache
     def cached(n, nu, chi, prec):
