@@ -3,8 +3,7 @@ weight: exact-moment construction, complex zeros, complex Gaussian
 quadrature rules, and numerical validation of the asymptotic theory."""
 
 from .moments import (MonicPolynomial, Variable, hankel_det, moment,
-                      moment_sequence, monic_op, orthogonality_residual,
-                      rescale_to_tilde)
+                      moment_sequence, monic_op, rescale_to_tilde)
 from .mpfun import BigComplex, BigReal
 from .quadrule import QuadratureRule, apply_rule, gauss_rule
 from .zeros import ZeroSet, ecdf_vs_psi, find_zeros, zero_line_stats
@@ -15,6 +14,6 @@ __all__ = [
     "BigComplex", "BigReal", "MonicPolynomial",
     "QuadratureRule", "Variable", "ZeroSet", "apply_rule", "ecdf_vs_psi",
     "find_zeros", "gauss_rule", "hankel_det", "moment", "moment_sequence",
-    "monic_op", "orthogonality_residual", "rescale_to_tilde",
+    "monic_op", "rescale_to_tilde",
     "zero_line_stats", "__version__",
 ]

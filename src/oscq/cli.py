@@ -2,9 +2,9 @@
 asymptotic-formula comparisons, emitted as RFC 4180 CSV plus a JSON run
 manifest.
 
-Exit codes: 0 success, 1 failed verification, 2 solver failure (or refused
-long run), 3 indeterminate Hankel determinant, 4 point outside the
-requested regime's domain.
+Exit codes: 0 success, 1 failed verification, 2 solver failure, usage error
+or refused long run, 3 indeterminate Hankel determinant, 4 point outside
+the requested regime's domain.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from mpmath import mp, mpc, mpf
 from . import parametrix as px
 from .moments import (IndeterminateHankelError, SolverError, monic_op,
                       rescale_to_tilde)
-from .mpfun import DomainError, workprec
+from .mpfun import MIN_PREC, DomainError, workprec
 from .smallnorm import CHI_PROFILE, EPS_DEFAULT, RHO_DEFAULT
 from .verify import SUITES, run_suite
 from .zeros import find_zeros, zero_line_stats
@@ -82,11 +82,39 @@ def _base_manifest(command: str, prec_used: int, t0: float) -> dict:
     }
 
 
+def _arg(what: str, parse):
+    """argparse type: parse(text), a usage error (exit 2) naming what was
+    expected where parse fails or returns None."""
+    def typed(text: str):
+        try:
+            v = parse(text)
+        except (ValueError, argparse.ArgumentTypeError):
+            v = None
+        if v is None:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return v
+    return typed
+
+
+def _int_from(lo: int):
+    return _arg(f"an integer >= {lo}",
+                lambda t: int(t) if int(t) >= lo else None)
+
+
 def _parse_n_list(text: str):
     if ".." in text:
         lo, hi = text.split("..")
         return list(range(int(lo), int(hi) + 1))
     return [int(t) for t in text.split(",") if t]
+
+
+_BITS = _int_from(MIN_PREC)
+_BITS_OR_AUTO = _arg(f"'auto' or an integer >= {MIN_PREC}",
+                     lambda t: t if t == "auto" else _BITS(t))
+# kept as the caller's string: manifests record it and the layers read it
+_REAL = _arg("a finite real number",
+             lambda t: t if mp.isfinite(mpf(t)) else None)
+_N_LIST = _arg("'lo..hi' or 'n1,n2,...'", _parse_n_list)
 
 
 def _require_desk_scale(n: int, allow_long: bool, parser):
@@ -98,7 +126,7 @@ def _require_desk_scale(n: int, allow_long: bool, parser):
 def cmd_zeros(args, parser) -> int:
     t0 = time.time()
     _require_desk_scale(args.n, args.allow_long, parser)
-    prec_floor = 64 if args.prec == "auto" else int(args.prec)
+    prec_floor = 64 if args.prec == "auto" else args.prec
     poly = monic_op(args.n, args.nu, prec_floor)
     zs = find_zeros(rescale_to_tilde(poly, args.n))
     prec = zs.prec
@@ -137,13 +165,8 @@ def cmd_zeros(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     t0 = time.time()
-    kwargs = {}
-    if args.nu is not None:
-        kwargs["nu"] = args.nu
-    if args.n_list is not None:
-        kwargs["n_list"] = _parse_n_list(args.n_list)
-    if args.prec is not None:
-        kwargs["prec"] = int(args.prec)
+    kwargs = {k: v for k in ("nu", "n_list", "prec")
+              if (v := getattr(args, k)) is not None}
     records = run_suite(args.suite, **kwargs)
     passed = all(r.passed for r in records)
     report = {
@@ -191,7 +214,7 @@ def _parse_points(source: str, regime: str, prec: int):
 def cmd_asymptotics(args, parser) -> int:
     t0 = time.time()
     _require_desk_scale(args.n, args.allow_long, parser)
-    prec_floor = 256 if args.prec == "auto" else int(args.prec)
+    prec_floor = 256 if args.prec == "auto" else args.prec
     poly = monic_op(args.n, args.nu, prec_floor)
     tilde = rescale_to_tilde(poly, args.n)
     prec = tilde.prec
@@ -239,11 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pz = sub.add_parser("zeros", help="compute polynomial zeros (both "
                                       "frames) to CSV + manifest")
-    pz.add_argument("--nu", required=True)
-    pz.add_argument("--n", type=int, required=True)
-    pz.add_argument("--prec", default="auto",
+    pz.add_argument("--nu", type=_REAL, required=True)
+    pz.add_argument("--n", type=_int_from(1), required=True)
+    pz.add_argument("--prec", type=_BITS_OR_AUTO, default="auto",
                     help="'auto' (a 64-bit floor) or bits")
-    pz.add_argument("--delta", default="0.2",
+    pz.add_argument("--delta", type=_REAL, default="0.2",
                     help="disk-exclusion radius for zero-line stats")
     pz.add_argument("--allow-long", action="store_true",
                     help=f"permit n beyond the desk ceiling "
@@ -252,21 +275,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a named invariant suite")
     pv.add_argument("--suite", required=True, choices=list(SUITES))
-    pv.add_argument("--nu")
-    pv.add_argument("--n-list", dest="n_list",
+    pv.add_argument("--nu", type=_REAL)
+    pv.add_argument("--n-list", dest="n_list", type=_N_LIST,
                     help="e.g. '1..10' or '16,32,64'")
-    pv.add_argument("--prec")
+    pv.add_argument("--prec", type=_BITS)
     pv.add_argument("--out")
 
     pa = sub.add_parser("asymptotics",
                         help="compare polynomial values against the "
                              "asymptotic formulas")
-    pa.add_argument("--nu", required=True)
-    pa.add_argument("--n", type=int, required=True)
+    pa.add_argument("--nu", type=_REAL, required=True)
+    # the error scale epsilon_n needs n >= 2
+    pa.add_argument("--n", type=_int_from(2), required=True)
     pa.add_argument("--points", default="grid",
                     help="'grid' or a CSV file with z_re,z_im columns")
     pa.add_argument("--regime", required=True, choices=["outer", "inner"])
-    pa.add_argument("--prec", default="auto")
+    pa.add_argument("--prec", type=_BITS_OR_AUTO, default="auto")
     pa.add_argument("--allow-long", action="store_true")
     pa.add_argument("--out", required=True)
     return p

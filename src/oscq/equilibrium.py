@@ -136,18 +136,6 @@ def g_boundary(x, side: int, prec: int = DEFAULT_PREC):
         return v if side > 0 else mp.conj(v)
 
 
-def phi_fn(z, prec: int = DEFAULT_PREC):
-    """phi = g - V/2 - ell/2, analytic off ((-oo,1] union i R)."""
-    with workprec(prec):
-        z = mpc(z)
-        if z.real == 0:
-            raise DomainError("phi jumps across the imaginary axis; "
-                              "use phi_imag_side")
-        v_field = mp.pi * z if z.real > 0 else -mp.pi * z
-        v = g_fn(z, prec) - v_field / 2 - ell_const(prec) / 2
-    return round_to(v, prec)
-
-
 def phi_boundary(x, side: int, prec: int = DEFAULT_PREC):
     """One-sided value of phi on (-1,1); purely imaginary up to rounding."""
     with workprec(prec):

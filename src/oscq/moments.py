@@ -18,7 +18,6 @@ from enum import Enum
 from mpmath import mp, mpc, mpf
 
 from .mpfun import require_prec, round_to, workprec
-from .quadrature import quad_ts
 
 PREC_CAP_DEFAULT = 1 << 20
 MIN_POLY_PREC = 256
@@ -209,67 +208,3 @@ def rescale_to_tilde(p: MonicPolynomial, n: int) -> MonicPolynomial:
         rec = tuple((a * inv, (b * inv * inv).real) for a, b in p.recurrence)
     return MonicPolynomial(recurrence=rec, variable=Variable.RESCALED_Z,
                            prec=p.prec, residual=p.residual)
-
-
-def _tail_cutoff(n: int, j: int, prec: int):
-    """X with x^(n+j) exp(-n pi x) below 2^-(prec+20) for x >= X."""
-    with workprec(64):
-        goal = -(prec + 20) * mp.ln(2)
-        x = mpf(2)
-        while (n + j) * mp.log(x) - n * mp.pi * x > goal:
-            x *= 2
-        return +x
-
-
-def orthogonality_residuals(pt: MonicPolynomial, n: int, nu, prec: int,
-                            js=None, target=None):
-    """Quadrature check of the defining complex-weight orthogonality.
-
-    Returns {j: (residual, scale)} where scale is the absolute mass
-    integral(|x|^j K_nu(n pi |x|) dx) over the truncated range.  Bessel
-    values are shared across the j batch.
-    """
-    if pt.variable is not Variable.RESCALED_Z:
-        raise ValueError("orthogonality check expects the rescaled frame")
-    if js is None:
-        js = range(n)
-    js = list(js)
-    x_max = _tail_cutoff(n, max(js), prec)
-    kcache: dict = {}
-
-    def kval(ax):
-        v = kcache.get(ax)
-        if v is None:
-            v = mp.besselk(nu, n * mp.pi * ax)
-            kcache[ax] = v
-        return v
-
-    out = {}
-    rel = target if target is not None else mpf(2) ** (-(prec // 4))
-    with workprec(prec, guard=64):
-        nu = mpf(nu)
-        phase_pos = mp.exp(-mpc(0, 1) * nu * mp.pi / 2)
-        phase_neg = mp.exp(mpc(0, 1) * nu * mp.pi / 2)
-        for j in js:
-            def f(x, j=j):
-                ax = abs(x)
-                w = kval(ax) * (phase_pos if x > 0 else phase_neg)
-                return pt.eval(x, prec + 64) * x ** j * w
-
-            def fabs(x, j=j):
-                ax = abs(x)
-                return ax ** j * kval(ax)
-
-            # the weight mass sets the meaningful absolute scale for the
-            # cancellation-dominated residual integral
-            scale, _ = quad_ts(fabs, [-x_max, 0, x_max], prec, target=rel)
-            val, _ = quad_ts(f, [-x_max, 0, x_max], prec, target=rel * scale)
-            out[j] = (val, scale)
-    return out
-
-
-def orthogonality_residual(pt: MonicPolynomial, j: int, n: int, nu,
-                           prec: int, target=None):
-    """Single-moment orthogonality residual (complex) and its scale."""
-    return orthogonality_residuals(pt, n, nu, prec, js=[j],
-                                   target=target)[j]

@@ -14,7 +14,6 @@ model are closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 from mpmath import mp, mpc, mpf
@@ -22,21 +21,15 @@ from mpmath import mp, mpc, mpf
 from .branches import beta_quartic, f_exterior, sqrt_offcut, sqrt_onecut
 from .equilibrium import epsilon_n, g_fn, psi_complex, theta_n
 from .mpfun import DomainError, require_prec, round_to, workprec
-from .quadrature import quad_ts
+from .quadrature import quad_ts, segment_nodes
 
 GRID_SPLIT_LEVELS = {192: 6, 448: 7}
-
-
-class Regime(Enum):
-    OUTER = "outer"
-    INNER = "inner"
 
 
 @dataclass(frozen=True)
 class AsymptoticPrediction:
     value: mpc
     error_scale: mpf   # the formula's own O-term magnitude
-    regime: Regime
 
 
 def dist_to_interval(z, prec: int = 96):
@@ -118,25 +111,6 @@ def d2(z, nu, prec: int):
         else:
             base = z * z / (dn * dn)
         v = base ** (mpf(nu) / 4)
-    return round_to(v, prec)
-
-
-def d2_psi_consistency(z, nu, prec: int):
-    """Defect of the quadrant identity log d2 = -+ nu pi psi/2 -+ nu pi i/4.
-
-    For Re z < 0 the density continuation is taken even, psi(-z).
-    """
-    with workprec(prec):
-        z = mpc(z)
-        if z.real == 0 or z.imag == 0:
-            raise DomainError("consistency check needs Re z != 0 and "
-                              "Im z != 0")
-        nu = mpf(nu)
-        psi = psi_complex(z if z.real > 0 else -z, prec + 16)
-        s_re = 1 if z.imag < 0 else -1      # sign of the psi term
-        s_im = 1 if z.real < 0 else -1      # sign of the i pi/4 term
-        rhs = s_re * nu * mp.pi / 2 * psi + s_im * nu * mp.pi * mpc(0, 1) / 4
-        v = abs(mp.log(d2(z, nu, prec + 16)) - rhs)
     return round_to(v, prec)
 
 
@@ -257,7 +231,6 @@ def build_d1_grid(n: int, nu, prec: int) -> D1Grid:
     x* = 1/(n pi) and at the endpoints."""
     require_prec(prec)
     level = _grid_level(prec)
-    from .quadrature import _nodes_new
     nodes, wk = [], []
     # guard must cover the closest node offsets ~2^-(prec+48) near t=1
     with workprec(prec, guard=64):
@@ -267,11 +240,7 @@ def build_d1_grid(n: int, nu, prec: int) -> D1Grid:
         for a, b in [(mpf(0), +xstar), (+xstar, mpf(1))]:
             width = b - a
             for lev in range(level + 1):
-                for offset, w in _nodes_new(lev, prec):
-                    if lev == 0 and offset == mpf(1) / 2:
-                        ts = (a + width / 2,)
-                    else:
-                        ts = (a + width * offset, b - width * offset)
+                for w, ts in segment_nodes(a, b, lev, prec):
                     for t in ts:
                         nodes.append(t)
                         wk.append(w * h_final * width / 2
@@ -294,8 +263,7 @@ def _cached_grid(n: int, nu: mpf, prec: int) -> D1Grid:
     return build_d1_grid(n, nu, prec)
 
 
-def d1n(z, n: int, nu, prec: int, grid: D1Grid | None = None,
-        adaptive: bool = False):
+def d1n(z, n: int, nu, prec: int, adaptive: bool = False):
     """First Szego factor for the normalized weight, off [-1,1].
 
     Default path is one fixed-point read of the cached frozen grid
@@ -317,7 +285,7 @@ def d1n(z, n: int, nu, prec: int, grid: D1Grid | None = None,
 
             integral, _ = quad_ts(f, points, prec)
         else:   # the caller's nu, so every caller shares the cached grid
-            integral = (grid or _get_grid(n, nu, prec)).cauchy(z)
+            integral = _get_grid(n, nu, prec).cauchy(z)
         v = mp.exp(sqrt_offcut(z) / (2 * mp.pi) * integral)
     return round_to(v, prec)
 
@@ -350,8 +318,7 @@ def outer_eval(z, n: int, nu, prec: int) -> AsymptoticPrediction:
                 * szego_power(z, mpf(1) / 2, prec + 16) / d2(z, nu, prec + 16))
         value = mp.exp(n * g) * pref
     return AsymptoticPrediction(value=round_to(value, prec),
-                                error_scale=epsilon_n(n, nu, prec),
-                                regime=Regime.OUTER)
+                                error_scale=epsilon_n(n, nu, prec))
 
 
 def _check_inner_domain(z):
@@ -403,21 +370,4 @@ def inner_eval(z, n: int, nu, prec: int) -> AsymptoticPrediction:
             value = mp.conj(value) * (-1) ** n
         scale = 3 * mp.log(n) / n + epsilon_n(n, nu, prec)
     return AsymptoticPrediction(value=round_to(value, prec),
-                                error_scale=round_to(scale, prec),
-                                regime=Regime.INNER)
-
-
-def zero_condition_defect(z, n: int, nu, prec: int):
-    """|Re(nu pi psi/2) - Im theta_n|: small iff the two oscillatory terms
-    can cancel, the leading-order zero condition."""
-    with workprec(prec):
-        z = mpc(z)
-        if z.real < 0:
-            z = -mp.conj(z)
-        if z.real == 0:
-            raise DomainError("zero condition undefined on the imaginary "
-                              "axis")
-        nu = mpf(nu)
-        v = abs((nu * mp.pi / 2 * psi_complex(z, prec + 16)).real
-                - mpc(theta_n(z, n, prec)).imag)
-    return round_to(v, prec)
+                                error_scale=round_to(scale, prec))

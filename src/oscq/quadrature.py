@@ -20,6 +20,7 @@ from mpmath import mp, mpf
 from .mpfun import workprec
 
 MIN_LEVEL = 3   # levels every segment runs before it may stop
+MAX_LEVEL = 10  # deepest level; a segment still short of its goal fails
 
 
 class QuadratureError(RuntimeError):
@@ -33,13 +34,10 @@ class QuadratureError(RuntimeError):
 
 @lru_cache(maxsize=None)
 def _nodes_new(level: int, prec: int):
-    """Nodes introduced at `level` (odd multiples of h=2^-level; all j at level 0).
-
-    Returns tuples (offset, w): the node pair is a+width*offset and
-    b-width*offset, with offset = (1 -|x|)/2 in (0, 1/2] kept to full relative
-    accuracy near the endpoints.  At level 0 the center node appears once,
-    as (1/2, w0).
-    """
+    """Nodes introduced at `level` (odd multiples of h=2^-level; all j at
+    level 0) as tuples (offset, w), offset = (1 - |x|)/2 in (0, 1/2] kept to
+    full relative accuracy near the endpoints (see segment_nodes); the
+    level-0 centre comes first, as (1/2, w0)."""
     with workprec(prec, guard=16):
         h = mpf(2) ** (-level)
         # truncation supports integrands up to ~d^(-3/4); tail ~ 2^-(prec+48)/4
@@ -63,26 +61,36 @@ def _nodes_new(level: int, prec: int):
         return tuple(out)
 
 
+def segment_nodes(a, b, level: int, prec: int):
+    """Nodes new at `level` on [a, b] with their weights, as pairs (w, ts):
+    ts is the level-0 centre (a + width/2,) or the mirrored pair
+    (a + width*offset, b - width*offset).  The weights carry neither the
+    mesh h nor the width/2 Jacobian."""
+    width = b - a
+    for offset, w in _nodes_new(level, prec):
+        if level == 0 and offset == mpf(1) / 2:
+            yield w, (a + width / 2,)
+        else:
+            d = width * offset
+            yield w, (a + d, b - d)
+
+
 def _segment_sum(f, a, b, level: int, prec: int):
     """Raw weighted sum of new nodes at `level` over segment [a, b]."""
-    width = b - a
     total = mp.zero
-    nodes = _nodes_new(level, prec)
-    for offset, w in nodes:
-        if level == 0 and offset == mpf(1) / 2:
-            total += w * f(a + width / 2)
-            continue
-        d = width * offset
-        total += w * (f(a + d) + f(b - d))
-    return total * width / 2
+    for w, ts in segment_nodes(a, b, level, prec):
+        v = f(ts[0])
+        if len(ts) == 2:
+            v = v + f(ts[1])
+        total += w * v
+    return total * (b - a) / 2
 
 
-def quad_ts(f, points, prec: int, target=None, max_level: int = 10,
-            raise_on_fail: bool = True):
+def quad_ts(f, points, prec: int, target=None, raise_on_fail: bool = True):
     """Integrate f over the segments defined by consecutive `points`.
 
     target: absolute-or-relative error goal (default 2**(-prec/4)).  Each
-    segment runs at least MIN_LEVEL levels and at most max_level.  Returns
+    segment runs at least MIN_LEVEL levels and at most MAX_LEVEL.  Returns
     (value, err_estimate); raises QuadratureError when the goal is missed
     unless raise_on_fail=False.
     """
@@ -98,7 +106,7 @@ def quad_ts(f, points, prec: int, target=None, max_level: int = 10,
             raw = _segment_sum(f, a, b, 0, prec)
             prev = raw  # level-0 estimate, h=1
             seg_err = mp.inf
-            for level in range(1, max_level + 1):
+            for level in range(1, MAX_LEVEL + 1):
                 raw += _segment_sum(f, a, b, level, prec)
                 est = raw * mpf(2) ** (-level)
                 seg_err = abs(est - prev)

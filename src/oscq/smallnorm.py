@@ -17,7 +17,7 @@ from mpmath import mp, mpc, mpf
 
 from .equilibrium import phi_imag_side, re_phi_imag_axis
 from .mpfun import DomainError, require_prec, round_to, workprec
-from .parametrix import D1Grid, _get_grid, d1n, d2, w_pm_imag
+from .parametrix import d1n, d2, w_pm_imag
 from .quadrature import quad_ts
 
 
@@ -148,8 +148,7 @@ def bessel_ratio_bounds_check(s, nu, prec: int = 96):
             "lhs2": round_to(lhs2, prec), "rhs2": round_to(rhs2, prec)}
 
 
-def _eta_moduli(y, n: int, nu, chi: CutoffChi, prec: int,
-                grid: D1Grid | None = None):
+def _eta_moduli(y, n: int, nu, chi: CutoffChi, prec: int):
     """(|eta1(iy)|, |eta2(-iy)|) = (|j1| |D1 D2|^2 chi at iy, |j2| |D1 D2|^2
     chi at -iy).  One cutoff value, one D1 read: by Schwarz reflection
     D1(-iy) = conj D1(iy)."""
@@ -160,7 +159,7 @@ def _eta_moduli(y, n: int, nu, chi: CutoffChi, prec: int,
         y = mpf(y)
         j1, j2 = _j_moduli(y, n, nu, prec)
         up, down = mpc(0, y), mpc(0, -y)
-        d = d1n(up, n, nu, prec, grid=grid)
+        d = d1n(up, n, nu, prec)
         v1 = j1 * abs(d * d2(up, nu, prec)) ** 2 * c
         v2 = j2 * abs(mp.conj(d) * d2(down, nu, prec)) ** 2 * c
     return round_to(v1, prec), round_to(v2, prec)
@@ -180,16 +179,16 @@ def eta_bound_check(y, n: int, nu, chi: CutoffChi, prec: int = 128):
     """Kernel moduli against the predicted shape bounds with constants 1:
     bound1 = y^nu e^(-2n Re phi), bound2 = (n^(2nu) y^nu + n y^(1-nu))
     e^(-2n Re phi)."""
-    grid = _get_grid(n, nu, prec)
     with workprec(prec):
         y = mpf(y)
         if not 0 < y <= RHO_DEFAULT:
             raise DomainError("y must lie in (0, rho]")
+        # the caller's nu, so D1 reads the grid cached under its key
+        e1, e2 = _eta_moduli(y, n, nu, chi, prec)
         nu = mpf(nu)
         decay = mp.exp(-2 * n * re_phi_imag_axis(y, prec + 16))
         b1 = y ** nu * decay
         b2 = (n ** (2 * nu) * y ** nu + n * y ** (1 - nu)) * decay
-        e1, e2 = _eta_moduli(y, n, nu, chi, prec, grid)
     return {"eta1_mod": e1, "bound1": round_to(b1, prec),
             "eta2_mod": e2, "bound2": round_to(b2, prec)}
 
@@ -206,19 +205,19 @@ def k_norm_bounds(n: int, nu, chi: CutoffChi | None = None,
         raise ValueError("n must be >= 2")
     require_prec(prec)
     chi = chi or CutoffChi()
-    grid = _get_grid(n, nu, prec)
     out = {}
     with workprec(prec):
-        nu = mpf(nu)
         hi = 2 * chi.eps
         # integrand peaks near 1/(n log n); give the quadrature that split
         peak = mpf(1) / (n * max(1, mp.log(n)))
         points = sorted({mpf(0), +peak, +min(4 * peak, hi), hi})
-        pairs = {}   # node y -> both moduli; the two integrals share nodes
+        # node y -> both moduli; the two integrals share nodes.  nu stays
+        # the caller's, so D1 reads the grid cached under its key
+        pairs = {}
         for key, side in (("k1_bound", 0), ("k2_bound", 1)):
             def f(y):
                 if y not in pairs:
-                    pairs[y] = _eta_moduli(y, n, nu, chi, prec, grid)
+                    pairs[y] = _eta_moduli(y, n, nu, chi, prec)
                 e = pairs[y][side]
                 return e * e / y
 

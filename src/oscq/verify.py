@@ -17,9 +17,10 @@ from mpmath import mp, mpc, mpf
 from . import equilibrium as eq
 from . import parametrix as px
 from . import smallnorm as sn
-from .branches import f_exterior
-from .moments import MonicPolynomial, Variable, monic_op, rescale_to_tilde
-from .mpfun import workprec
+from .branches import f_exterior, sqrt_offcut
+from .moments import (MonicPolynomial, Variable, moment, monic_op,
+                      rescale_to_tilde)
+from .mpfun import DomainError, round_to, workprec
 from .quadrature import quad_ts
 from .quadrule import apply_rule, gauss_rule
 from .zeros import ZeroSet, ecdf_vs_psi, find_zeros, zero_line_stats
@@ -76,6 +77,99 @@ def theta_by_quadrature(z, n: int, prec: int):
         v, _ = quad_ts(lambda t: eq.psi_complex(z + t * w, prec + 64),
                        [0, 1], prec)
         return n * mp.pi * v * w + mp.acos(z) / 4 - mp.pi / 4
+
+
+def _tail_cutoff(n: int, j: int, prec: int):
+    """X with x^(n+j) exp(-n pi x) below 2^-(prec+20) for x >= X."""
+    with workprec(64):
+        goal = -(prec + 20) * mp.ln(2)
+        x = mpf(2)
+        while (n + j) * mp.log(x) - n * mp.pi * x > goal:
+            x *= 2
+        return +x
+
+
+def orthogonality_residuals(pt: MonicPolynomial, n: int, nu, prec: int,
+                            js=None, target=None):
+    """Oracle for monic_op: the defining complex-weight orthogonality by
+    quadrature.
+
+    Returns {j: (residual, scale)} where scale is the absolute mass
+    integral(|x|^j K_nu(n pi |x|) dx) over the truncated range.  Bessel
+    values are shared across the j batch.
+    """
+    if pt.variable is not Variable.RESCALED_Z:
+        raise ValueError("orthogonality check expects the rescaled frame")
+    if js is None:
+        js = range(n)
+    js = list(js)
+    x_max = _tail_cutoff(n, max(js), prec)
+    kcache: dict = {}
+
+    def kval(ax):
+        v = kcache.get(ax)
+        if v is None:
+            v = mp.besselk(nu, n * mp.pi * ax)
+            kcache[ax] = v
+        return v
+
+    out = {}
+    rel = target if target is not None else mpf(2) ** (-(prec // 4))
+    with workprec(prec, guard=64):
+        nu = mpf(nu)
+        phase_pos = mp.exp(-mpc(0, 1) * nu * mp.pi / 2)
+        phase_neg = mp.exp(mpc(0, 1) * nu * mp.pi / 2)
+        for j in js:
+            def f(x, j=j):
+                ax = abs(x)
+                w = kval(ax) * (phase_pos if x > 0 else phase_neg)
+                return pt.eval(x, prec + 64) * x ** j * w
+
+            def fabs(x, j=j):
+                ax = abs(x)
+                return ax ** j * kval(ax)
+
+            # the weight mass sets the meaningful absolute scale for the
+            # cancellation-dominated residual integral
+            scale, _ = quad_ts(fabs, [-x_max, 0, x_max], prec, target=rel)
+            val, _ = quad_ts(f, [-x_max, 0, x_max], prec, target=rel * scale)
+            out[j] = (val, scale)
+    return out
+
+
+def d2_psi_consistency(z, nu, prec: int):
+    """Defect of the quadrant identity log d2 = -+ nu pi psi/2 -+ nu pi i/4.
+
+    For Re z < 0 the density continuation is taken even, psi(-z).
+    """
+    with workprec(prec):
+        z = mpc(z)
+        if z.real == 0 or z.imag == 0:
+            raise DomainError("consistency check needs Re z != 0 and "
+                              "Im z != 0")
+        nu = mpf(nu)
+        psi = eq.psi_complex(z if z.real > 0 else -z, prec + 16)
+        s_re = 1 if z.imag < 0 else -1      # sign of the psi term
+        s_im = 1 if z.real < 0 else -1      # sign of the i pi/4 term
+        rhs = s_re * nu * mp.pi / 2 * psi + s_im * nu * mp.pi * mpc(0, 1) / 4
+        v = abs(mp.log(px.d2(z, nu, prec + 16)) - rhs)
+    return round_to(v, prec)
+
+
+def zero_condition_defect(z, n: int, nu, prec: int):
+    """|Re(nu pi psi/2) - Im theta_n|: small iff the two oscillatory terms
+    can cancel, the leading-order zero condition."""
+    with workprec(prec):
+        z = mpc(z)
+        if z.real < 0:
+            z = -mp.conj(z)
+        if z.real == 0:
+            raise DomainError("zero condition undefined on the imaginary "
+                              "axis")
+        nu = mpf(nu)
+        v = abs((nu * mp.pi / 2 * eq.psi_complex(z, prec + 16)).real
+                - mpc(eq.theta_n(z, n, prec)).imag)
+    return round_to(v, prec)
 
 
 def decay_integral(alpha, n: int, prec: int):
@@ -224,10 +318,10 @@ def suite_parametrix(prec: int = 192, nu="0.25", **_) -> list[CheckRecord]:
                        mpf(2) ** (-prec // 2 + 24)))
         for zz in (mpc("0.5", "0.2"), mpc("0.5", "-0.2"), mpc("-0.5", "0.2")):
             out.append(_le(f"d2/psi quadrant identity at {zz}",
-                           px.d2_psi_consistency(zz, nu, prec),
+                           d2_psi_consistency(zz, nu, prec),
                            mpf(2) ** (-prec // 2)))
-        defp = px.d2_psi_consistency(mpc("0.5", "0.2"), nu, prec)
-        defm = px.d2_psi_consistency(mpc("0.5", "-0.2"), nu, prec)
+        defp = d2_psi_consistency(mpc("0.5", "0.2"), nu, prec)
+        defm = d2_psi_consistency(mpc("0.5", "-0.2"), nu, prec)
         out.append(_le("d2/psi reflection symmetry", abs(defp - defm),
                        mpf(2) ** (-prec // 2)))
         # closed-form oracle: at nu=1/2 the weight is exactly |x|^(-1/2)
@@ -250,8 +344,6 @@ def suite_parametrix(prec: int = 192, nu="0.25", **_) -> list[CheckRecord]:
         n_b = 20
         pq = 128
         worst = mpf(0)
-        from .branches import sqrt_offcut
-        from .parametrix import _k_log_weight
         for k in range(10):
             x = mpf("0.08") + mpf("0.84") * k / 9
             kcache = {}
@@ -259,7 +351,7 @@ def suite_parametrix(prec: int = 192, nu="0.25", **_) -> list[CheckRecord]:
             def kfun(t):
                 v = kcache.get(t)
                 if v is None:
-                    v = _k_log_weight(t, n_b, nu, pq + 32)
+                    v = px._k_log_weight(t, n_b, nu, pq + 32)
                     kcache[t] = v
                 return v
 
@@ -473,7 +565,6 @@ def suite_quadrature(prec: int = 256, nu=None, n_list=None,
         out.append(_le("x^2 integrates to -1 at nu=0",
                        abs(apply_rule(rule, lambda x: x * x) + 1),
                        mpf(2) ** (-(prec // 2))))
-        from .moments import moment
         beyond = abs(apply_rule(rule, lambda x: x ** 4)
                      - moment(4, "0", prec))
         out.append(_rec("degree 2n defect nonzero (exactness boundary)",

@@ -27,9 +27,6 @@ class ZeroSet:
     variable: Variable
     prec: int
 
-    def __len__(self):
-        return len(self.roots)
-
 
 def _initial_guesses(p: MonicPolynomial, prec: int):
     """Seeds on an ellipse around [-1,1], or on the unit circle (raw)."""
@@ -146,12 +143,9 @@ def zero_line_stats(zs: ZeroSet, n: int, nu, delta) -> ZeroLineStats:
                 continue
             re_z = -n * mp.pi * w.imag
             devs.append(abs(re_z - target))
-        eps = epsilon_n(n, nu, zs.prec)
-        if not devs:
-            return ZeroLineStats(max_dev=None, zeros_considered=0,
-                                 epsilon_n=eps)
-        return ZeroLineStats(max_dev=+max(devs), zeros_considered=len(devs),
-                             epsilon_n=eps)
+        return ZeroLineStats(max_dev=+max(devs) if devs else None,
+                             zeros_considered=len(devs),
+                             epsilon_n=epsilon_n(n, nu, zs.prec))
 
 
 def ecdf_vs_psi(zs: ZeroSet, prec: int | None = None):

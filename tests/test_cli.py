@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 from mpmath import mp, mpf
 
 from oscq.mpfun import workprec
@@ -65,6 +66,24 @@ def test_verify_command(tmp_path):
 def test_verify_bad_suite():
     r = run_cli("verify", "--suite", "nonsense")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("zeros", "--nu", "0", "--n", "4", "--prec", "abc"),
+    ("zeros", "--nu", "0", "--n", "4", "--prec", "10"),
+    ("zeros", "--nu", "abc", "--n", "4"),
+    ("zeros", "--nu", "0", "--n", "0"),
+    ("zeros", "--nu", "0", "--n", "4", "--delta", "abc"),
+    ("asymptotics", "--nu", "0.25", "--n", "1", "--regime", "outer"),
+    ("verify", "--suite", "zeros", "--prec", "10"),
+    ("verify", "--suite", "zeros", "--n-list", "2..x"),
+])
+def test_malformed_input_is_a_usage_error(tmp_path, args):
+    out = () if args[0] == "verify" else ("--out", str(tmp_path / "x.csv"))
+    r = run_cli(*args, *out)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "error: argument" in r.stderr
 
 
 def test_asymptotics_outer(tmp_path):

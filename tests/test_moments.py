@@ -3,9 +3,9 @@ from mpmath import mp, mpc, mpf
 
 from oscq import moments
 from oscq.moments import (SolverError, _coefficients, hankel_det, moment,
-                          monic_op, orthogonality_residual,
-                          orthogonality_residuals, rescale_to_tilde)
+                          monic_op, rescale_to_tilde)
 from oscq.mpfun import workprec
+from oscq.verify import orthogonality_residuals
 
 from conftest import get_poly
 
@@ -164,22 +164,22 @@ def test_orthogonality_residual_deep():
     prec = 128
     poly = monic_op(2, "0.25", 512)
     pt = rescale_to_tilde(poly, 2)
-    res, scale = orthogonality_residual(pt, 0, 2, "0.25", 256,
-                                        target=mpf(2) ** -96)
+    res, scale = orthogonality_residuals(pt, 2, "0.25", 256, js=[0],
+                                         target=mpf(2) ** -96)[0]
     with workprec(256):
         assert abs(res) <= mpf(10) ** (-mpf("0.2") * prec) * scale
 
 
 def test_orthogonality_degree_n_moment_not_zero():
     _, pt = get_poly(2, "0.25")
-    res, scale = orthogonality_residual(pt, 2, 2, "0.25", 128)
+    res, scale = orthogonality_residuals(pt, 2, "0.25", 128, js=[2])[2]
     with workprec(192):
         assert abs(res) > mpf(10) ** -5 * scale
 
 
 def test_orthogonality_odd_parity_nu0():
     _, pt = get_poly(2, 0)
-    res, scale = orthogonality_residual(pt, 1, 2, 0, 128)
+    res, scale = orthogonality_residuals(pt, 2, 0, 128, js=[1])[1]
     assert abs(res) == 0
 
 

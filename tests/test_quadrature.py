@@ -1,6 +1,7 @@
 import pytest
 from mpmath import mp, mpf
 
+from oscq import quadrature
 from oscq.mpfun import workprec
 from oscq.quadrature import QuadratureError, quad_ts
 
@@ -37,18 +38,20 @@ def test_split_points_and_degenerate_segments():
         assert abs(v - 1) <= mpf(2) ** -30
 
 
-def test_nonconvergence_reports_value_and_error():
+def test_nonconvergence_reports_value_and_error(monkeypatch):
     # target far below the engine's capability at this precision
+    monkeypatch.setattr(quadrature, "MAX_LEVEL", 4)
     with pytest.raises(QuadratureError) as exc:
         quad_ts(lambda x: 1 / mp.sqrt(1 - x * x), [-1, 0, 1], 64,
-                target=mpf(2) ** -200, max_level=4)
+                target=mpf(2) ** -200)
     assert exc.value.value is not None
     assert exc.value.err is not None
 
 
-def test_raise_on_fail_false_returns_estimate():
+def test_raise_on_fail_false_returns_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_LEVEL", 4)
     v, err = quad_ts(lambda x: 1 / mp.sqrt(1 - x * x), [-1, 0, 1], 64,
-                     target=mpf(2) ** -200, max_level=4, raise_on_fail=False)
+                     target=mpf(2) ** -200, raise_on_fail=False)
     with workprec(96):
         assert abs(v - mp.pi) < mpf("1e-9")
         assert err > mpf(2) ** -200

@@ -1,6 +1,9 @@
-import pytest
-from mpmath import mp, mpf
+from unittest import mock
 
+import pytest
+from mpmath import mp, mpc, mpf
+
+from oscq import parametrix as px
 from oscq import smallnorm as sn
 from oscq import verify
 from oscq.mpfun import workprec
@@ -105,6 +108,18 @@ def test_k_norm_bounds_structure():
     # chi(y) != 0 costs one D1 grid read for both kernels
     reads, live = get_k_norm_reads(16, NU, PREC)
     assert live and reads == live
+
+
+def test_one_d1_grid_per_n_nu_prec():
+    # a non-dyadic nu rounded at prec before it reaches d1n would key the
+    # grid cache apart from d1n's own conversion and build a second grid
+    chi = sn.CutoffChi()
+    with mock.patch.object(px, "build_d1_grid",
+                           wraps=px.build_d1_grid) as build:
+        sn.k_norm_bounds(5, "0.3", chi, PREC)
+        sn.eta_bound_check(mpf("0.1"), 5, "0.3", chi, PREC)
+        px.d1n(mpc(0, "0.1"), 5, "0.3", PREC)
+    assert build.call_count == 1
 
 
 def test_k_norm_bounds_regression_pin():
