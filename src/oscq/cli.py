@@ -26,7 +26,7 @@ from .moments import (IndeterminateHankelError, SolverError, monic_op,
                       rescale_to_tilde)
 from .mpfun import MIN_PREC, DomainError, workprec
 from .smallnorm import CHI_PROFILE, EPS_DEFAULT, RHO_DEFAULT
-from .verify import SUITES, run_suite
+from .verify import SUITE_MIN_N, SUITES, run_suite
 from .zeros import find_zeros, zero_line_stats
 
 DESK_N_CEILING = 200
@@ -165,6 +165,10 @@ def cmd_zeros(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     t0 = time.time()
+    low = SUITE_MIN_N.get(args.suite)
+    if args.n_list and low is not None and min(args.n_list) < low:
+        parser.error(f"argument --n-list: suite {args.suite} needs "
+                     f"degrees n >= {low}")
     kwargs = {k: v for k in ("nu", "n_list", "prec")
               if (v := getattr(args, k)) is not None}
     records = run_suite(args.suite, **kwargs)
@@ -188,37 +192,41 @@ _OUTER_GRID = ("2i", "1.5", "-1.5+0.5i", "3", "0.5+2i")
 _INNER_GRID = ("0.3", "0.5", "0.7", "0.45-0.02i", "-0.5")
 
 
-def _parse_points(source: str, regime: str, prec: int):
-    if source == "grid":
-        raw = _OUTER_GRID if regime == "outer" else _INNER_GRID
-        with workprec(prec):
-            return [mp.mpmathify(t.replace("i", "j")) for t in raw]
-    pts = []
+def _read_points(source: str, parser):
+    """The (z_re, z_im) strings of a CSV points file; a file that cannot
+    be read, lacks either column or holds no point is a usage error."""
+    def fail(why):
+        parser.error(f"argument --points: points file {source!r} {why}")
+
     try:
         with open(source, newline="") as fh:
-            rd = csv.reader(fh)
-            header = next(rd)
-            cols = {name: k for k, name in enumerate(header)}
-            with workprec(prec):
-                for row in rd:
-                    pts.append(mpc(mpf(row[cols["z_re"]]),
-                                   mpf(row[cols["z_im"]])))
-    except (OSError, StopIteration, KeyError, ValueError) as exc:
-        raise SystemExit(
-            f"oscq: cannot read points file {source!r}: {exc}") from exc
+            rd = csv.DictReader(fh)
+            if not {"z_re", "z_im"} <= set(rd.fieldnames or ()):
+                fail("has no z_re,z_im header")
+            pts = [(row["z_re"], row["z_im"]) for row in rd]
+        for re_, im_ in pts:    # syntax only; converted at prec later
+            mpf(re_), mpf(im_)
+    except (OSError, csv.Error, ValueError, TypeError) as exc:
+        fail(f"cannot be read: {exc}")
     if not pts:
-        raise SystemExit(f"oscq: points file {source!r} contains no points")
+        fail("contains no points")
     return pts
 
 
 def cmd_asymptotics(args, parser) -> int:
     t0 = time.time()
     _require_desk_scale(args.n, args.allow_long, parser)
+    raw = None if args.points == "grid" else _read_points(args.points, parser)
     prec_floor = 256 if args.prec == "auto" else args.prec
     poly = monic_op(args.n, args.nu, prec_floor)
     tilde = rescale_to_tilde(poly, args.n)
     prec = tilde.prec
-    points = _parse_points(args.points, args.regime, prec)
+    with workprec(prec):
+        if raw is None:
+            grid = _OUTER_GRID if args.regime == "outer" else _INNER_GRID
+            points = [mp.mpmathify(t.replace("i", "j")) for t in grid]
+        else:
+            points = [mpc(mpf(re_), mpf(im_)) for re_, im_ in raw]
     rows = []
     for z in points:
         try:

@@ -1,10 +1,13 @@
-"""Arbitrary-precision scalar layer: precision plumbing, gamma and 1/gamma.
+"""Arbitrary-precision scalar layer: precision plumbing, gamma and 1/gamma,
+and the modified Bessel function K_nu on the positive real axis.
 
 Values are mpmath ``mpf`` / ``mpc`` (aliased ``BigReal`` / ``BigComplex``);
 every operation takes an explicit working precision in bits and evaluates
 internally with guard bits before rounding down to the requested precision.
-Relative error contract for the gamma functions: <= 2**(-prec+16).  The
-other layers call mpmath's Bessel functions (``mp.besselk``) directly.
+Relative error contract for the gamma functions: <= 2**(-prec+16).
+``besselk_real`` serves the log-weight of the D1 grid; the weight itself
+(``parametrix.w_weight``/``w_pm_imag``) and the J/Y pairs of ``smallnorm``
+call mpmath's Bessel functions directly.
 
 mpmath rounds on every construction and operation at the ambient context,
 so all argument conversion happens inside the functions' own workprec
@@ -18,6 +21,7 @@ than threads.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 
 from mpmath import mp, mpc, mpf
 
@@ -86,4 +90,95 @@ def recip_gamma(x, prec: int):
         if is_nonpositive_integer(x):
             return mpf(0)
         v = mp.rgamma(x)
+    return round_to(v, prec)
+
+
+LOG2E = 1.4426950408889634
+# mpmath's besselk sums its 2F0 asymptotic series, in under 1 ms, once
+# 2x log2(e) >= prec + 48 (measured for prec 96..480 and nu in [0, 1));
+# below that it falls back to a 1F1 route that costs 4-130 ms at 160 bits
+ASYMPTOTIC_BITS = 48
+SERIES_GUARD = 32
+
+
+def man_exp(x):
+    """Signed (mantissa, exponent) of an mpf: x = man * 2^exp."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+def to_fixed(man: int, exp: int, scale: int) -> int:
+    """man * 2^(exp+scale) as an int, truncated toward zero, so negating
+    man negates the result exactly."""
+    k = exp + scale
+    if k >= 0:
+        return man << k
+    return -(-man >> -k) if man < 0 else man >> -k
+
+
+def _series_scale(x, prec: int, sin_bits: int) -> int:
+    """Fixed-point scale W (bits) of the I series at x: prec, plus the
+    bits lost to the e^(2x) cancellation in I_-nu - I_nu and to the
+    factor 1/sin(nu pi), plus a guard."""
+    return prec + int(2 * LOG2E * float(x)) + 1 + sin_bits + SERIES_GUARD
+
+
+@lru_cache(maxsize=32)
+def _series_constants(nu, prec: int):
+    """(pi/(2 sin nu pi), 1/Gamma(1-nu), 1/Gamma(1+nu), bits lost to
+    1/sin nu pi) for 0 < nu < 1, at the widest scale W of a series call
+    at (nu, prec)."""
+    with workprec(prec):
+        sin_bits = max(0, -mp.mag(mp.sinpi(nu)))
+    widest = 2 * prec + ASYMPTOTIC_BITS + sin_bits + SERIES_GUARD
+    with workprec(widest):
+        return (mp.pi / (2 * mp.sinpi(nu)), mp.rgamma(1 - nu),
+                mp.rgamma(1 + nu), sin_bits)
+
+
+def _i_series(q: int, b: int, one: int) -> int:
+    """sum_k q^k / (k! (b)_k) with q, b and the result at scale one."""
+    total = term = one
+    k = 0
+    while term:             # terms rise, then fall: 0 only past the peak
+        k += 1
+        term = term * q // (k * b)
+        b += one
+        total += term
+    return total
+
+
+def besselk_real(nu, x, prec: int):
+    """Modified Bessel function K_nu(x) for real x > 0, to relative
+    accuracy about 2^-prec.
+
+    For |nu| < 1 and x below the point where mpmath's asymptotic series
+    converges (2x log2(e) < prec + ASYMPTOTIC_BITS), K_nu =
+    pi/(2 sin nu pi) (I_-nu - I_nu) (DLMF 10.27.4), with the power series
+    of both I summed in Python ints at the scale of _series_scale;
+    nu = 0 is evaluated at nu = 2^-(prec+32), K being even in nu.  Other
+    arguments go to mp.besselk at prec.
+    """
+    require_prec(prec)
+    with workprec(prec):
+        nu, x = abs(mpf(nu)), mpf(x)
+    if x <= 0:
+        raise DomainError("besselk_real needs x > 0")
+    if nu >= 1 or 2 * LOG2E * float(x) >= prec + ASYMPTOTIC_BITS:
+        with workprec(prec, guard=0):
+            return mp.besselk(nu, x)
+    if nu == 0:
+        nu = mpf(2) ** -(prec + 32)
+    c, g_minus, g_plus, sin_bits = _series_constants(nu, prec)
+    w = _series_scale(x, prec, sin_bits)
+    one = 1 << w
+    man, exp = man_exp(x)
+    q = to_fixed(man * man, 2 * exp - 2, w)      # x^2/4
+    nfix = to_fixed(*man_exp(nu), w)
+    s_minus = _i_series(q, one - nfix, one)
+    s_plus = _i_series(q, one + nfix, one)
+    with workprec(w, guard=0):
+        p = mp.exp(nu * mp.log(x / 2))           # (x/2)^nu
+        v = c * (mpf((s_minus, -w)) * g_minus / p
+                 - mpf((s_plus, -w)) * g_plus * p)
     return round_to(v, prec)

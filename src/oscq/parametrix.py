@@ -20,7 +20,8 @@ from mpmath import mp, mpc, mpf
 
 from .branches import beta_quartic, f_exterior, sqrt_offcut, sqrt_onecut
 from .equilibrium import epsilon_n, g_fn, psi_complex, theta_n
-from .mpfun import DomainError, require_prec, round_to, workprec
+from .mpfun import (DomainError, besselk_real, man_exp, require_prec,
+                    round_to, to_fixed, workprec)
 from .quadrature import quad_ts, segment_nodes
 
 GRID_SPLIT_LEVELS = {192: 6, 448: 7}
@@ -137,23 +138,9 @@ def _k_log_weight(t, n: int, nu, prec: int):
     """log W_n(t) / sqrt(1-t^2) for t in (0,1); W_n is even in t."""
     with workprec(prec):
         arg = n * mp.pi * t
-        logw = mp.log(2 * n) / 2 + mp.log(mp.besselk(mpf(nu), arg)) + arg
+        k = besselk_real(mpf(nu), arg, mp.prec)
+        logw = mp.log(2 * n) / 2 + mp.log(k) + arg
         return logw / mp.sqrt((1 - t) * (1 + t))
-
-
-def _man_exp(x):
-    """Signed (mantissa, exponent) of an mpf: x = man * 2^exp."""
-    sign, man, exp, _ = x._mpf_
-    return (-man if sign else man), exp
-
-
-def _fixed(man: int, exp: int, scale: int) -> int:
-    """man * 2^(exp+scale) as an int, truncated toward zero, so negating
-    man negates the result exactly."""
-    k = exp + scale
-    if k >= 0:
-        return man << k
-    return -(-man >> -k) if man < 0 else man >> -k
 
 
 @dataclass(frozen=True)
@@ -198,10 +185,10 @@ class D1Grid:
         with workprec(self.prec, guard=32):
             z = mpc(z)
             w = self.read_scale(z)
-            xr, er = _man_exp(z.real)
-            xi, ei = _man_exp(z.imag)
-            a0 = _fixed(xr * xr, 2 * er, w) - _fixed(xi * xi, 2 * ei, w)
-            b = _fixed(2 * xr * xi, er + ei, w)
+            xr, er = man_exp(z.real)
+            xi, ei = man_exp(z.imag)
+            a0 = to_fixed(xr * xr, 2 * er, w) - to_fixed(xi * xi, 2 * ei, w)
+            b = to_fixed(2 * xr * xi, er + ei, w)
             bb = b * b
             tshift = 2 * self.scale - w     # t^2 from scale 2*scale to w
             if tshift >= 0:
@@ -247,8 +234,8 @@ def build_d1_grid(n: int, nu, prec: int) -> D1Grid:
                                   * _k_log_weight(t, n, nu, prec))
     scale = -min(t._mpf_[2] for t in nodes)
     return D1Grid(n=n, nu=nu, prec=prec, level=level, scale=scale,
-                  nodes=tuple(_fixed(*_man_exp(t), scale) for t in nodes),
-                  wk=tuple(_fixed(*_man_exp(v), scale) for v in wk))
+                  nodes=tuple(to_fixed(*man_exp(t), scale) for t in nodes),
+                  wk=tuple(to_fixed(*man_exp(v), scale) for v in wk))
 
 
 def _get_grid(n: int, nu, prec: int) -> D1Grid:
@@ -267,9 +254,14 @@ def d1n(z, n: int, nu, prec: int, adaptive: bool = False):
     """First Szego factor for the normalized weight, off [-1,1].
 
     Default path is one fixed-point read of the cached frozen grid
-    (D1Grid.cauchy, whose scale follows z, so the grid sum keeps the
+    (D1Grid.cauchy, whose scale follows z, so the grid *sum* keeps the
     working precision for every z off the cut); adaptive=True runs the
     tanh-sinh engine per call, used as the independent route in tests.
+
+    The grid's quadrature error does grow as z nears the cut.  On the
+    imaginary axis at prec 128 (n=16, nu=0.25), the level-6 grid's log D1
+    differs from a level-8 grid's by at most 2e-31 for y >= 1e-5, but by
+    5e-11 at y = 2^-40, 1.5e-4 at 2^-80 and 1.6e-2 at 2^-120.
     """
     with workprec(prec, guard=32):
         z = mpc(z)

@@ -652,6 +652,8 @@ def suite_zeros(prec: int = 256, nu="0", n_list=None, **_) -> list[CheckRecord]:
 SUITES = {"equilibrium": suite_equilibrium, "parametrix": suite_parametrix,
           "smallnorm": suite_smallnorm, "quadrature": suite_quadrature,
           "zeros": suite_zeros}
+# smallest degree in the n list of each suite that reads one
+SUITE_MIN_N = {"smallnorm": 2, "quadrature": 1, "zeros": 1}
 
 
 def run_suite(name: str, **kwargs) -> list[CheckRecord]:

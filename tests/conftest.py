@@ -1,11 +1,13 @@
 """Shared fixtures: session-wide polynomial/zero/operator-norm caches so
 the expensive recurrence solves, Aberth runs and small-norm integrals
-happen once per (n, nu)."""
+happen once per (n, nu), and the one hypothesis profile every property
+test runs under (25 derandomized examples, no deadline, no database)."""
 
 from __future__ import annotations
 
 from unittest import mock
 
+from hypothesis import settings
 from mpmath import mp, mpf
 
 from oscq import smallnorm
@@ -13,6 +15,10 @@ from oscq.moments import monic_op, rescale_to_tilde
 from oscq.mpfun import workprec
 from oscq.parametrix import D1Grid
 from oscq.zeros import find_zeros
+
+settings.register_profile("oscq", max_examples=25, deadline=None,
+                          derandomize=True, database=None)
+settings.load_profile("oscq")
 
 # bound at import: tests may monkeypatch smallnorm.k_norm_bounds to read
 # this cache, which must still reach the real computation

@@ -68,6 +68,12 @@ def test_verify_bad_suite():
     assert r.returncode == 2
 
 
+# malformed --points files, written into each case's tmp_path
+BAD_POINTS = {"empty.csv": "", "header_only.csv": "z_re,z_im\r\n",
+              "no_columns.csv": "x,y\r\n0.5,0.5\r\n",
+              "bad_number.csv": "z_re,z_im\r\nabc,0\r\n"}
+
+
 @pytest.mark.parametrize("args", [
     ("zeros", "--nu", "0", "--n", "4", "--prec", "abc"),
     ("zeros", "--nu", "0", "--n", "4", "--prec", "10"),
@@ -77,8 +83,16 @@ def test_verify_bad_suite():
     ("asymptotics", "--nu", "0.25", "--n", "1", "--regime", "outer"),
     ("verify", "--suite", "zeros", "--prec", "10"),
     ("verify", "--suite", "zeros", "--n-list", "2..x"),
+    ("verify", "--suite", "smallnorm", "--n-list", "1"),
+    ("verify", "--suite", "quadrature", "--n-list", "0..2"),
+    *(("asymptotics", "--nu", "0.25", "--n", "8", "--regime", "outer",
+       "--points", f"{{tmp}}/{name}")
+      for name in ("missing.csv", *BAD_POINTS)),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, args):
+    for name, text in BAD_POINTS.items():
+        (tmp_path / name).write_text(text)
+    args = [a.format(tmp=tmp_path) for a in args]
     out = () if args[0] == "verify" else ("--out", str(tmp_path / "x.csv"))
     r = run_cli(*args, *out)
     assert r.returncode == 2, r.stderr

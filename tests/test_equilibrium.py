@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -225,12 +225,9 @@ def test_suite_equilibrium_all_pass():
 
 # closed forms against the verify oracles (tanh-sinh quadrature of the
 # defining integrals), to the oracles' own target 2^-(prec/4)
-props = settings(max_examples=25, deadline=None, derandomize=True,
-                 database=None)
 TARGET = mpf(2) ** -(PREC // 4)
 
 
-@props
 @given(x=st.floats(-3, 3), y=st.floats(1e-3, 3), sign=st.sampled_from((1, -1)))
 def test_g_matches_quadrature_oracle(x, y, sign):
     z = mpc(x, sign * y)
@@ -240,7 +237,6 @@ def test_g_matches_quadrature_oracle(x, y, sign):
         assert abs(got - ref) <= TARGET * max(1, abs(ref))
 
 
-@props
 @given(x=st.floats(0.2, 1), y=st.floats(-0.1, 0.1), n=st.integers(1, 200))
 def test_theta_matches_quadrature_oracle(x, y, n):
     # Re z > 0 half of the validated oscillatory box

@@ -1,9 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from oscq.mpfun import PoleError, gamma_fn, recip_gamma, workprec
+from oscq import mpfun
+from oscq.mpfun import (ASYMPTOTIC_BITS, LOG2E, SERIES_GUARD, DomainError,
+                        PoleError, besselk_real, gamma_fn, recip_gamma,
+                        round_to, workprec)
 
 from conftest import rel_agrees
 
@@ -61,3 +66,84 @@ def test_precision_scaling():
 def test_min_precision_enforced():
     with pytest.raises(ValueError):
         gamma_fn(2, 32)
+
+
+def _besselk_error(nu, x, prec):
+    """|besselk_real - K| / K in units of 2^-prec, K from mp.besselk at
+    prec + 64 bits."""
+    got = besselk_real(nu, x, prec)
+    with workprec(prec + 64):
+        ref = mp.besselk(mpf(nu), mpf(x))
+        return abs(got - ref) / ref * mpf(2) ** prec
+
+
+# x log-uniform on [2^-200, 2^8], half the draws from [1, 2^8], so both
+# branches are reached: the series below 2x log2(e) = prec +
+# ASYMPTOTIC_BITS (x < 39 at 64 bits, x < 172 at 448), mp.besselk above
+@given(nu=st.one_of(st.sampled_from((0.0, 1e-6, 0.5, 0.999999)),
+                    st.floats(0, 1, exclude_max=True)),
+       x=st.one_of(st.floats(-200, 8), st.floats(0, 8)).map(
+           lambda e: 2.0 ** e),
+       prec=st.sampled_from((64, 128, 192, 448)))
+def test_besselk_real_matches_mpmath(nu, x, prec):
+    assert _besselk_error(nu, x, prec) <= 16
+
+
+# a point where each piece of the series matters: e^(2x) cancellation,
+# nu near 0 and 1, nu = 0 itself, and small x, where (x/2)^nu amplifies
+# the rounding that the guard bits absorb
+BROKEN_SERIES_CASES = ((0.25, 40.0, 128), (1e-6, 1.0, 128), (0.0, 0.5, 128),
+                       (0.999999, 3.0, 128), (0.3, 0.01, 192),
+                       (0.8, 1e-59, 128))
+
+
+def _wrong_gamma(consts):
+    def constants(nu, prec):        # 1/Gamma(1+nu) to only prec/2 bits
+        c, g_minus, g_plus, sin_bits = consts(nu, prec)
+        return c, g_minus, round_to(g_plus, prec // 2), sin_bits
+    return constants
+
+
+def _scale_without_cancellation(x, prec, sin_bits):
+    return prec + sin_bits + SERIES_GUARD
+
+
+def _scale_without_sin_bits(x, prec, sin_bits):
+    return prec + int(2 * LOG2E * float(x)) + 1 + SERIES_GUARD
+
+
+def test_besselk_real_cases_pass():
+    assert max(_besselk_error(*c) for c in BROKEN_SERIES_CASES) <= 16
+
+
+@pytest.mark.parametrize("attr, broken", [
+    ("_series_constants", _wrong_gamma(mpfun._series_constants)),
+    ("_series_scale", _scale_without_cancellation),
+    ("_series_scale", _scale_without_sin_bits),
+    ("SERIES_GUARD", 0),
+])
+def test_besselk_real_check_catches_a_broken_series(monkeypatch, attr,
+                                                    broken):
+    monkeypatch.setattr(mpfun, attr, broken)
+    assert max(_besselk_error(*c) for c in BROKEN_SERIES_CASES) > 16
+
+
+def test_besselk_real_branches(monkeypatch):
+    calls = []
+    besselk = mp.besselk
+
+    def counted(*args):
+        calls.append(args)
+        return besselk(*args)
+
+    monkeypatch.setattr(mp, "besselk", counted)
+    prec = 128
+    edge = (prec + ASYMPTOTIC_BITS) / (2 * LOG2E)
+    for nu, x, used in ((0.25, edge * 0.99, 0), (0.25, edge * 1.01, 1),
+                        (1.5, 3.0, 1), (-0.25, 3.0, 0)):
+        before = len(calls)
+        besselk_real(nu, x, prec)
+        assert len(calls) - before == used
+        assert _besselk_error(nu, x, prec) <= 16
+    with pytest.raises(DomainError):
+        besselk_real(0.25, 0, prec)

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -117,8 +117,6 @@ def _rel_err(got, ref):
         return abs(got - ref) / abs(ref)
 
 
-props = settings(max_examples=25, deadline=None, derandomize=True,
-                 database=None)
 # exact binary points: the imaginary axis from 2^-300 to 2, 1e-9 to 1e-3
 # off (-1,1), and 1.25 < |z| <= 1e20 in every direction; either half-plane
 axis_points = st.floats(-300, 1).map(lambda e: (0.0, 2.0 ** e))
@@ -128,7 +126,6 @@ far_points = st.tuples(st.floats(0.1, 20), st.floats(-math.pi, math.pi)).map(
     lambda p: (10 ** p[0] * math.cos(p[1]), 10 ** p[0] * abs(math.sin(p[1]))))
 
 
-@props
 @given(xy=st.one_of(axis_points, near_cut, far_points),
        sign=st.sampled_from((1, -1)))
 def test_d1_grid_read_matches_mpc_sum(xy, sign):

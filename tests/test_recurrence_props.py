@@ -2,7 +2,7 @@
 polynomial values and derivatives, Christoffel weights, conjugate symmetry
 and Hankel determinants, each against an independent route."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -18,8 +18,6 @@ TOL = mpf(2) ** (-(PREC // 2))
 
 # nu on the 1e-6 grid, as decimal strings like the CLI takes them
 nus = st.floats(0, 0.999999).map(lambda x: f"{x:.6f}")
-props = settings(max_examples=25, deadline=None, derandomize=True,
-                 database=None)
 _RULES: dict = {}
 
 
@@ -40,7 +38,6 @@ def _vandermonde_weights(nodes, nu, prec):
         return [w[k] for k in range(n)]
 
 
-@props
 @given(nu=nus)
 def test_moment_recurrence_matches_gamma_ratio(nu):
     got = moment_sequence(41, nu, PREC)
@@ -52,7 +49,6 @@ def test_moment_recurrence_matches_gamma_ratio(nu):
             assert abs(got[j] - ref) <= mpf(2) ** (16 - PREC) * abs(ref), j
 
 
-@props
 @given(n=st.integers(1, 24), nu=nus, x=st.floats(-1.5, 1.5),
        y=st.floats(-0.5, 0.5))
 def test_eval_with_deriv_matches_horner(n, nu, x, y):
@@ -68,7 +64,6 @@ def test_eval_with_deriv_matches_horner(n, nu, x, y):
             mpf(2) ** (-pt.prec + 32) * max(1, abs(dref))
 
 
-@props
 @given(n=st.integers(1, 12), nu=nus)
 def test_christoffel_weights_match_vandermonde(n, nu):
     r = rule(n, nu)
@@ -79,14 +74,12 @@ def test_christoffel_weights_match_vandermonde(n, nu):
             assert abs(w - v) <= TOL * scale
 
 
-@props
 @given(n=st.integers(1, 12), nu=nus)
 def test_weights_sum_to_one(n, nu):
     with workprec(2 * PREC):
         assert abs(mp.fsum(rule(n, nu).weights) - 1) <= TOL
 
 
-@props
 @given(n=st.integers(1, 12), nu=nus)
 def test_nodes_and_weights_close_under_conjugation(n, nu):
     r = rule(n, nu)
@@ -97,7 +90,6 @@ def test_nodes_and_weights_close_under_conjugation(n, nu):
             assert abs(mp.conj(w) - r.weights[k]) <= TOL * max(1, abs(w))
 
 
-@props
 @given(n=st.integers(1, 8), nu=nus)
 def test_hankel_det_matches_bareiss(n, nu):
     got = hankel_det(n, nu, PREC)
