@@ -166,7 +166,10 @@ def cmd_zeros(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     t0 = time.time()
     low = SUITE_MIN_N.get(args.suite)
-    if args.n_list and low is not None and min(args.n_list) < low:
+    if args.n_list is not None and low is None:
+        parser.error(f"argument --n-list: suite {args.suite} reads no "
+                     f"degree list")
+    if args.n_list and min(args.n_list) < low:
         parser.error(f"argument --n-list: suite {args.suite} needs "
                      f"degrees n >= {low}")
     kwargs = {k: v for k in ("nu", "n_list", "prec")

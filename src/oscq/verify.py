@@ -652,7 +652,7 @@ def suite_zeros(prec: int = 256, nu="0", n_list=None, **_) -> list[CheckRecord]:
 SUITES = {"equilibrium": suite_equilibrium, "parametrix": suite_parametrix,
           "smallnorm": suite_smallnorm, "quadrature": suite_quadrature,
           "zeros": suite_zeros}
-# smallest degree in the n list of each suite that reads one
+# the suites that read an n list, each with the smallest degree it takes
 SUITE_MIN_N = {"smallnorm": 2, "quadrature": 1, "zeros": 1}
 
 

@@ -4,25 +4,42 @@ zero-distribution statistics against the limiting laws.
 Aberth-Ehrlich iteration, no deflation: all n roots are refined together,
 which is robust for the clustered complex roots these polynomials produce.
 Runs are deterministic for a given (polynomial, precision).
+
+Two stages.  The first runs in Python complex floats from the seeds to a
+Newton correction of 1e-12.  The second runs in block-floating fixed
+point, in the Python-int idiom of mpmath's own series summers: every root
+and every recurrence pair (a_k, b_k), complex b_k included, is a Gaussian
+int (re, im) at one scale S = prec + 64 + FIXED_GUARD bits.  P and P' run
+through the recurrence as Gaussian ints sharing one exponent, and the
+block is shifted down, or up, whenever its top bit leaves S +- WINDOW:
+the values fall by hundreds of bits over the recurrence in the rescaled
+frame (n = 200), so a block that was only shifted down would underflow.
+The Newton step P/P', the sum of 1/(z_k - z_j) and the Aberth update
+are integer divisions at S.  MonicPolynomial's mpc recurrence is the
+oracle the tests compare this stage against.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
+from math import isqrt
 
 from mpmath import mp, mpc, mpf
 
 from .equilibrium import epsilon_n, psi_cdf
 from .moments import MonicPolynomial, SolverError, Variable
-from .mpfun import workprec
+from .mpfun import man_exp, to_fixed, workprec
 
 MAX_SWEEPS = 500
 FLOAT_TOL = 1e-12   # hand-over point of the float stage
+FIXED_GUARD = 32    # bits of the fixed-point stage beyond prec + 64
+WINDOW = 32         # its P, P' block is renormalised past 2^(scale +- WINDOW)
 
 
 @dataclass(frozen=True)
 class ZeroSet:
-    roots: tuple          # mpc, sorted by (Re, Im)
+    roots: tuple          # mpc, sorted by (Re on the 2^-(prec/2) grid, Im)
     residuals: tuple      # each root's last Newton correction |P/P'|
     variable: Variable
     prec: int
@@ -90,28 +107,133 @@ def _aberth(z, pair, tol, sweeps: int):
     return corr
 
 
+def _gauss(x, scale: int):
+    """x (int, mpf or mpc) as a Gaussian int (re, im) at 2^scale,
+    truncated toward zero, without rounding x first."""
+    x = mp.mpmathify(x)
+    return (to_fixed(*man_exp(x.real), scale),
+            to_fixed(*man_exp(x.imag), scale))
+
+
+def _fixed_eval_with_deriv(recurrence, scale: int):
+    """(zr, zi) -> (P, P') times a common factor c > 0, as Gaussian ints
+    (pr, pi, dr, di) with z = (zr + i zi) 2^-scale.  P_{k-1}, P_k and
+    their derivatives share one exponent: the block is shifted up or down
+    to its top bit at scale whenever it leaves scale +- WINDOW bits."""
+    ab = [_gauss(a, scale) + _gauss(b, scale) for a, b in recurrence]
+    hi, lo = scale + WINDOW, scale - WINDOW
+
+    def pair(zr, zi):
+        ur = ui = vi = er = ei = dr = di = 0   # P_{k-1}, P_k, P'_{k-1}, P'_k
+        vr = 1 << scale
+        for ar, ai, br, bi in ab:
+            tr, ti = zr - ar, zi - ai
+            ur, ui, vr, vi = (vr, vi,
+                              (tr * vr - ti * vi - br * ur + bi * ui) >> scale,
+                              (tr * vi + ti * vr - br * ui - bi * ur) >> scale)
+            er, ei, dr, di = (dr, di,
+                              ur + ((tr * dr - ti * di - br * er + bi * ei)
+                                    >> scale),
+                              ui + ((tr * di + ti * dr - br * ei - bi * er)
+                                    >> scale))
+            top = max(vr.bit_length(), vi.bit_length(),   # of |x|
+                      dr.bit_length(), di.bit_length())
+            if top > hi:
+                s = top - scale
+                ur, ui, vr, vi = ur >> s, ui >> s, vr >> s, vi >> s
+                er, ei, dr, di = er >> s, ei >> s, dr >> s, di >> s
+            elif top < lo:
+                s = scale - top
+                ur, ui, vr, vi = ur << s, ui << s, vr << s, vi << s
+                er, ei, dr, di = er << s, ei << s, dr << s, di << s
+        return vr, vi, dr, di
+    return pair
+
+
+def _div(xr, xi, yr, yi, scale: int):
+    """(x / y) 2^scale for Gaussian ints x and y != 0, floored."""
+    den = yr * yr + yi * yi
+    return (((xr * yr + xi * yi) << scale) // den,
+            ((xi * yr - xr * yi) << scale) // den)
+
+
+def _fixed_aberth(z, pair, tol: int, scale: int, sweeps: int):
+    """_aberth on roots z held as Gaussian ints (re, im) at 2^scale, with
+    pair from _fixed_eval_with_deriv and tol at 2^scale; every step is
+    integer arithmetic at that scale.  Returns each root's last squared
+    correction |P/P'|^2 at 2^(2 scale)."""
+    one, two, tol2 = 1 << scale, 2 * scale, tol * tol
+    corr = [tol2] * len(z)
+    active = range(len(z))
+    for _ in range(sweeps):
+        still = []
+        for k in active:
+            zr, zi = z[k]
+            pr, pi, dr, di = pair(zr, zi)
+            if pr == pi == 0:
+                corr[k] = 0
+                continue
+            if dr == di == 0:
+                z[k] = (zr + tol, zi)  # nudge off the critical point
+                still.append(k)
+                continue
+            nr, ni = _div(pr, pi, dr, di, scale)
+            corr[k] = nr * nr + ni * ni
+            sr = si = 0                # sum_{j != k} 1/(z_k - z_j)
+            for j, (wr, wi) in enumerate(z):
+                if j != k:
+                    wr, wi = zr - wr, zi - wi
+                    den = wr * wr + wi * wi
+                    sr += (wr << two) // den
+                    si -= (wi << two) // den
+            qr = one - ((nr * sr - ni * si) >> scale)   # 1 - newton * s
+            qi = -((nr * si + ni * sr) >> scale)
+            if qr == qi == 0:
+                z[k] = (zr - nr, zi - ni)
+            else:
+                qr, qi = _div(nr, ni, qr, qi, scale)
+                z[k] = (zr - qr, zi - qi)
+            if not corr[k] < tol2:
+                still.append(k)
+        active = still
+        if not active:
+            break
+    return corr
+
+
 def find_zeros(p: MonicPolynomial, prec: int | None = None) -> ZeroSet:
     """All roots of p with Newton corrections below 2^(-prec/2): Aberth
-    in floats from the seeds, then at prec + 64 bits from the float roots."""
+    in floats from the seeds, then in fixed point at 2^-(prec + 64 +
+    FIXED_GUARD) from the float roots.  Roots are sorted by real part on
+    the 2^-(prec/2) grid, then by imaginary part."""
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
     prec = prec or p.prec
     n = p.degree
-    tol = mpf(2) ** (-(prec // 2))
+    scale = prec + 64 + FIXED_GUARD
+    half = prec // 2
     with workprec(prec, guard=64):
         zf = [complex(w) for w in _initial_guesses(p, prec)]
         _aberth(zf, _float_eval_with_deriv(p.recurrence), FLOAT_TOL,
                 MAX_SWEEPS)
-        z = [mpc(w) for w in zf]
-        corr = _aberth(z, lambda w: p.eval_with_deriv(w, prec + 64), tol,
-                       MAX_SWEEPS)
-        if not max(corr) < tol:
+        if not all(map(cmath.isfinite, zf)):   # a nan would read as 0
+            raise SolverError("float Aberth stage left a non-finite root")
+        z = [_gauss(w, scale) for w in zf]
+        grid = scale - half                   # 2^-half at 2^scale
+        corr2 = _fixed_aberth(z, _fixed_eval_with_deriv(p.recurrence, scale),
+                              1 << grid, scale, MAX_SWEEPS)
+        # isqrt(c) < 2^grid has at most prec + 64 bits: below tol, exact
+        corr = [mpf((isqrt(c), -scale)) for c in corr2]
+        if not max(corr2) < 1 << 2 * grid:
             raise SolverError(
                 f"Aberth iteration did not converge in {MAX_SWEEPS} sweeps; "
                 f"worst Newton correction {mp.nstr(max(corr), 6)}")
-        order = sorted(range(n), key=lambda k: (z[k].real, z[k].imag))
-        return ZeroSet(roots=tuple(mpc(z[k]) for k in order),
-                       residuals=tuple(mpf(corr[k]) for k in order),
+        order = sorted(range(n), key=lambda k: (
+            (z[k][0] + (1 << (grid - 1))) >> grid, z[k][1]))
+        return ZeroSet(roots=tuple(mpc(mpf((z[k][0], -scale)),
+                                       mpf((z[k][1], -scale)))
+                                   for k in order),
+                       residuals=tuple(corr[k] for k in order),
                        variable=p.variable, prec=prec)
 
 

@@ -88,6 +88,8 @@ BAD_POINTS = {"empty.csv": "", "header_only.csv": "z_re,z_im\r\n",
     *(("asymptotics", "--nu", "0.25", "--n", "8", "--regime", "outer",
        "--points", f"{{tmp}}/{name}")
       for name in ("missing.csv", *BAD_POINTS)),
+    ("verify", "--suite", "equilibrium", "--n-list", "0"),
+    ("verify", "--suite", "parametrix", "--n-list", "16,32"),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, args):
     for name, text in BAD_POINTS.items():

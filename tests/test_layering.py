@@ -3,7 +3,9 @@
 A module's underscore names are its own; only `verify`, which holds the
 test oracles, reaches into them.  The recurrence pipeline (moments, zeros,
 rules) and the closed-form equilibrium layer run without the tanh-sinh
-engine, directly or through another oscq module.
+engine, directly or through another oscq module.  The mpc recurrence of
+`MonicPolynomial` is an oracle for the root finder, which evaluates in
+fixed point, never by it.
 """
 
 import ast
@@ -14,6 +16,7 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "oscq"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 NO_QUADRATURE = ("moments", "equilibrium", "zeros", "quadrule")
+MPC_EVALUATORS = ("eval", "eval_with_deriv", "deriv_eval")
 
 
 def _imports(module: str):
@@ -56,3 +59,11 @@ def test_recurrence_and_closed_form_layers_skip_quadrature(module):
         seen.add(mod)
         todo.extend(src for src, _ in _imports(mod) if src in MODULES)
     assert "quadrature" not in seen, f"{module} reaches quadrature"
+
+
+def test_root_finder_never_evaluates_by_the_mpc_recurrence():
+    tree = ast.parse((SRC / "zeros.py").read_text())
+    used = sorted({node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in MPC_EVALUATORS})
+    assert not used, f"zeros reaches MonicPolynomial.{used}"

@@ -1,14 +1,19 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from oscq import verify
-from oscq.moments import MonicPolynomial, Variable
+from oscq import verify, zeros
+from oscq.moments import MonicPolynomial, SolverError, Variable
 from oscq.mpfun import workprec
-from oscq.zeros import ZeroSet, ecdf_vs_psi, find_zeros, zero_line_stats
+from oscq.zeros import (FIXED_GUARD, ZeroSet, _fixed_eval_with_deriv, _gauss,
+                        ecdf_vs_psi, find_zeros, zero_line_stats)
 
 from conftest import get_tilde, get_zeros
+from test_recurrence_props import nus
 
 PREC = 256
+SCALE = PREC + 64 + FIXED_GUARD     # find_zeros' fixed-point scale at PREC
 
 
 def test_quadratic_roots():
@@ -18,6 +23,21 @@ def test_quadratic_roots():
     with workprec(PREC):
         assert abs(zs.roots[0] + mpc(0, 1)) <= mpf(2) ** -120
         assert abs(zs.roots[1] - mpc(0, 1)) <= mpf(2) ** -120
+
+
+def test_non_finite_float_roots_are_a_solver_error(monkeypatch):
+    float_stage = zeros._aberth
+
+    def diverged(z, *args):
+        corr = float_stage(z, *args)
+        z[0] = complex("nan")
+        return corr
+
+    monkeypatch.setattr(zeros, "_aberth", diverged)
+    p = MonicPolynomial(recurrence=((0, 1), (0, -1)),
+                        variable=Variable.RAW_X, prec=PREC)
+    with pytest.raises(SolverError):
+        find_zeros(p)
 
 
 def test_rescaled_nu0_roots_on_real_axis():
@@ -106,3 +126,66 @@ def test_suite_zeros_all_pass():
     records = verify.suite_zeros(prec=256)
     failures = [r for r in records if not r.passed]
     assert not failures, failures
+
+
+def test_axis_roots_in_imaginary_order():
+    # two roots on Re w = 0 at nu = 0.999, n = 16, equal in Re to rounding
+    zs = get_zeros(16, "0.999")
+    with workprec(zs.prec):
+        axis = [w.imag for w in zs.roots
+                if abs(w.real) < mpf(2) ** -(zs.prec // 2)]
+    assert len(axis) == 2
+    assert axis[0] < axis[1]
+
+
+def _assert_fixed_matches_mpc(poly, z):
+    """find_zeros' fixed-point (P, P') at z equals the mpc recurrence at
+    PREC + 64 bits up to one factor c > 0, to 2^-PREC of the pair's size."""
+    zr, zi = _gauss(z, SCALE)
+    pr, pi, dr, di = _fixed_eval_with_deriv(poly.recurrence, SCALE)(zr, zi)
+    with workprec(PREC, guard=64):
+        zq = mpc(mpf((zr, -SCALE)), mpf((zi, -SCALE)))
+    val, der = poly.eval_with_deriv(zq, PREC + 64)
+    with workprec(2 * SCALE):
+        size = mp.sqrt(abs(val) ** 2 + abs(der) ** 2)
+        fixed = mp.sqrt(mpf(pr * pr + pi * pi + dr * dr + di * di))
+        assert fixed > 0
+        c = fixed / size
+        assert abs(mpc(pr, pi) / c - val) <= mpf(2) ** -PREC * size
+        assert abs(mpc(dr, di) / c - der) <= mpf(2) ** -PREC * size
+
+
+def _near(roots, k, e, theta):
+    """A point 2^-e from root k (off the roots for e = 0)."""
+    with workprec(PREC, guard=64):
+        return roots[k % len(roots)] + mpf(2) ** -e * mp.expjpi(theta)
+
+
+offsets = dict(k=st.integers(0, 199), e=st.integers(0, 320),
+               theta=st.floats(0, 2))
+
+
+@given(n=st.integers(1, 64), nu=nus, **offsets)
+def test_fixed_eval_matches_mpc_rescaled(n, nu, k, e, theta):
+    _assert_fixed_matches_mpc(get_tilde(n, nu),
+                              _near(get_zeros(n, nu).roots, k, e, theta))
+
+
+coeff = st.tuples(st.floats(-1, 1), st.floats(-1, 1)).map(lambda t: mpc(*t))
+
+
+@given(ab=st.lists(st.tuples(coeff, coeff), min_size=1, max_size=24),
+       **offsets)
+def test_fixed_eval_matches_mpc_complex_recurrence(ab, k, e, theta):
+    # complex a_k and b_k: the imaginary part of b_k enters P and P'
+    poly = MonicPolynomial(recurrence=tuple(ab), variable=Variable.RAW_X,
+                           prec=PREC)
+    _assert_fixed_matches_mpc(poly, _near(find_zeros(poly).roots,
+                                          k, e, theta))
+
+
+@pytest.mark.parametrize("z", ["0.3-0.01j", "0", "0.9+0.2j", "-1.5-0.5j"])
+def test_fixed_eval_shifts_up_at_n200(z):
+    # |P_200| and |P'_200| fall hundreds of bits below P_0 = 1 on [-1, 1]
+    # in the rescaled frame, so the block must also be shifted up
+    _assert_fixed_matches_mpc(get_tilde(200, "0.37"), mpc(complex(z)))
