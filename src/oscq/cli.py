@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -169,6 +170,9 @@ def cmd_verify(args, parser) -> int:
     if args.n_list is not None and low is None:
         parser.error(f"argument --n-list: suite {args.suite} reads no "
                      f"degree list")
+    if args.nu is not None and \
+            "nu" not in inspect.signature(SUITES[args.suite]).parameters:
+        parser.error(f"argument --nu: suite {args.suite} reads no nu")
     if args.n_list and min(args.n_list) < low:
         parser.error(f"argument --n-list: suite {args.suite} needs "
                      f"degrees n >= {low}")

@@ -14,6 +14,8 @@ function takes its working precision in bits.
 
 from __future__ import annotations
 
+import math
+
 from mpmath import mp, mpc, mpf
 
 from .branches import arccos_branch, sqrt_offcut, sqrt_onecut
@@ -60,6 +62,26 @@ def _primitive(z):
     i = mpc(0, 1)
     return mpf(1) / 2 + (z * mp.log((1 - i * w) / z)
                          + i * mp.log(z + w)) / mp.pi
+
+
+def psi_quantiles(n: int) -> list:
+    """The (k + 1/2)/n quantiles of the equilibrium measure, k < n, in
+    Python floats: F(x) = (x log((1+(1-x^2)^(1/2))/x) + arcsin x)/pi of
+    _primitive on (0, 1], inverted by bisection; x_{n-1-k} = -x_k."""
+    def f(x):
+        return (x * math.log((1 + math.sqrt(1 - x * x)) / x)
+                + math.asin(x)) / math.pi
+
+    right = []
+    for k in range(n // 2):     # F(x) = 1/2 - (k + 1/2)/n on x > 0
+        q, lo, hi = 0.5 - (k + 0.5) / n, 0.0, 1.0
+        while True:
+            mid = (lo + hi) / 2
+            if not lo < mid < hi:
+                break
+            lo, hi = (mid, hi) if f(mid) < q else (lo, mid)
+        right.append(mid)
+    return [-x for x in right] + [0.0] * (n % 2) + right[::-1]
 
 
 def psi_cdf(x, prec: int = DEFAULT_PREC):

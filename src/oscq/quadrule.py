@@ -33,9 +33,10 @@ class QuadratureRule:
 def gauss_rule(n: int, nu, prec: int) -> QuadratureRule:
     """Gaussian rule for the regularized oscillatory weight.
 
-    The zeros are computed in the rescaled frame (where the root finder's
-    ellipse initializer matches the clustering) and transported back by
-    x = i n pi w, which is exact.
+    The zeros are computed in the rescaled frame (where the root finder
+    seeds from the equilibrium law) and transported back by x = i n pi w,
+    which is exact.  The exactness report carries w_k x_k^j as a running
+    product over j.
     """
     require_prec(prec)
     poly = monic_op(n, nu, prec)
@@ -55,10 +56,10 @@ def gauss_rule(n: int, nu, prec: int) -> QuadratureRule:
     with workprec(2 * zs.prec):
         nu = mpf(nu)
         mscale = max(abs(ms[j]) for j in range(2 * n))
-        defect = mpf(0)
+        defect, terms = mpf(0), weights     # terms[k] = w_k x_k^j
         for j in range(2 * n):
-            s = mp.fsum(weights[k] * nodes[k] ** j for k in range(n))
-            defect = max(defect, abs(s - ms[j]))
+            defect = max(defect, abs(mp.fsum(terms) - ms[j]))
+            terms = [t * x for t, x in zip(terms, nodes)]
         report = +(defect / mscale)
     return QuadratureRule(nu=nu, n=n, nodes=tuple(nodes),
                           weights=tuple(weights), exactness_report=report,

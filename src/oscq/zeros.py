@@ -6,10 +6,15 @@ which is robust for the clustered complex roots these polynomials produce.
 Runs are deterministic for a given (polynomial, precision).
 
 Two stages.  The first runs in Python complex floats from the seeds to a
-Newton correction of 1e-12.  The second runs in block-floating fixed
-point, in the Python-int idiom of mpmath's own series summers: every root
-and every recurrence pair (a_k, b_k), complex b_k included, is a Gaussian
-int (re, im) at one scale S = prec + 64 + FIXED_GUARD bits.  P and P' run
+Newton correction of 1e-12.  In the rescaled frame the seeds are the
+(k + 1/2)/n quantiles of the equilibrium law, the real parts the roots
+follow, on the line Im w = Im(sum a_k)/n through the roots' centroid;
+from there the stage takes about 4 evaluations per root at every n from
+16 to 200.  Raw-frame seeds lie on the unit circle.  The second runs in
+block-floating fixed point, in the Python-int idiom of mpmath's own
+series summers: every root and every recurrence pair (a_k, b_k), complex
+b_k included, is a Gaussian int (re, im) at one scale S = prec + 64 +
+FIXED_GUARD bits.  P and P' run
 through the recurrence as Gaussian ints sharing one exponent, and the
 block is shifted down, or up, whenever its top bit leaves S +- WINDOW:
 the values fall by hundreds of bits over the recurrence in the rescaled
@@ -27,7 +32,7 @@ from math import isqrt
 
 from mpmath import mp, mpc, mpf
 
-from .equilibrium import epsilon_n, psi_cdf
+from .equilibrium import epsilon_n, psi_cdf, psi_quantiles
 from .moments import MonicPolynomial, SolverError, Variable
 from .mpfun import man_exp, to_fixed, workprec
 
@@ -45,14 +50,16 @@ class ZeroSet:
     prec: int
 
 
-def _initial_guesses(p: MonicPolynomial, prec: int):
-    """Seeds on an ellipse around [-1,1], or on the unit circle (raw)."""
+def _initial_guesses(p: MonicPolynomial):
+    """Float seeds.  In the rescaled frame, the (k + 1/2)/n quantiles of
+    the equilibrium law (the roots' limiting real parts) on the line
+    Im w = Im(sum a_k)/n, the roots' exact centroid, which is -nu/(2n) to
+    O(n^-2); on the unit circle in the raw frame."""
     n = p.degree
-    with workprec(prec):
-        rx, ry = ((mpf("1.2"), mpf("0.4"))
-                  if p.variable is Variable.RESCALED_Z else (1, 1))
-        return [mpc(rx * mp.cos(th), ry * mp.sin(th)) for th in
-                (2 * mp.pi * (j + mpf(1) / 2) / n for j in range(n))]
+    if p.variable is Variable.RESCALED_Z:
+        y = sum(complex(a) for a, _ in p.recurrence).imag / n
+        return [complex(x, y) for x in psi_quantiles(n)]
+    return [cmath.exp(2j * cmath.pi * (k + 0.5) / n) for k in range(n)]
 
 
 def _float_eval_with_deriv(recurrence):
@@ -213,7 +220,7 @@ def find_zeros(p: MonicPolynomial, prec: int | None = None) -> ZeroSet:
     scale = prec + 64 + FIXED_GUARD
     half = prec // 2
     with workprec(prec, guard=64):
-        zf = [complex(w) for w in _initial_guesses(p, prec)]
+        zf = _initial_guesses(p)
         _aberth(zf, _float_eval_with_deriv(p.recurrence), FLOAT_TOL,
                 MAX_SWEEPS)
         if not all(map(cmath.isfinite, zf)):   # a nan would read as 0

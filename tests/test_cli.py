@@ -90,6 +90,7 @@ BAD_POINTS = {"empty.csv": "", "header_only.csv": "z_re,z_im\r\n",
       for name in ("missing.csv", *BAD_POINTS)),
     ("verify", "--suite", "equilibrium", "--n-list", "0"),
     ("verify", "--suite", "parametrix", "--n-list", "16,32"),
+    ("verify", "--suite", "equilibrium", "--nu", "0.9"),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, args):
     for name, text in BAD_POINTS.items():

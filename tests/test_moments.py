@@ -2,7 +2,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from oscq import moments
-from oscq.moments import (SolverError, _coefficients, hankel_det, moment,
+from oscq.moments import (SolverError, _moments, hankel_det, moment,
                           monic_op, rescale_to_tilde)
 from oscq.mpfun import workprec
 from oscq.verify import orthogonality_residuals
@@ -10,6 +10,43 @@ from oscq.verify import orthogonality_residuals
 from conftest import get_poly
 
 PREC = 192
+
+
+def _chebyshev(n: int, nu, work: int):
+    """Oracle: pairs (a_k, b_k), k < n, by the Chebyshev algorithm in mpf
+    at work bits; sig[l] = L(P_k x^l), so sig[k] = h_k."""
+    with workprec(work):
+        sig = _moments(2 * n, mpf(nu))
+        old = [0] * (2 * n)
+        rec = [(sig[1] / sig[0], sig[0])]
+        for k in range(1, n):
+            (a, b), h = rec[-1], sig[k - 1]
+            new = [0] * k + [sig[l + 1] - a * sig[l] - b * old[l]
+                             for l in range(k, 2 * n - k)]
+            rec.append((new[k + 1] / new[k] - sig[k] / h, new[k] / h))
+            old, sig = sig, new
+        return rec
+
+
+def _coefficients(recurrence) -> tuple:
+    """Oracle: power-basis coefficients c_0..c_{n-1} (leading 1 omitted)
+    of the recurrence's polynomial, expanded at the ambient precision."""
+    older, old = [], [mpf(1)]
+    for a, b in recurrence:    # low coefficient first
+        older, old = old, [x - a * c - b * o for x, c, o in
+                           zip([0] + old, old + [0], older + [0, 0])]
+    return tuple(old[:-1])
+
+
+def _power_residual(recurrence, nu, work: int):
+    """Oracle: max_j<n |sum_k c_k m_{j+k} + m_{j+n}| / max|m_{j..j+n}|
+    with the power-basis coefficients, all at work bits."""
+    n = len(recurrence)
+    with workprec(work):
+        c, ms = _coefficients(recurrence), _moments(2 * n, mpf(nu))
+        return max(abs(mp.fsum(ck * m for ck, m in zip(c, ms[j:]))
+                       + ms[j + n]) / max(abs(m) for m in ms[j:j + n + 1])
+                   for j in range(n))
 
 
 def test_moment_normalization():
@@ -208,3 +245,20 @@ def test_solver_error_on_unreachable_residual(monkeypatch):
         monic_op(2, "0.25", 256)
     assert calls["n"] >= 2  # escalated at least once before giving up
 
+
+def test_certification_needs_no_escalation(monkeypatch):
+    # the fixed-point table holds the 2n + 32 guard bits over a nu sweep:
+    # one run pair per polynomial, so no bits are added silently
+    calls = []
+    solve = moments._solve_recurrence
+
+    def counting(n, nu, work):
+        calls.append((n, nu))
+        return solve(n, nu, work)
+
+    monkeypatch.setattr(moments, "_solve_recurrence", counting)
+    cases = [(n, nu) for n in (16, 64, 200)
+             for nu in ("0", "0.000001", "0.37", "0.999999")]
+    for n, nu in cases:
+        monic_op(n, nu, 256)
+    assert calls == cases

@@ -1,17 +1,21 @@
 """Property tests of the recurrence core over nu in [0, 1): exact moments,
-polynomial values and derivatives, Christoffel weights, conjugate symmetry
-and Hankel determinants, each against an independent route."""
+the fixed-point Chebyshev table and its residual, polynomial values and
+derivatives, Christoffel weights, conjugate symmetry and Hankel
+determinants, each against an independent route."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from oscq.moments import _coefficients, hankel_det, moment_sequence
+from oscq.moments import (_certified_recurrence, hankel_det, moment_sequence,
+                          monic_op)
 from oscq.mpfun import workprec
 from oscq.quadrule import gauss_rule
 
 from conftest import get_tilde
-from test_moments import _bareiss_det
+from test_moments import (_bareiss_det, _chebyshev, _coefficients,
+                          _power_residual)
 
 PREC = 256
 TOL = mpf(2) ** (-(PREC // 2))
@@ -47,6 +51,35 @@ def test_moment_recurrence_matches_gamma_ratio(nu):
             ref = mpf(2) ** j * mp.gamma((1 + x + j) / 2) \
                 * mp.rgamma((1 + x - j) / 2)
             assert abs(got[j] - ref) <= mpf(2) ** (16 - PREC) * abs(ref), j
+
+
+def _assert_table_matches_oracles(n, nu):
+    """The certified pairs agree with the mpf Chebyshev algorithm run 64
+    bits deeper, in the certification's gap norm, to 2^-PREC; monic_op's
+    residual is the power-basis one of the same pairs within a factor 2."""
+    rec, work = _certified_recurrence(n, nu, PREC)
+    ref = _chebyshev(n, nu, work + 64)
+    with workprec(work + 64):
+        gap = max(max(abs(b - b2) / abs(b2),
+                      abs(a - a2) / (abs(a2) + mp.sqrt(abs(b2))))
+                  for (a, b), (a2, b2) in zip(rec, ref))
+    assert gap <= mpf(2) ** -PREC
+    p = monic_op(n, nu, PREC)
+    assert p.recurrence == rec
+    ref_res = _power_residual(rec, nu, 2 * work)
+    assert ref_res / 2 <= p.residual <= 2 * ref_res
+
+
+@given(n=st.integers(1, 64), nu=nus)
+def test_fixed_point_table_matches_mpf_oracle(n, nu):
+    _assert_table_matches_oracles(n, nu)
+
+
+@pytest.mark.parametrize("nu", ["0", "0.000001"])
+@pytest.mark.parametrize("n", [1, 2, 3, 200])
+def test_fixed_point_table_at_small_nu(n, nu):
+    # nu = 0: the odd moments vanish; the odd diagonals' scales start at 1
+    _assert_table_matches_oracles(n, nu)
 
 
 @given(n=st.integers(1, 24), nu=nus, x=st.floats(-1.5, 1.5),

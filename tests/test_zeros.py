@@ -189,3 +189,23 @@ def test_fixed_eval_shifts_up_at_n200(z):
     # |P_200| and |P'_200| fall hundreds of bits below P_0 = 1 on [-1, 1]
     # in the rescaled frame, so the block must also be shifted up
     _assert_fixed_matches_mpc(get_tilde(200, "0.37"), mpc(complex(z)))
+
+
+@pytest.mark.parametrize("n, nu", [(64, "0.25"), (200, "0.37"), (33, "0")])
+def test_equilibrium_seeds_keep_the_float_stage_short(monkeypatch, n, nu):
+    # from the equilibrium-law seeds the float stage takes about 4
+    # evaluations per root
+    evals = [0]
+    make = zeros._float_eval_with_deriv
+
+    def counting(recurrence):
+        pair = make(recurrence)
+
+        def counted(z):
+            evals[0] += 1
+            return pair(z)
+        return counted
+
+    monkeypatch.setattr(zeros, "_float_eval_with_deriv", counting)
+    find_zeros(get_tilde(n, nu))
+    assert evals[0] <= 6 * n
