@@ -124,6 +124,22 @@ def _require_desk_scale(n: int, allow_long: bool, parser):
                      f"{DESK_N_CEILING}; pass --allow-long to proceed")
 
 
+def _zero_line_summary(zs, args):
+    """The zero-line statistics of the manifest; None at n = 1, where the
+    error scale epsilon_n is undefined (log 1 = 0)."""
+    if args.n < 2:
+        return None
+    stats = zero_line_stats(zs, args.n, args.nu, args.delta)
+    return {
+        "max_dev": None if stats.max_dev is None
+        else fmt(stats.max_dev, 64),
+        "epsilon_n": fmt(stats.epsilon_n, 64),
+        "max_dev_over_epsilon_n": None if stats.max_dev is None
+        else fmt(stats.max_dev / stats.epsilon_n, 64),
+        "zeros_considered": stats.zeros_considered,
+    }
+
+
 def cmd_zeros(args, parser) -> int:
     t0 = time.time()
     _require_desk_scale(args.n, args.allow_long, parser)
@@ -146,19 +162,11 @@ def cmd_zeros(args, parser) -> int:
                 "output": os.path.basename(args.out),
                 "csv_schema": "index,re,im,re_w,im_w,residual "
                               "(raw frame re/im; rescaled frame re_w/im_w)"})
-    stats = zero_line_stats(zs, args.n, args.nu, args.delta)
     with workprec(prec):
         man["residual_summaries"] = {
             "hankel_solve_residual": fmt(poly.residual, 64),
             "max_newton_residual": fmt(max(zs.residuals), 64),
-            "zero_line": {
-                "max_dev": None if stats.max_dev is None
-                else fmt(stats.max_dev, 64),
-                "epsilon_n": fmt(stats.epsilon_n, 64),
-                "max_dev_over_epsilon_n": None if stats.max_dev is None
-                else fmt(stats.max_dev / stats.epsilon_n, 64),
-                "zeros_considered": stats.zeros_considered,
-            },
+            "zero_line": _zero_line_summary(zs, args),
         }
     _manifest(args.out, man)
     return 0

@@ -95,22 +95,6 @@ def psi_cdf(x, prec: int = DEFAULT_PREC):
     return round_to(v, prec)
 
 
-def psi_quantile(q, prec: int = DEFAULT_PREC):
-    """Inverse CDF by bisection (CDF is strictly increasing on [-1,1])."""
-    with workprec(prec):
-        q = mpf(q)
-        if not 0 <= q <= 1:
-            raise DomainError("quantile level must be in [0,1]")
-        lo, hi = mpf(-1), mpf(1)
-        for _ in range(prec + 16):
-            mid = (lo + hi) / 2
-            if psi_cdf(mid, prec + 16) < q:
-                lo = mid
-            else:
-                hi = mid
-        return round_to((lo + hi) / 2, prec)
-
-
 def ell_const(prec: int = DEFAULT_PREC):
     """Lagrange multiplier of the equilibrium problem: -2 - 2 log 2."""
     with workprec(prec):
@@ -185,14 +169,15 @@ def phi_imag_side(y, side: str, prec: int = DEFAULT_PREC):
 def re_phi_imag_axis(s, prec: int = DEFAULT_PREC):
     """Re phi on the imaginary axis at distance s>0 from 0: pi Im F(is).
 
-    Equals -s log s + s log(1+sqrt(1+s^2)) + log(s+sqrt(1+s^2)); bounded
-    below by s log(1/s).
+    Evaluated as the real closed form -s log s + s log(1+sqrt(1+s^2)) +
+    log(s+sqrt(1+s^2)), the last term as asinh s; bounded below by
+    s log(1/s).
     """
     with workprec(prec):
         s = mpf(s)
         if s <= 0:
             raise DomainError("s must be positive")
-        v = mp.pi * _primitive(mpc(0, s)).imag
+        v = s * mp.log((1 + mp.sqrt(1 + s * s)) / s) + mp.asinh(s)
     return round_to(v, prec)
 
 

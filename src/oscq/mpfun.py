@@ -1,13 +1,15 @@
 """Arbitrary-precision scalar layer: precision plumbing, gamma and 1/gamma,
-and the modified Bessel function K_nu on the positive real axis.
+the modified Bessel function K_nu and the Bessel functions J_+-nu, Y_nu on
+the positive real axis.
 
 Values are mpmath ``mpf`` / ``mpc`` (aliased ``BigReal`` / ``BigComplex``);
 every operation takes an explicit working precision in bits and evaluates
 internally with guard bits before rounding down to the requested precision.
 Relative error contract for the gamma functions: <= 2**(-prec+16).
-``besselk_real`` serves the log-weight of the D1 grid; the weight itself
-(``parametrix.w_weight``/``w_pm_imag``) and the J/Y pairs of ``smallnorm``
-call mpmath's Bessel functions directly.
+``besselk_real`` serves the log-weight of the D1 grid and ``besseljy_real``
+the J/Y triples of ``smallnorm``; both sum their power series in Python
+ints below mpmath's asymptotic crossover.  The complex weight
+(``parametrix.w_weight``/``w_pm_imag``) still calls mp.besselk directly.
 
 mpmath rounds on every construction and operation at the ambient context,
 so all argument conversion happens inside the functions' own workprec
@@ -136,15 +138,17 @@ def _series_constants(nu, prec: int):
                 mp.rgamma(1 + nu), sin_bits)
 
 
-def _i_series(q: int, b: int, one: int) -> int:
-    """sum_k q^k / (k! (b)_k) with q, b and the result at scale one."""
+def _series(q: int, b: int, one: int, alternating: bool = False) -> int:
+    """sum_k (-+q)^k / (k! (b)_k) with q, b > 0 and the result at scale
+    one; the terms are held as magnitudes, so each truncates toward
+    zero, and alternating flips the sign of the odd ones."""
     total = term = one
     k = 0
     while term:             # terms rise, then fall: 0 only past the peak
         k += 1
         term = term * q // (k * b)
         b += one
-        total += term
+        total += -term if alternating and k & 1 else term
     return total
 
 
@@ -175,10 +179,60 @@ def besselk_real(nu, x, prec: int):
     man, exp = man_exp(x)
     q = to_fixed(man * man, 2 * exp - 2, w)      # x^2/4
     nfix = to_fixed(*man_exp(nu), w)
-    s_minus = _i_series(q, one - nfix, one)
-    s_plus = _i_series(q, one + nfix, one)
+    s_minus = _series(q, one - nfix, one)
+    s_plus = _series(q, one + nfix, one)
     with workprec(w, guard=0):
         p = mp.exp(nu * mp.log(x / 2))           # (x/2)^nu
         v = c * (mpf((s_minus, -w)) * g_minus / p
                  - mpf((s_plus, -w)) * g_plus * p)
     return round_to(v, prec)
+
+
+def besseljy_real(nu, s, prec: int):
+    """(J_nu(s), J_-nu(s), Y_nu(s)) for real s > 0, each to about 2^-prec
+    relative to sqrt(J_nu^2 + Y_nu^2) (J has zeros).
+
+    For 0 <= nu < 1 and s below mpmath's asymptotic crossover
+    (s log2(e) < prec + ASYMPTOTIC_BITS), both J_+-nu come from their
+    alternating power series (DLMF 10.2.2) summed in Python ints at the
+    scale W = prec + sin_bits + SERIES_GUARD, and Y_nu = (J_nu cos nu pi -
+    J_-nu) / sin nu pi (DLMF 10.2.3) is formed at W, before any rounding;
+    nu = 0 is evaluated at nu = 2^-(prec+32), as in besselk_real.  Other
+    arguments take J_nu and Y_nu from mp.besselj/mp.bessely at prec and
+    J_-nu = J_nu cos nu pi - Y_nu sin nu pi.
+
+    W needs no bits for the terms' growth to e^s: each term is formed
+    from its truncated predecessor, so an error made at term k reaches
+    the sum through the tail of the alternating series from k, which is
+    no larger than term k, and the sum stays within a few units of 2^-W
+    per term.  (besselk_real's scale does need 2x log2(e) bits, for the
+    cancellation in I_-nu - I_nu.)
+    """
+    require_prec(prec)
+    with workprec(prec):
+        nu, s = mpf(nu), mpf(s)
+    if s <= 0:
+        raise DomainError("besseljy_real needs s > 0")
+    if not 0 <= nu < 1 or LOG2E * float(s) >= prec + ASYMPTOTIC_BITS:
+        with workprec(prec, guard=0):
+            j_plus, y = mp.besselj(nu, s), mp.bessely(nu, s)
+        with workprec(prec):
+            j_minus = j_plus * mp.cospi(nu) - y * mp.sinpi(nu)
+        return j_plus, round_to(j_minus, prec), y
+    if nu == 0:
+        nu = mpf(2) ** -(prec + 32)
+    c, g_minus, g_plus, sin_bits = _series_constants(nu, prec)
+    w = prec + sin_bits + SERIES_GUARD
+    one = 1 << w
+    man, exp = man_exp(s)
+    q = to_fixed(man * man, 2 * exp - 2, w)      # s^2/4
+    nfix = to_fixed(*man_exp(nu), w)
+    s_minus = _series(q, one - nfix, one, alternating=True)
+    s_plus = _series(q, one + nfix, one, alternating=True)
+    with workprec(w, guard=0):
+        p = mp.exp(nu * mp.log(s / 2))           # (s/2)^nu
+        j_plus = mpf((s_plus, -w)) * g_plus * p
+        j_minus = mpf((s_minus, -w)) * g_minus / p
+        y = (j_plus * mp.cospi(nu) - j_minus) * (2 * c / mp.pi)
+    return (round_to(j_plus, prec), round_to(j_minus, prec),
+            round_to(y, prec))

@@ -6,9 +6,10 @@ Chebyshev kernel; it is evaluated either through a frozen per-(n, nu)
 quadrature grid (fast, cached, bit-reproducible) or adaptively.  The grid
 holds its nodes and weights as Python-int mantissas at one shared
 exponent, and a read is one fixed-point integer sum at a scale chosen from
-z (see D1Grid.cauchy), the way mpmath sums its own series.  Its limit at
-infinity is the grid's weight sum.  The second factor and the matrix
-model are closed forms.
+z (see D1Grid.cauchy), the way mpmath sums its own series; on the
+imaginary axis the sum is real and costs one division per node.  Its
+limit at infinity is the grid's weight sum.  The second factor and the
+matrix model are closed forms.
 """
 
 from __future__ import annotations
@@ -175,12 +176,16 @@ class D1Grid:
         """integral over [-1,1] of k(t)/(z-t) dt via the folded grid, z off
         [-1,1] (d1n checks).
 
-        The sum over i of wk_i (1/(z-t_i) + 1/(z+t_i)) is formed as
+        The sum over i of wk_i (1/(z-t_i) + 1/(z+t_i)) is 2z * sum wk_i /
+        (z^2 - t_i^2), formed in Python ints at scale 2^W (read_scale) with
+        one integer division per node.  z^2 is taken exactly from z's
+        mantissas and truncated toward zero.  On the imaginary axis (Re z
+        exactly 0) z^2 = -y^2 is real, and the sum is the real sum of wk_i
+        / a_i, a_i = -(y^2 + t_i^2) (see _axis_sum).  Elsewhere it is
         2z * sum wk_i (a_i - ib)/(a_i^2 + b^2), a_i = Re z^2 - t_i^2,
-        b = Im z^2, in Python ints at scale 2^W (read_scale) with one
-        integer division per node.  z^2 is taken exactly from z's
-        mantissas and truncated toward zero, so conj z flips only the sign
-        of b and the read honours Schwarz reflection bit for bit.
+        b = Im z^2 (see _complex_sum).  conj z flips only the sign of b,
+        and of z on the axis, so the read honours Schwarz reflection bit
+        for bit.
         """
         with workprec(self.prec, guard=32):
             z = mpc(z)
@@ -188,22 +193,35 @@ class D1Grid:
             xr, er = man_exp(z.real)
             xi, ei = man_exp(z.imag)
             a0 = to_fixed(xr * xr, 2 * er, w) - to_fixed(xi * xi, 2 * ei, w)
-            b = to_fixed(2 * xr * xi, er + ei, w)
-            bb = b * b
-            tshift = 2 * self.scale - w     # t^2 from scale 2*scale to w
-            if tshift >= 0:
-                t2s = (t * t >> tshift for t in self.nodes)
-            else:
-                t2s = (t * t << -tshift for t in self.nodes)
-            qshift = 3 * w - self.scale     # q = wk/(a^2+b^2) at scale w
-            re = im = 0
-            for t2, wk in zip(t2s, self.wk):
-                a = a0 - t2
-                q = (wk << qshift) // (a * a + bb)
-                re += q * a
-                im += q
-            s = mpc(mpf((re, -2 * w)), mpf((-b * im, -2 * w)))
-            return 2 * z * s
+            if xr == 0:
+                return 2 * z * self._axis_sum(a0, w)
+            return 2 * z * self._complex_sum(a0, to_fixed(2 * xr * xi,
+                                                          er + ei, w), w)
+
+    def _squares(self, w: int):
+        """t_i^2 at scale w, truncated."""
+        shift = 2 * self.scale - w
+        if shift >= 0:
+            return (t * t >> shift for t in self.nodes)
+        return (t * t << -shift for t in self.nodes)
+
+    def _axis_sum(self, a0: int, w: int):
+        """sum wk_i / (a0 - t_i^2) for real a0 at scale w, as an mpf."""
+        shift = 2 * w - self.scale     # wk/a at scale w
+        return mpf((sum((wk << shift) // (a0 - t2)
+                        for t2, wk in zip(self._squares(w), self.wk)), -w))
+
+    def _complex_sum(self, a0: int, b: int, w: int):
+        """sum wk_i / (a0 - t_i^2 + ib) for a0, b at scale w, as an mpc."""
+        bb = b * b
+        qshift = 3 * w - self.scale     # q = wk/(a^2+b^2) at scale w
+        re = im = 0
+        for t2, wk in zip(self._squares(w), self.wk):
+            a = a0 - t2
+            q = (wk << qshift) // (a * a + bb)
+            re += q * a
+            im += q
+        return mpc(mpf((re, -2 * w)), mpf((-b * im, -2 * w)))
 
 
 def _grid_level(prec: int) -> int:

@@ -4,9 +4,10 @@ the kernel functions eta1/eta2 with their cutoff, and the operator-norm
 integrals whose decay certifies the local analysis.
 
 The kernels are evaluated in mirrored pairs, |j1(iy)| with |j2(-iy)| and
-|eta1(iy)| with |eta2(-iy)|: one Bessel pair, one cutoff value and one D1
-read per axis point y > 0, D1 at -iy being conj D1(iy) by Schwarz
-reflection.  The public single-kernel functions select from the pair.
+|eta1(iy)| with |eta2(-iy)|: one Bessel triple (mpfun.besseljy_real), one
+cutoff value, one D1 read and one D2 value per axis point y > 0, D1 at -iy
+being conj D1(iy) by Schwarz reflection and D2(-iy) = 1/D2(iy).  The
+public single-kernel functions select from the pair.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field
 from mpmath import mp, mpc, mpf
 
 from .equilibrium import phi_imag_side, re_phi_imag_axis
-from .mpfun import DomainError, require_prec, round_to, workprec
+from .mpfun import (DomainError, besseljy_real, require_prec, round_to,
+                    workprec)
 from .parametrix import d1n, d2, w_pm_imag
 from .quadrature import quad_ts
 
@@ -56,11 +58,6 @@ class CutoffChi:
         return round_to(v, prec)
 
 
-def _bessel_pair(s, nu, prec: int):
-    with workprec(prec):
-        return mp.besselj(nu, s), mp.bessely(nu, s)
-
-
 def _axis_y(y):
     """y at the caller's working precision; the kernels need y > 0."""
     y = mpf(y)
@@ -70,22 +67,22 @@ def _axis_y(y):
 
 
 def _j_moduli(y, n: int, nu, prec: int):
-    """(|j1(iy)|, |j2(-iy)|) via the Hankel reduction: one pair of real
-    Bessel functions at n pi y, the closed form for Re phi on the axis,
-    and the numerators |J cos(nu pi) - Y sin(nu pi)| and |J|."""
+    """(|j1(iy)|, |j2(-iy)|) via the Hankel reduction: one Bessel triple
+    J_nu, J_-nu, Y_nu at n pi y, the closed form for Re phi on the axis,
+    and the numerators |J_nu cos(nu pi) - Y_nu sin(nu pi)| = |J_-nu|
+    and |J_nu|."""
     with workprec(prec):
         y = _axis_y(y)
         nu = mpf(nu)
         s = n * mp.pi * y
-        jv, yv = _bessel_pair(s, nu, prec + 16)
-        num = abs(jv * mp.cos(nu * mp.pi) - yv * mp.sin(nu * mp.pi))
-        den = jv * jv + yv * yv
+        j_plus, j_minus, y_nu = besseljy_real(nu, s, prec + 16)
+        den = j_plus * j_plus + y_nu * y_nu
         # prefactor 4 (not 2) matches the defining jump-entry structure;
         # verified against the direct assembly in j1_direct
         amp = 4 * mp.exp(-2 * n * re_phi_imag_axis(y, prec + 16)) \
             / (mp.sqrt(2 * n) * mp.pi)
-        v1 = amp * num / den
-        v2 = amp * abs(jv) / den
+        v1 = amp * abs(j_minus) / den
+        v2 = amp * abs(j_plus) / den
     return round_to(v1, prec), round_to(v2, prec)
 
 
@@ -128,19 +125,19 @@ def j2_direct(y, n: int, nu, prec: int):
 def bessel_ratio_bounds_check(s, nu, prec: int = 96):
     """Both sides of the two Bessel-ratio shape bounds with constants 1.
 
-    lhs1 = |J cos(nu pi) - Y sin(nu pi)| / (J^2+Y^2) against
-    rhs1 = s^nu (1+s^(1-2nu)) / (1+s^(1/2-nu)); lhs2 = |J|/(J^2+Y^2)
-    against rhs2 = s^(3nu) (1+s^(1-2nu)) / (1+s^(1/2+nu)).
+    lhs1 = |J cos(nu pi) - Y sin(nu pi)| / (J^2+Y^2) = |J_-nu| / (J^2+Y^2)
+    against rhs1 = s^nu (1+s^(1-2nu)) / (1+s^(1/2-nu)); lhs2 =
+    |J|/(J^2+Y^2) against rhs2 = s^(3nu) (1+s^(1-2nu)) / (1+s^(1/2+nu)).
     """
     with workprec(prec):
         s = mpf(s)
         if s <= 0:
             raise DomainError("s must be positive")
         nu = mpf(nu)
-        jv, yv = _bessel_pair(s, nu, prec + 16)
-        den = jv * jv + yv * yv
-        lhs1 = abs(jv * mp.cos(nu * mp.pi) - yv * mp.sin(nu * mp.pi)) / den
-        lhs2 = abs(jv) / den
+        j_plus, j_minus, y_nu = besseljy_real(nu, s, prec + 16)
+        den = j_plus * j_plus + y_nu * y_nu
+        lhs1 = abs(j_minus) / den
+        lhs2 = abs(j_plus) / den
         rhs1 = s ** nu * (1 + s ** (1 - 2 * nu)) / (1 + s ** (mpf(1) / 2 - nu))
         rhs2 = s ** (3 * nu) * (1 + s ** (1 - 2 * nu)) \
             / (1 + s ** (mpf(1) / 2 + nu))
@@ -150,18 +147,20 @@ def bessel_ratio_bounds_check(s, nu, prec: int = 96):
 
 def _eta_moduli(y, n: int, nu, chi: CutoffChi, prec: int):
     """(|eta1(iy)|, |eta2(-iy)|) = (|j1| |D1 D2|^2 chi at iy, |j2| |D1 D2|^2
-    chi at -iy).  One cutoff value, one D1 read: by Schwarz reflection
-    D1(-iy) = conj D1(iy)."""
+    chi at -iy).  One cutoff value, one D1 read and one D2 value: by
+    Schwarz reflection |D1(-iy)| = |D1(iy)|, and on the axis D2(iy) is a
+    positive real with D2(-iy) = 1/D2(iy)."""
     c = chi(y, prec)
     if c == 0:
         return mpf(0), mpf(0)
     with workprec(prec):
         y = mpf(y)
         j1, j2 = _j_moduli(y, n, nu, prec)
-        up, down = mpc(0, y), mpc(0, -y)
-        d = d1n(up, n, nu, prec)
-        v1 = j1 * abs(d * d2(up, nu, prec)) ** 2 * c
-        v2 = j2 * abs(mp.conj(d) * d2(down, nu, prec)) ** 2 * c
+        up = mpc(0, y)
+        d1sq = abs(d1n(up, n, nu, prec)) ** 2
+        d2sq = abs(d2(up, nu, prec)) ** 2
+        v1 = j1 * d1sq * d2sq * c
+        v2 = j2 * d1sq / d2sq * c
     return round_to(v1, prec), round_to(v2, prec)
 
 

@@ -47,6 +47,24 @@ def _le(name, measured, bound) -> CheckRecord:
                 mpf(measured) <= mpf(bound))
 
 
+def psi_quantile(q, prec: int = eq.DEFAULT_PREC):
+    """Oracle for the equilibrium quantiles (eq.psi_quantiles, in floats):
+    the inverse CDF in mpf by bisection (the CDF is strictly increasing
+    on [-1,1])."""
+    with workprec(prec):
+        q = mpf(q)
+        if not 0 <= q <= 1:
+            raise DomainError("quantile level must be in [0,1]")
+        lo, hi = mpf(-1), mpf(1)
+        for _ in range(prec + 16):
+            mid = (lo + hi) / 2
+            if eq.psi_cdf(mid, prec + 16) < q:
+                lo = mid
+            else:
+                hi = mid
+        return round_to((lo + hi) / 2, prec)
+
+
 def g_by_quadrature(z, prec: int):
     """Oracle for eq.g_fn: integral(log(z-x) psi(x) dx) by tanh-sinh to
     2^-(prec/4), split at 0 and at the near-singular point Re z."""
@@ -633,7 +651,7 @@ def suite_zeros(prec: int = 256, nu="0", n_list=None, **_) -> list[CheckRecord]:
         st = zero_line_stats(zsyn, n, nu_s, mpf("0.2"))
         out.append(_le("synthetic line maps to exact deviation 0",
                        st.max_dev, mpf(2) ** (-prec + 24)))
-        quant = [eq.psi_quantile((mpf(k) + mpf(1) / 2) / n, prec)
+        quant = [psi_quantile((mpf(k) + mpf(1) / 2) / n, prec)
                  for k in range(n)]
         zq = ZeroSet(roots=tuple(mpc(q, 0) for q in quant),
                      residuals=(mpf(0),) * n,

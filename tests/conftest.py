@@ -56,7 +56,14 @@ def get_k_norms(n: int, nu, prec: int = 128):
 def get_k_norm_reads(n: int, nu, prec: int = 128):
     """(D1 grid reads, distinct integrand nodes with chi(y) != 0) counted
     during the cached k_norm_bounds run."""
-    return _k_norm_run(n, nu, prec)[1:]
+    _, reads, live = _k_norm_run(n, nu, prec)
+    return reads, len(live)
+
+
+def get_k_norm_nodes(n: int, nu, prec: int = 128):
+    """The distinct integrand nodes y with chi(y) != 0 of the cached
+    k_norm_bounds run, sorted."""
+    return _k_norm_run(n, nu, prec)[2]
 
 
 def _k_norm_run(n: int, nu, prec: int):
@@ -79,7 +86,7 @@ def _k_norm_run(n: int, nu, prec: int):
                 mock.patch.object(smallnorm, "quad_ts", recording_quad):
             res = _k_norm_bounds(n, nu, prec=prec)
         chi = smallnorm.CutoffChi()
-        live = sum(1 for y in nodes if chi(y, prec) != 0)
+        live = tuple(sorted(y for y in nodes if chi(y, prec) != 0))
         _K_NORMS[key] = (res, reads[0], live)
     return _K_NORMS[key]
 

@@ -35,6 +35,22 @@ def test_zeros_command(tmp_path):
     assert man["chi_profile"] == "smoothstep-exp"
 
 
+def test_zeros_degree_one(tmp_path):
+    # one root, m_1/m_0 = nu; the zero-line statistics need epsilon_n,
+    # which is defined from n = 2 on
+    out = tmp_path / "z.csv"
+    r = run_cli("zeros", "--nu", "0.5", "--n", "1", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    rows = list(csv.DictReader(out.open(newline="")))
+    assert len(rows) == 1
+    with workprec(128):
+        assert abs(mpf(rows[0]["re"]) - mpf("0.5")) <= mpf(10) ** -20
+        assert abs(mpf(rows[0]["im"])) <= mpf(10) ** -20
+    man = json.loads((tmp_path / "z.csv.manifest.json").read_text())
+    assert man["n"] == 1
+    assert man["residual_summaries"]["zero_line"] is None
+
+
 def test_zeros_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli("zeros", "--nu", "0.25", "--n", "5",

@@ -80,7 +80,7 @@ def test_cdf_against_quadrature():
 def test_quantile_roundtrip():
     with workprec(256):
         for q in ("0.15", "0.5", "0.93"):
-            x = eq.psi_quantile(q, 192)
+            x = verify.psi_quantile(q, 192)
             assert abs(eq.psi_cdf(x, 256) - mpf(q)) <= mpf(2) ** -180
 
 
@@ -158,6 +158,18 @@ def test_re_phi_closed_form_values():
         s = mpf(10) ** -8
         lead = s * mp.log(1 / s) + s * mp.ln(2) + s
         assert abs(eq.re_phi_imag_axis(s, 256) - lead) <= mpf(10) ** -6 * lead
+
+
+@given(e=st.floats(-200, 8), prec=st.sampled_from((128, 192)))
+def test_re_phi_real_closed_form_matches_primitive(e, prec):
+    # the real closed form keeps its relative accuracy as s -> 0, where
+    # pi Im F(is) in complex arithmetic loses about log2(1/s) bits; the
+    # oracle runs 320 bits wider to cover that loss
+    s = mpf(2.0 ** e)
+    got = eq.re_phi_imag_axis(s, prec)
+    with workprec(prec + 320):
+        ref = mp.pi * eq._primitive(mpc(0, s)).imag
+        assert abs(got - ref) <= mpf(2) ** -(prec - 8) * ref
 
 
 def test_re_phi_matches_quadrature_route():

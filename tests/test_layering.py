@@ -5,7 +5,8 @@ test oracles, reaches into them.  The recurrence pipeline (moments, zeros,
 rules) and the closed-form equilibrium layer run without the tanh-sinh
 engine, directly or through another oscq module.  The mpc recurrence of
 `MonicPolynomial` is an oracle for the root finder, which evaluates in
-fixed point, never by it.
+fixed point, never by it.  Likewise mpmath's J and Y are oracles for
+`mpfun.besseljy_real`, the one route of the small-norm kernels to them.
 """
 
 import ast
@@ -17,6 +18,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "oscq"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 NO_QUADRATURE = ("moments", "equilibrium", "zeros", "quadrule")
 MPC_EVALUATORS = ("eval", "eval_with_deriv", "deriv_eval")
+MPMATH_JY = ("besselj", "bessely")
 
 
 def _imports(module: str):
@@ -67,3 +69,14 @@ def test_root_finder_never_evaluates_by_the_mpc_recurrence():
                    if isinstance(node, ast.Attribute)
                    and node.attr in MPC_EVALUATORS})
     assert not used, f"zeros reaches MonicPolynomial.{used}"
+
+
+def test_small_norm_kernels_never_call_mpmath_j_or_y():
+    tree = ast.parse((SRC / "smallnorm.py").read_text())
+    used = sorted({node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in MPMATH_JY}
+                  | {a.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)
+                     for a in node.names if a.name in MPMATH_JY})
+    assert not used, f"smallnorm reaches mpmath's {used}"

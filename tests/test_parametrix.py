@@ -9,10 +9,10 @@ from mpmath import mp, mpc, mpf
 from oscq import equilibrium as eq
 from oscq import parametrix as px
 from oscq import verify
-from oscq.mpfun import DomainError, workprec
+from oscq.mpfun import DomainError, man_exp, to_fixed, workprec
 from oscq.smallnorm import EPS_DEFAULT
 
-from conftest import get_tilde
+from conftest import get_k_norm_nodes, get_tilde
 
 PREC = 192
 NU = "0.25"
@@ -150,6 +150,49 @@ def test_d1_grid_read_scale_follows_z(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         grid.cauchy(tiny)
     assert _rel_err(grid.cauchy(huge), ref) >= 1   # no correct bit left
+
+
+# the imaginary axis over the range of the k_norm_bounds nodes, from
+# 2^-182 to 2 eps = 0.24
+small_axis = st.floats(-182, math.log2(0.24)).map(lambda e: 2.0 ** e)
+
+
+@given(y=small_axis)
+def test_d1_grid_axis_read(y):
+    # the real sum of the axis branch against the mpc oracle, and
+    # Schwarz reflection bit for bit
+    grid = px._get_grid(16, NU, 128)
+    up = grid.cauchy(mpc(0, y))
+    assert _rel_err(up, _cauchy_by_mpc(grid, mpc(0, y))) \
+        <= mpf(2) ** -grid.prec
+    down = grid.cauchy(mpc(0, -y))
+    with workprec(grid.prec):
+        assert down._mpc_ == mp.conj(up)._mpc_
+
+
+def test_d1_grid_axis_read_is_the_complex_read():
+    # at every node of AC-8's n=16 integrals, the axis branch gives bit
+    # for bit what the general branch's complex sum gives with b = 0
+    grid = px._get_grid(16, NU, 128)
+    for y in get_k_norm_nodes(16, NU, 128):
+        with workprec(grid.prec):
+            z = mpc(0, y)
+            w = grid.read_scale(z)
+            man, exp = man_exp(z.imag)
+            a0 = -to_fixed(man * man, 2 * exp, w)
+            ref = 2 * z * grid._complex_sum(a0, 0, w)
+        assert grid.cauchy(z)._mpc_ == ref._mpc_, y
+
+
+@given(y=small_axis, nu=st.floats(0, 1, exclude_max=True),
+       prec=st.sampled_from((128, 192)))
+def test_d2_reciprocal_on_axis(y, nu, prec):
+    # D2(iy) is a positive real and D2(-iy) = 1/D2(iy), which lets the
+    # small-norm kernels take one D2 value per axis point
+    up, down = px.d2(mpc(0, y), nu, prec), px.d2(mpc(0, -y), nu, prec)
+    with workprec(2 * prec):
+        assert up.real > 0 and abs(up.imag) <= mpf(2) ** -prec * up.real
+        assert abs(up * down - 1) <= mpf(2) ** -(prec - 4)
 
 
 def test_d2_mapping_values():
