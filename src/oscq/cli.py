@@ -126,16 +126,19 @@ def _require_desk_scale(n: int, allow_long: bool, parser):
 
 def _zero_line_summary(zs, args):
     """The zero-line statistics of the manifest; None at n = 1, where the
-    error scale epsilon_n is undefined (log 1 = 0)."""
+    error scale epsilon_n is undefined (log 1 = 0).  Above the proven
+    range nu <= 1/2, epsilon_n grows with n and does not divide max_dev."""
     if args.n < 2:
         return None
     stats = zero_line_stats(zs, args.n, args.nu, args.delta)
+    proven = 0 <= mpf(args.nu) <= mpf(1) / 2
     return {
+        "proven_range": proven,
         "max_dev": None if stats.max_dev is None
         else fmt(stats.max_dev, 64),
         "epsilon_n": fmt(stats.epsilon_n, 64),
         "max_dev_over_epsilon_n": None if stats.max_dev is None
-        else fmt(stats.max_dev / stats.epsilon_n, 64),
+        or not proven else fmt(stats.max_dev / stats.epsilon_n, 64),
         "zeros_considered": stats.zeros_considered,
     }
 

@@ -1,12 +1,13 @@
 """Complex Gaussian quadrature for the oscillatory Bessel weight.
 
-Nodes are the zeros of the degree-n orthogonal polynomial (raw frame);
-weights are the Christoffel numbers 1 / sum_{j<n} P_j(x_k)^2 / h_j with
-h_j = b_0 ... b_j.  The weight changes sign, but the Christoffel-Darboux
-identity behind them needs only a quasi-definite moment functional (Deano,
-Huybrechs and Kuijlaars, J. Approx. Theory 162, 2010, on complex Gaussian
-quadrature).  Exactness over degrees <= 2n-1 against the exact moments is
-the certificate.
+Nodes are the zeros x_k = i n pi w_k of the degree-n orthogonal polynomial
+(raw frame); weights are the Christoffel-Darboux numbers h_{n-1} /
+(P_{n-1}(x_k) P_n'(x_k)), h_{n-1} = b_0 ... b_{n-1} (Gautschi 2004), read
+in the rescaled frame by the root finder's fixed-point recurrence.  The
+weight changes sign, but the identity needs only a quasi-definite moment
+functional (Deano, Huybrechs and Kuijlaars, J. Approx. Theory 162, 2010).
+Exactness over degrees <= 2n-1 against the exact moments is the
+certificate, summed as Gaussian ints in the rescaled frame.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from mpmath import mp, mpc, mpf
 
 from .moments import moment_sequence, monic_op, rescale_to_tilde
 from .mpfun import require_prec, workprec
-from .zeros import find_zeros
+from .zeros import FIXED_GUARD, find_zeros, fixed_eval_with_deriv, gauss_int
 
 
 @dataclass(frozen=True)
@@ -35,35 +36,54 @@ def gauss_rule(n: int, nu, prec: int) -> QuadratureRule:
 
     The zeros are computed in the rescaled frame (where the root finder
     seeds from the equilibrium law) and transported back by x = i n pi w,
-    which is exact.  The exactness report carries w_k x_k^j as a running
-    product over j.
+    which is exact.  P~_{n-1} P~_n' = P_{n-1} P_n' / (i n pi)^(2n-2) at
+    each root is one fixed-point pass at the root finder's scale.
     """
     require_prec(prec)
     poly = monic_op(n, nu, prec)
     tilde = rescale_to_tilde(poly, n)
     zs = find_zeros(tilde, prec=max(prec, min(tilde.prec, 2 * prec)))
+    scale = zs.prec + 64 + FIXED_GUARD     # where the roots are exact
+    roots = [gauss_int(w, scale) for w in zs.roots]
+    pair = fixed_eval_with_deriv(tilde.recurrence, scale)
     with workprec(zs.prec, guard=64):
         base = mpc(0, 1) * n * mp.pi
         nodes, weights = [base * w for w in zs.roots], []
-        for x in nodes:     # Christoffel numbers by the raw recurrence
-            p_prev, p, h, s = 0, mpf(1), mpf(1), 0
-            for a, b in poly.recurrence:
-                h *= b
-                s += p * p / h
-                p_prev, p = p, (x - a) * p - b * p_prev
-            weights.append(1 / s)
-    ms = moment_sequence(2 * n - 1, nu, 2 * zs.prec)
+        c = mp.fprod(b for _, b in poly.recurrence) / base ** (2 * n - 2)
+        for zr, zi in roots:
+            _, _, dr, di, qr, qi, e = pair(zr, zi)
+            t = 2 * (e - scale)
+            weights.append(c / mpc(mpf((qr * dr - qi * di, t)),
+                                   mpf((qr * di + qi * dr, t))))
+    report = _exactness_report(roots, scale, weights, nu, zs.prec)
     with workprec(2 * zs.prec):
-        nu = mpf(nu)
-        mscale = max(abs(ms[j]) for j in range(2 * n))
-        defect, terms = mpf(0), weights     # terms[k] = w_k x_k^j
-        for j in range(2 * n):
-            defect = max(defect, abs(mp.fsum(terms) - ms[j]))
-            terms = [t * x for t, x in zip(terms, nodes)]
-        report = +(defect / mscale)
-    return QuadratureRule(nu=nu, n=n, nodes=tuple(nodes),
-                          weights=tuple(weights), exactness_report=report,
-                          prec=zs.prec)
+        return QuadratureRule(nu=mpf(nu), n=n, nodes=tuple(nodes),
+                              weights=tuple(weights), exactness_report=report,
+                              prec=zs.prec)
+
+
+def _exactness_report(roots, zscale: int, weights, nu, prec: int):
+    """max_j<2n |sum_k lambda_k x_k^j - m_j| / max|m| for rescaled roots
+    w_k (Gaussian ints at 2^zscale), as (n pi)^j |sum_k lambda_k w_k^j -
+    m_j / (i n pi)^j| / max|m|, the products Gaussian ints at 2^S with
+    S = 2 prec + 64 + max_j mag((n pi)^j / max|m|)."""
+    n = len(roots)
+    ms = moment_sequence(2 * n - 1, nu, 2 * prec)
+    with workprec(2 * prec):
+        npi, mscale = n * mp.pi, max(abs(m) for m in ms)
+        gain = [npi ** j / mscale for j in range(2 * n)]
+        s = 2 * prec + 64 + max(int(mp.mag(g)) for g in gain)
+        inv = 1 / (mpc(0, 1) * npi)
+        mt = [gauss_int(m * inv ** j, s) for j, m in enumerate(ms)]
+        terms, defect = [gauss_int(w, s) for w in weights], mpf(0)
+        for g, (mr, mi) in zip(gain, mt):
+            dr = sum(tr for tr, _ in terms) - mr
+            di = sum(ti for _, ti in terms) - mi
+            defect = max(defect, g * mp.sqrt(dr * dr + di * di))
+            terms = [((tr * wr - ti * wi) >> zscale,
+                      (tr * wi + ti * wr) >> zscale)
+                     for (tr, ti), (wr, wi) in zip(terms, roots)]
+        return mp.ldexp(defect, -s)
 
 
 def apply_rule(rule: QuadratureRule, f):

@@ -20,8 +20,8 @@ block is shifted down, or up, whenever its top bit leaves S +- WINDOW:
 the values fall by hundreds of bits over the recurrence in the rescaled
 frame (n = 200), so a block that was only shifted down would underflow.
 The Newton step P/P', the sum of 1/(z_k - z_j) and the Aberth update
-are integer divisions at S.  MonicPolynomial's mpc recurrence is the
-oracle the tests compare this stage against.
+are integer divisions at S; the evaluator also gives P_{n-1} and the
+block exponent, for `quadrule`.  The mpc recurrence is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def _aberth(z, pair, tol, sweeps: int):
     return corr
 
 
-def _gauss(x, scale: int):
+def gauss_int(x, scale: int):
     """x (int, mpf or mpc) as a Gaussian int (re, im) at 2^scale,
     truncated toward zero, without rounding x first."""
     x = mp.mpmathify(x)
@@ -122,17 +122,17 @@ def _gauss(x, scale: int):
             to_fixed(*man_exp(x.imag), scale))
 
 
-def _fixed_eval_with_deriv(recurrence, scale: int):
-    """(zr, zi) -> (P, P') times a common factor c > 0, as Gaussian ints
-    (pr, pi, dr, di) with z = (zr + i zi) 2^-scale.  P_{k-1}, P_k and
-    their derivatives share one exponent: the block is shifted up or down
-    to its top bit at scale whenever it leaves scale +- WINDOW bits."""
-    ab = [_gauss(a, scale) + _gauss(b, scale) for a, b in recurrence]
+def fixed_eval_with_deriv(recurrence, scale: int):
+    """(zr, zi) -> (pr, pi, dr, di, qr, qi, e): P_n, P_n' and P_{n-1} at
+    z = (zr + i zi) 2^-scale, Gaussian ints times 2^(e - scale).  The block
+    of P_{k-1}, P_k and their derivatives is shifted up or down to its top
+    bit at scale whenever it leaves scale +- WINDOW bits."""
+    ab = [gauss_int(a, scale) + gauss_int(b, scale) for a, b in recurrence]
     hi, lo = scale + WINDOW, scale - WINDOW
 
     def pair(zr, zi):
         ur = ui = vi = er = ei = dr = di = 0   # P_{k-1}, P_k, P'_{k-1}, P'_k
-        vr = 1 << scale
+        vr, e = 1 << scale, 0
         for ar, ai, br, bi in ab:
             tr, ti = zr - ar, zi - ai
             ur, ui, vr, vi = (vr, vi,
@@ -147,13 +147,15 @@ def _fixed_eval_with_deriv(recurrence, scale: int):
                       dr.bit_length(), di.bit_length())
             if top > hi:
                 s = top - scale
+                e += s
                 ur, ui, vr, vi = ur >> s, ui >> s, vr >> s, vi >> s
                 er, ei, dr, di = er >> s, ei >> s, dr >> s, di >> s
             elif top < lo:
                 s = scale - top
+                e -= s
                 ur, ui, vr, vi = ur << s, ui << s, vr << s, vi << s
                 er, ei, dr, di = er << s, ei << s, dr << s, di << s
-        return vr, vi, dr, di
+        return vr, vi, dr, di, ur, ui, e
     return pair
 
 
@@ -166,7 +168,7 @@ def _div(xr, xi, yr, yi, scale: int):
 
 def _fixed_aberth(z, pair, tol: int, scale: int, sweeps: int):
     """_aberth on roots z held as Gaussian ints (re, im) at 2^scale, with
-    pair from _fixed_eval_with_deriv and tol at 2^scale; every step is
+    pair from fixed_eval_with_deriv and tol at 2^scale; every step is
     integer arithmetic at that scale.  Returns each root's last squared
     correction |P/P'|^2 at 2^(2 scale)."""
     one, two, tol2 = 1 << scale, 2 * scale, tol * tol
@@ -176,7 +178,7 @@ def _fixed_aberth(z, pair, tol: int, scale: int, sweeps: int):
         still = []
         for k in active:
             zr, zi = z[k]
-            pr, pi, dr, di = pair(zr, zi)
+            pr, pi, dr, di = pair(zr, zi)[:4]
             if pr == pi == 0:
                 corr[k] = 0
                 continue
@@ -225,9 +227,9 @@ def find_zeros(p: MonicPolynomial, prec: int | None = None) -> ZeroSet:
                 MAX_SWEEPS)
         if not all(map(cmath.isfinite, zf)):   # a nan would read as 0
             raise SolverError("float Aberth stage left a non-finite root")
-        z = [_gauss(w, scale) for w in zf]
+        z = [gauss_int(w, scale) for w in zf]
         grid = scale - half                   # 2^-half at 2^scale
-        corr2 = _fixed_aberth(z, _fixed_eval_with_deriv(p.recurrence, scale),
+        corr2 = _fixed_aberth(z, fixed_eval_with_deriv(p.recurrence, scale),
                               1 << grid, scale, MAX_SWEEPS)
         # isqrt(c) < 2^grid has at most prec + 64 bits: below tol, exact
         corr = [mpf((isqrt(c), -scale)) for c in corr2]

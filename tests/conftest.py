@@ -1,7 +1,8 @@
-"""Shared fixtures: session-wide polynomial/zero/operator-norm caches so
-the expensive recurrence solves, Aberth runs and small-norm integrals
-happen once per (n, nu), and the one hypothesis profile every property
-test runs under (25 derandomized examples, no deadline, no database)."""
+"""Shared fixtures: session-wide polynomial/zero/rule/operator-norm caches
+so the expensive recurrence solves, Aberth runs, Gauss rules and
+small-norm integrals happen once per (n, nu), and the one hypothesis
+profile every property test runs under (25 derandomized examples, no
+deadline, no database)."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from oscq import smallnorm
 from oscq.moments import monic_op, rescale_to_tilde
 from oscq.mpfun import workprec
 from oscq.parametrix import D1Grid
+from oscq.quadrule import gauss_rule
 from oscq.zeros import find_zeros
 
 settings.register_profile("oscq", max_examples=25, deadline=None,
@@ -25,6 +27,7 @@ settings.load_profile("oscq")
 _k_norm_bounds = smallnorm.k_norm_bounds
 _POLY: dict = {}
 _ZEROS: dict = {}
+_RULES: dict = {}
 _K_NORMS: dict = {}
 
 
@@ -47,6 +50,13 @@ def get_zeros(n: int, nu, prec: int = 256, solve_prec: int | None = None):
         _ZEROS[key] = find_zeros(
             tilde, prec=solve_prec or min(tilde.prec, 512))
     return _ZEROS[key]
+
+
+def get_rule(n: int, nu, prec: int = 256):
+    key = (n, str(nu), prec)
+    if key not in _RULES:
+        _RULES[key] = gauss_rule(n, nu, prec)
+    return _RULES[key]
 
 
 def get_k_norms(n: int, nu, prec: int = 128):

@@ -51,6 +51,21 @@ def test_zeros_degree_one(tmp_path):
     assert man["residual_summaries"]["zero_line"] is None
 
 
+@pytest.mark.parametrize("nu, proven", [("0.5", True), ("0.75", False)])
+def test_zeros_zero_line_divides_by_epsilon_n_in_proven_range(
+        tmp_path, nu, proven):
+    # the line law is proven for 0 <= nu <= 1/2; above, epsilon_n grows
+    # with n and the deviation is reported undivided
+    out = tmp_path / "z.csv"
+    r = run_cli("zeros", "--nu", nu, "--n", "16", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    man = json.loads((tmp_path / "z.csv.manifest.json").read_text())
+    line = man["residual_summaries"]["zero_line"]
+    assert line["proven_range"] is proven
+    assert line["max_dev"] is not None and line["zeros_considered"] > 0
+    assert (line["max_dev_over_epsilon_n"] is not None) is proven
+
+
 def test_zeros_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli("zeros", "--nu", "0.25", "--n", "5",

@@ -4,9 +4,10 @@ A module's underscore names are its own; only `verify`, which holds the
 test oracles, reaches into them.  The recurrence pipeline (moments, zeros,
 rules) and the closed-form equilibrium layer run without the tanh-sinh
 engine, directly or through another oscq module.  The mpc recurrence of
-`MonicPolynomial` is an oracle for the root finder, which evaluates in
-fixed point, never by it.  Likewise mpmath's J and Y are oracles for
-`mpfun.besseljy_real`, the one route of the small-norm kernels to them.
+`MonicPolynomial` is an oracle for the root finder and the Gauss weights,
+which evaluate in fixed point, never by it.  Likewise mpmath's J and Y are
+oracles for `mpfun.besseljy_real`, the one route of the small-norm kernels
+to them.
 """
 
 import ast
@@ -18,6 +19,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "oscq"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 NO_QUADRATURE = ("moments", "equilibrium", "zeros", "quadrule")
 MPC_EVALUATORS = ("eval", "eval_with_deriv", "deriv_eval")
+FIXED_POINT_EVALUATORS = ("zeros", "quadrule")
 MPMATH_JY = ("besselj", "bessely")
 
 
@@ -64,11 +66,12 @@ def test_recurrence_and_closed_form_layers_skip_quadrature(module):
 
 
 def test_root_finder_never_evaluates_by_the_mpc_recurrence():
-    tree = ast.parse((SRC / "zeros.py").read_text())
-    used = sorted({node.attr for node in ast.walk(tree)
-                   if isinstance(node, ast.Attribute)
-                   and node.attr in MPC_EVALUATORS})
-    assert not used, f"zeros reaches MonicPolynomial.{used}"
+    for module in FIXED_POINT_EVALUATORS:
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        used = sorted({node.attr for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)
+                       and node.attr in MPC_EVALUATORS})
+        assert not used, f"{module} reaches MonicPolynomial.{used}"
 
 
 def test_small_norm_kernels_never_call_mpmath_j_or_y():

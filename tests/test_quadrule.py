@@ -1,9 +1,15 @@
+import pytest
 from mpmath import mp, mpc, mpf
 
 from oscq import verify
-from oscq.moments import moment
+from oscq.moments import moment, moment_sequence
 from oscq.mpfun import workprec
-from oscq.quadrule import apply_rule, gauss_rule
+from oscq.quadrule import _exactness_report, apply_rule, gauss_rule
+from oscq.zeros import FIXED_GUARD, gauss_int
+
+from conftest import get_rule, get_zeros
+
+EXACT = mpf(10) ** (-mpf("0.15") * 256)   # AC-2's bound at 256 bits
 
 
 def test_one_point_rule():
@@ -61,3 +67,61 @@ def test_suite_quadrature_all_pass():
     records = verify.suite_quadrature(prec=256, n_list=[1, 2, 3, 4])
     failures = [r for r in records if not r.passed]
     assert not failures, failures
+
+
+def _raw_frame_report(n, nu, weights, roots, prec):
+    """Oracle: the exactness report by raw-frame running products
+    w_k x_k^j, x_k = i n pi w_k from the exact rescaled roots, each sum an
+    mpf fsum at 2 prec."""
+    ms = moment_sequence(2 * n - 1, nu, 2 * prec)
+    with workprec(2 * prec):
+        nodes = [mpc(0, 1) * n * mp.pi * w for w in roots]
+        defect, terms = mpf(0), list(weights)
+        for m in ms:
+            defect = max(defect, abs(mp.fsum(terms) - m))
+            terms = [t * x for t, x in zip(terms, nodes)]
+        return defect / max(abs(m) for m in ms)
+
+
+@pytest.mark.parametrize("nu", ["0", "0.999"])
+@pytest.mark.parametrize("n", [1, 2, 16, 32, 64])
+def test_exactness_report_matches_raw_frame_oracle(n, nu):
+    rule = get_rule(n, nu)
+    ref = _raw_frame_report(n, nu, rule.weights, get_zeros(n, nu).roots,
+                            rule.prec)
+    with workprec(2 * rule.prec):
+        assert abs(rule.exactness_report - ref) <= \
+            max(ref * mpf(2) ** -32, mpf(2) ** (-2 * rule.prec))
+
+
+@pytest.mark.parametrize("nu", ["0", "0.999"])
+@pytest.mark.parametrize("n", [1, 2, 16, 32, 64])
+def test_exactness_report_sees_a_weight_off_by_2_to_the_minus_64(n, nu):
+    # the weight of the largest term w_k x_k^(2n-1): the report is relative
+    # to max|m_j| (3.8e31 at n = 16), so from n = 12 on the weight largest
+    # in modulus, near the origin, moves it by less than 10^(-0.15 prec)
+    rule = get_rule(n, nu)
+    scale = rule.prec + 64 + FIXED_GUARD
+    roots = [gauss_int(w, scale) for w in get_zeros(n, nu).roots]
+    with workprec(rule.prec, guard=64):
+        k = max(range(n), key=lambda i: abs(rule.weights[i])
+                * max(1, abs(rule.nodes[i])) ** (2 * n - 1))
+        weights = list(rule.weights)
+        weights[k] *= 1 + mpf(2) ** -64
+    assert _exactness_report(roots, scale, rule.weights, nu, rule.prec) \
+        == rule.exactness_report <= EXACT
+    assert _exactness_report(roots, scale, weights, nu, rule.prec) > EXACT
+
+
+@pytest.mark.parametrize("nu", ["0", "0.25", "0.999"])
+@pytest.mark.parametrize("n", [32, 64])
+def test_large_rules_are_exact_with_unit_mass_and_conjugate_pairs(n, nu):
+    rule = get_rule(n, nu)
+    tol = mpf(2) ** -128
+    assert rule.exactness_report <= EXACT
+    with workprec(2 * rule.prec):
+        assert abs(mp.fsum(rule.weights) - 1) <= tol
+        for x, w in zip(rule.nodes, rule.weights):
+            k = min(range(n), key=lambda j: abs(mp.conj(x) - rule.nodes[j]))
+            assert abs(mp.conj(x) - rule.nodes[k]) <= tol * max(1, abs(x))
+            assert abs(mp.conj(w) - rule.weights[k]) <= tol * max(1, abs(w))

@@ -1,7 +1,7 @@
 """Property tests of the recurrence core over nu in [0, 1): exact moments,
 the fixed-point Chebyshev table and its residual, polynomial values and
-derivatives, Christoffel weights, conjugate symmetry and Hankel
-determinants, each against an independent route."""
+derivatives, Gauss weights, conjugate symmetry and Hankel determinants,
+each against an independent route."""
 
 import pytest
 from hypothesis import given
@@ -11,9 +11,8 @@ from mpmath import mp, mpc, mpf
 from oscq.moments import (_certified_recurrence, hankel_det, moment_sequence,
                           monic_op)
 from oscq.mpfun import workprec
-from oscq.quadrule import gauss_rule
 
-from conftest import get_tilde
+from conftest import get_poly, get_rule, get_tilde
 from test_moments import (_bareiss_det, _chebyshev, _coefficients,
                           _power_residual)
 
@@ -22,14 +21,6 @@ TOL = mpf(2) ** (-(PREC // 2))
 
 # nu on the 1e-6 grid, as decimal strings like the CLI takes them
 nus = st.floats(0, 0.999999).map(lambda x: f"{x:.6f}")
-_RULES: dict = {}
-
-
-def rule(n, nu):
-    key = (n, nu)
-    if key not in _RULES:
-        _RULES[key] = gauss_rule(n, nu, PREC)
-    return _RULES[key]
 
 
 def _vandermonde_weights(nodes, nu, prec):
@@ -40,6 +31,21 @@ def _vandermonde_weights(nodes, nu, prec):
         a = mp.matrix([[x ** j for x in nodes] for j in range(n)])
         w = mp.lu_solve(a, mp.matrix(list(ms)))
         return [w[k] for k in range(n)]
+
+
+def _christoffel_weights(nodes, recurrence, prec):
+    """Oracle: the Christoffel numbers 1 / sum_{j<n} P_j(x_k)^2 / h_j,
+    h_j = b_0 ... b_j, by the raw recurrence in mpc."""
+    out = []
+    with workprec(prec):
+        for x in nodes:
+            p_prev, p, h, s = 0, mpf(1), mpf(1), 0
+            for a, b in recurrence:
+                h *= b
+                s += p * p / h
+                p_prev, p = p, (x - a) * p - b * p_prev
+            out.append(1 / s)
+    return out
 
 
 @given(nu=nus)
@@ -99,7 +105,7 @@ def test_eval_with_deriv_matches_horner(n, nu, x, y):
 
 @given(n=st.integers(1, 12), nu=nus)
 def test_christoffel_weights_match_vandermonde(n, nu):
-    r = rule(n, nu)
+    r = get_rule(n, nu, PREC)
     ref = _vandermonde_weights(r.nodes, nu, 4 * PREC)
     with workprec(4 * PREC):
         scale = max(abs(w) for w in ref)
@@ -107,15 +113,25 @@ def test_christoffel_weights_match_vandermonde(n, nu):
             assert abs(w - v) <= TOL * scale
 
 
+@given(n=st.integers(1, 24), nu=nus)
+def test_christoffel_darboux_weights_match_christoffel_sum(n, nu):
+    r = get_rule(n, nu, PREC)
+    ref = _christoffel_weights(r.nodes, get_poly(n, nu, PREC)[0].recurrence,
+                               2 * PREC)
+    with workprec(2 * PREC):
+        for w, v in zip(r.weights, ref):
+            assert abs(w - v) <= mpf(2) ** (16 - r.prec) * abs(v)
+
+
 @given(n=st.integers(1, 12), nu=nus)
 def test_weights_sum_to_one(n, nu):
     with workprec(2 * PREC):
-        assert abs(mp.fsum(rule(n, nu).weights) - 1) <= TOL
+        assert abs(mp.fsum(get_rule(n, nu, PREC).weights) - 1) <= TOL
 
 
 @given(n=st.integers(1, 12), nu=nus)
 def test_nodes_and_weights_close_under_conjugation(n, nu):
-    r = rule(n, nu)
+    r = get_rule(n, nu, PREC)
     with workprec(2 * PREC):
         for x, w in zip(r.nodes, r.weights):
             k = min(range(n), key=lambda j: abs(mp.conj(x) - r.nodes[j]))

@@ -6,10 +6,10 @@ from mpmath import mp, mpc, mpf
 from oscq import verify, zeros
 from oscq.moments import MonicPolynomial, SolverError, Variable
 from oscq.mpfun import workprec
-from oscq.zeros import (FIXED_GUARD, ZeroSet, _fixed_eval_with_deriv, _gauss,
-                        ecdf_vs_psi, find_zeros, zero_line_stats)
+from oscq.zeros import (FIXED_GUARD, ZeroSet, ecdf_vs_psi, find_zeros,
+                        fixed_eval_with_deriv, gauss_int, zero_line_stats)
 
-from conftest import get_tilde, get_zeros
+from conftest import get_poly, get_tilde, get_zeros
 from test_recurrence_props import nus
 
 PREC = 256
@@ -139,20 +139,26 @@ def test_axis_roots_in_imaginary_order():
 
 
 def _assert_fixed_matches_mpc(poly, z):
-    """find_zeros' fixed-point (P, P') at z equals the mpc recurrence at
-    PREC + 64 bits up to one factor c > 0, to 2^-PREC of the pair's size."""
-    zr, zi = _gauss(z, SCALE)
-    pr, pi, dr, di = _fixed_eval_with_deriv(poly.recurrence, SCALE)(zr, zi)
+    """The fixed-point (P_n, P_n', P_{n-1}) at z, times 2^(e - SCALE),
+    equals the mpc recurrence at PREC + 64 bits to 2^-PREC of the size of
+    (P_n, P_n') (or of |P_{n-1}|, if larger).  Returns e."""
+    zr, zi = gauss_int(z, SCALE)
+    pr, pi, dr, di, qr, qi, e = fixed_eval_with_deriv(poly.recurrence,
+                                                      SCALE)(zr, zi)
     with workprec(PREC, guard=64):
         zq = mpc(mpf((zr, -SCALE)), mpf((zi, -SCALE)))
     val, der = poly.eval_with_deriv(zq, PREC + 64)
+    prev = MonicPolynomial(recurrence=poly.recurrence[:-1],
+                           variable=poly.variable,
+                           prec=poly.prec).eval(zq, PREC + 64)
     with workprec(2 * SCALE):
         size = mp.sqrt(abs(val) ** 2 + abs(der) ** 2)
-        fixed = mp.sqrt(mpf(pr * pr + pi * pi + dr * dr + di * di))
-        assert fixed > 0
-        c = fixed / size
-        assert abs(mpc(pr, pi) / c - val) <= mpf(2) ** -PREC * size
-        assert abs(mpc(dr, di) / c - der) <= mpf(2) ** -PREC * size
+        for (xr, xi), ref, tol in (((pr, pi), val, size),
+                                   ((dr, di), der, size),
+                                   ((qr, qi), prev, max(size, abs(prev)))):
+            got = mpc(mpf((xr, e - SCALE)), mpf((xi, e - SCALE)))
+            assert abs(got - ref) <= mpf(2) ** -PREC * tol
+    return e
 
 
 def _near(roots, k, e, theta):
@@ -189,6 +195,16 @@ def test_fixed_eval_shifts_up_at_n200(z):
     # |P_200| and |P'_200| fall hundreds of bits below P_0 = 1 on [-1, 1]
     # in the rescaled frame, so the block must also be shifted up
     _assert_fixed_matches_mpc(get_tilde(200, "0.37"), mpc(complex(z)))
+
+
+def test_fixed_eval_exponent_follows_shifts_both_ways():
+    # raw frame: |P_64(x)| grows by hundreds of bits, the block is shifted
+    # down (e > 0); rescaled frame near a root: shifted up (e < 0)
+    with workprec(PREC):
+        x = mpc(0, 32 * mp.pi)
+    assert _assert_fixed_matches_mpc(get_poly(64, "0.25")[0], x) > 0
+    root = get_zeros(64, "0.25").roots[20]
+    assert _assert_fixed_matches_mpc(get_tilde(64, "0.25"), root) < 0
 
 
 @pytest.mark.parametrize("n, nu", [(64, "0.25"), (200, "0.37"), (33, "0")])
