@@ -105,8 +105,8 @@ def _int_from(lo: int):
 def _parse_n_list(text: str):
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(t) for t in text.split(",") if t]
+        return list(range(int(lo), int(hi) + 1)) or None
+    return [int(t) for t in text.split(",") if t] or None
 
 
 _BITS = _int_from(MIN_PREC)
@@ -115,7 +115,7 @@ _BITS_OR_AUTO = _arg(f"'auto' or an integer >= {MIN_PREC}",
 # kept as the caller's string: manifests record it and the layers read it
 _REAL = _arg("a finite real number",
              lambda t: t if mp.isfinite(mpf(t)) else None)
-_N_LIST = _arg("'lo..hi' or 'n1,n2,...'", _parse_n_list)
+_N_LIST = _arg("'lo..hi' or 'n1,n2,...' naming a degree", _parse_n_list)
 
 
 def _require_desk_scale(n: int, allow_long: bool, parser):
@@ -148,7 +148,7 @@ def cmd_zeros(args, parser) -> int:
     _require_desk_scale(args.n, args.allow_long, parser)
     prec_floor = 64 if args.prec == "auto" else args.prec
     poly = monic_op(args.n, args.nu, prec_floor)
-    zs = find_zeros(rescale_to_tilde(poly, args.n))
+    zs = find_zeros(rescale_to_tilde(poly))
     prec = zs.prec
     rows = []
     with workprec(prec):
@@ -177,16 +177,17 @@ def cmd_zeros(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     t0 = time.time()
-    low = SUITE_MIN_N.get(args.suite)
+    low, count = SUITE_MIN_N.get(args.suite, (None, None))
     if args.n_list is not None and low is None:
         parser.error(f"argument --n-list: suite {args.suite} reads no "
                      f"degree list")
     if args.nu is not None and \
             "nu" not in inspect.signature(SUITES[args.suite]).parameters:
         parser.error(f"argument --nu: suite {args.suite} reads no nu")
-    if args.n_list and min(args.n_list) < low:
-        parser.error(f"argument --n-list: suite {args.suite} needs "
-                     f"degrees n >= {low}")
+    if args.n_list and (min(args.n_list) < low
+                        or len(set(args.n_list)) < count):
+        parser.error(f"argument --n-list: suite {args.suite} needs {count} "
+                     f"or more distinct degrees n >= {low}")
     kwargs = {k: v for k in ("nu", "n_list", "prec")
               if (v := getattr(args, k)) is not None}
     records = run_suite(args.suite, **kwargs)
@@ -237,7 +238,7 @@ def cmd_asymptotics(args, parser) -> int:
     raw = None if args.points == "grid" else _read_points(args.points, parser)
     prec_floor = 256 if args.prec == "auto" else args.prec
     poly = monic_op(args.n, args.nu, prec_floor)
-    tilde = rescale_to_tilde(poly, args.n)
+    tilde = rescale_to_tilde(poly)
     prec = tilde.prec
     with workprec(prec):
         if raw is None:

@@ -19,7 +19,6 @@ stored pairs at twice the working precision, gives the residual.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
@@ -28,7 +27,7 @@ from mpmath import mp, mpc, mpf
 
 from .mpfun import man_exp, require_prec, round_to, to_fixed, workprec
 
-PREC_CAP_DEFAULT = 1 << 20
+PREC_CAP = 1 << 20   # ceiling of the guard doubling in _certified_recurrence
 MIN_POLY_PREC = 256
 
 
@@ -199,24 +198,23 @@ def _solve_recurrence(n: int, nu, work: int):
 def _certified_recurrence(n: int, nu, prec: int):
     """The recurrence to 2^-max(prec, 256) relative and its working
     precision, max(prec, 256) + 2n + 32 bits with the guard doubling while
-    the runs disagree, up to the cap 2^20 (or OSCQ_PREC_CAP)."""
+    the runs disagree, up to PREC_CAP bits."""
     if n < 1:
         raise ValueError("n must be >= 1")
     base, guard = max(require_prec(prec), MIN_POLY_PREC), 2 * n + 32
-    cap = int(os.environ.get("OSCQ_PREC_CAP") or PREC_CAP_DEFAULT)
     while True:
-        work = min(base + guard, cap)
+        work = min(base + guard, PREC_CAP)
         try:
             rec, gap = _solve_recurrence(n, nu, work)
         except IndeterminateHankelError:
-            if work >= cap:
+            if work >= PREC_CAP:
                 raise
         else:
             if gap <= mpf(2) ** -base:
                 return rec, work
-            if work >= cap:
+            if work >= PREC_CAP:
                 raise SolverError(f"recurrence disagrees by {mp.nstr(gap, 6)}"
-                                  f" at the precision cap {cap}")
+                                  f" at the precision cap {PREC_CAP}")
         guard *= 2
 
 
@@ -251,13 +249,12 @@ def monic_op(n: int, nu, prec: int) -> MonicPolynomial:
                            prec=max(prec, MIN_POLY_PREC), residual=residual)
 
 
-def rescale_to_tilde(p: MonicPolynomial, n: int) -> MonicPolynomial:
-    """Rescaled polynomial (i n pi)^-n P(i n pi z): a_k -> a_k/(i n pi),
-    b_k -> b_k/(i n pi)^2."""
+def rescale_to_tilde(p: MonicPolynomial) -> MonicPolynomial:
+    """Rescaled polynomial (i n pi)^-n P(i n pi z), n = p.degree:
+    a_k -> a_k/(i n pi), b_k -> b_k/(i n pi)^2."""
     if p.variable is not Variable.RAW_X:
         raise ValueError("rescale_to_tilde expects a raw-frame polynomial")
-    if p.degree != n:
-        raise ValueError("degree mismatch")
+    n = p.degree
     with workprec(p.prec, guard=2 * n + 64):   # the recurrence's guard bits
         inv = 1 / (mpc(0, 1) * n * mp.pi)
         rec = tuple((a * inv, (b * inv * inv).real) for a, b in p.recurrence)

@@ -2,9 +2,9 @@
 the modified Bessel function K_nu and the Bessel functions J_+-nu, Y_nu on
 the positive real axis.
 
-Values are mpmath ``mpf`` / ``mpc`` (aliased ``BigReal`` / ``BigComplex``);
-every operation takes an explicit working precision in bits and evaluates
-internally with guard bits before rounding down to the requested precision.
+Values are mpmath ``mpf`` / ``mpc``; every operation takes an explicit
+working precision in bits and evaluates internally with guard bits before
+rounding down to the requested precision.
 Relative error contract for the gamma functions: <= 2**(-prec+16).
 ``besselk_real`` serves the log-weight of the D1 grid and ``besseljy_real``
 the J/Y triples of ``smallnorm``; both sum their power series in Python
@@ -25,10 +25,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from functools import lru_cache
 
-from mpmath import mp, mpc, mpf
-
-BigReal = mpf
-BigComplex = mpc
+from mpmath import mp, mpf
 
 MIN_PREC = 64
 GUARD_BITS = 32

@@ -18,7 +18,7 @@ from mpmath import mp, mpc, mpf
 
 from .moments import moment_sequence, monic_op, rescale_to_tilde
 from .mpfun import require_prec, workprec
-from .zeros import FIXED_GUARD, find_zeros, fixed_eval_with_deriv, gauss_int
+from .zeros import find_zeros, fixed_eval_with_deriv, gauss_int, root_scale
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,9 @@ def gauss_rule(n: int, nu, prec: int) -> QuadratureRule:
     """
     require_prec(prec)
     poly = monic_op(n, nu, prec)
-    tilde = rescale_to_tilde(poly, n)
-    zs = find_zeros(tilde, prec=max(prec, min(tilde.prec, 2 * prec)))
-    scale = zs.prec + 64 + FIXED_GUARD     # where the roots are exact
+    tilde = rescale_to_tilde(poly)
+    zs = find_zeros(tilde, prec=min(tilde.prec, 2 * prec))
+    scale = root_scale(zs.prec)     # where the roots are exact
     roots = [gauss_int(w, scale) for w in zs.roots]
     pair = fixed_eval_with_deriv(tilde.recurrence, scale)
     with workprec(zs.prec, guard=64):

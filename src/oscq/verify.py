@@ -597,7 +597,7 @@ def suite_zeros(prec: int = 256, nu="0", n_list=None, **_) -> list[CheckRecord]:
     with workprec(prec):
         for n in n_list:
             poly = monic_op(n, nu, prec)
-            tilde = rescale_to_tilde(poly, n)
+            tilde = rescale_to_tilde(poly)
             zs = find_zeros(tilde)
             tol = mpf(2) ** (-(zs.prec // 2) + 16)
             # c_{n-1} = -sum a_k and c_0 = P(0)
@@ -670,8 +670,9 @@ def suite_zeros(prec: int = 256, nu="0", n_list=None, **_) -> list[CheckRecord]:
 SUITES = {"equilibrium": suite_equilibrium, "parametrix": suite_parametrix,
           "smallnorm": suite_smallnorm, "quadrature": suite_quadrature,
           "zeros": suite_zeros}
-# the suites that read an n list, each with the smallest degree it takes
-SUITE_MIN_N = {"smallnorm": 2, "quadrature": 1, "zeros": 1}
+# the suites that read an n list: the smallest degree each takes, and how
+# many distinct degrees (smallnorm fits at its smallest, tests the others)
+SUITE_MIN_N = {"smallnorm": (2, 2), "quadrature": (1, 1), "zeros": (1, 1)}
 
 
 def run_suite(name: str, **kwargs) -> list[CheckRecord]:

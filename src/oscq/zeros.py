@@ -13,15 +13,16 @@ from there the stage takes about 4 evaluations per root at every n from
 16 to 200.  Raw-frame seeds lie on the unit circle.  The second runs in
 block-floating fixed point, in the Python-int idiom of mpmath's own
 series summers: every root and every recurrence pair (a_k, b_k), complex
-b_k included, is a Gaussian int (re, im) at one scale S = prec + 64 +
-FIXED_GUARD bits.  P and P' run
-through the recurrence as Gaussian ints sharing one exponent, and the
-block is shifted down, or up, whenever its top bit leaves S +- WINDOW:
-the values fall by hundreds of bits over the recurrence in the rescaled
-frame (n = 200), so a block that was only shifted down would underflow.
-The Newton step P/P', the sum of 1/(z_k - z_j) and the Aberth update
-are integer divisions at S; the evaluator also gives P_{n-1} and the
-block exponent, for `quadrule`.  The mpc recurrence is the tests' oracle.
+b_k included, is a Gaussian int (re, im) at one scale S = root_scale(prec),
+where the returned roots are exact.  P and P' run through the recurrence
+as Gaussian ints sharing one exponent, and the block is shifted down, or
+up, whenever its top bit leaves S +- WINDOW: the values fall by hundreds
+of bits over the recurrence in the rescaled frame (n = 200), so a block
+that was only shifted down would underflow.  The Newton step P/P', the
+sum of 1/(z_k - z_j) and the Aberth update are integer divisions at S;
+the evaluator also gives P_{n-1} and the block exponent, for `quadrule`.
+`MonicPolynomial`'s mpc recurrence is never used here: it is the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ MAX_SWEEPS = 500
 FLOAT_TOL = 1e-12   # hand-over point of the float stage
 FIXED_GUARD = 32    # bits of the fixed-point stage beyond prec + 64
 WINDOW = 32         # its P, P' block is renormalised past 2^(scale +- WINDOW)
+
+
+def root_scale(prec: int) -> int:
+    """find_zeros' fixed-point scale at prec, where its roots are exact."""
+    return prec + 64 + FIXED_GUARD
 
 
 @dataclass(frozen=True)
@@ -80,15 +86,15 @@ def _float_eval_with_deriv(recurrence):
     return pair
 
 
-def _aberth(z, pair, tol, sweeps: int):
-    """Aberth-Ehrlich sweeps on z (Python complex or mpc), pair(w) giving
-    P(w) and P'(w) up to a common factor.  A root is frozen once its Newton
-    correction |P/P'| is below tol.  Returns each root's last correction
-    (0 where P vanished), below tol exactly for the frozen roots."""
+def _aberth(z, pair, tol):
+    """Up to MAX_SWEEPS Aberth-Ehrlich sweeps on z (complex or mpc), pair(w)
+    giving P(w) and P'(w) up to a common factor.  A root is frozen once its
+    Newton correction |P/P'| is below tol.  Returns each root's last
+    correction (0 where P vanished), below tol exactly for frozen roots."""
     n = len(z)
     corr = [tol] * n
     active = range(n)
-    for _ in range(sweeps):
+    for _ in range(MAX_SWEEPS):
         still = []
         for k in active:
             pv, dv = pair(z[k])
@@ -166,7 +172,7 @@ def _div(xr, xi, yr, yi, scale: int):
             ((xi * yr - xr * yi) << scale) // den)
 
 
-def _fixed_aberth(z, pair, tol: int, scale: int, sweeps: int):
+def _fixed_aberth(z, pair, tol: int, scale: int):
     """_aberth on roots z held as Gaussian ints (re, im) at 2^scale, with
     pair from fixed_eval_with_deriv and tol at 2^scale; every step is
     integer arithmetic at that scale.  Returns each root's last squared
@@ -174,7 +180,7 @@ def _fixed_aberth(z, pair, tol: int, scale: int, sweeps: int):
     one, two, tol2 = 1 << scale, 2 * scale, tol * tol
     corr = [tol2] * len(z)
     active = range(len(z))
-    for _ in range(sweeps):
+    for _ in range(MAX_SWEEPS):
         still = []
         for k in active:
             zr, zi = z[k]
@@ -212,25 +218,24 @@ def _fixed_aberth(z, pair, tol: int, scale: int, sweeps: int):
 
 def find_zeros(p: MonicPolynomial, prec: int | None = None) -> ZeroSet:
     """All roots of p with Newton corrections below 2^(-prec/2): Aberth
-    in floats from the seeds, then in fixed point at 2^-(prec + 64 +
-    FIXED_GUARD) from the float roots.  Roots are sorted by real part on
-    the 2^-(prec/2) grid, then by imaginary part."""
+    in floats from the seeds, then in fixed point at 2^-root_scale(prec)
+    from the float roots.  Roots are sorted by real part on the 2^-(prec/2)
+    grid, then by imaginary part."""
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
     prec = prec or p.prec
     n = p.degree
-    scale = prec + 64 + FIXED_GUARD
+    scale = root_scale(prec)
     half = prec // 2
     with workprec(prec, guard=64):
         zf = _initial_guesses(p)
-        _aberth(zf, _float_eval_with_deriv(p.recurrence), FLOAT_TOL,
-                MAX_SWEEPS)
+        _aberth(zf, _float_eval_with_deriv(p.recurrence), FLOAT_TOL)
         if not all(map(cmath.isfinite, zf)):   # a nan would read as 0
             raise SolverError("float Aberth stage left a non-finite root")
         z = [gauss_int(w, scale) for w in zf]
         grid = scale - half                   # 2^-half at 2^scale
         corr2 = _fixed_aberth(z, fixed_eval_with_deriv(p.recurrence, scale),
-                              1 << grid, scale, MAX_SWEEPS)
+                              1 << grid, scale)
         # isqrt(c) < 2^grid has at most prec + 64 bits: below tol, exact
         corr = [mpf((isqrt(c), -scale)) for c in corr2]
         if not max(corr2) < 1 << 2 * grid:
@@ -279,18 +284,17 @@ def zero_line_stats(zs: ZeroSet, n: int, nu, delta) -> ZeroLineStats:
                              epsilon_n=epsilon_n(n, nu, zs.prec))
 
 
-def ecdf_vs_psi(zs: ZeroSet, prec: int | None = None):
+def ecdf_vs_psi(zs: ZeroSet):
     """Kolmogorov distance between the real-part empirical CDF and the
-    equilibrium CDF."""
+    equilibrium CDF, at zs.prec."""
     if len(zs.roots) == 0:
         raise ValueError("empty zero set")
-    prec = prec or zs.prec
-    with workprec(prec):
+    with workprec(zs.prec):
         xs = sorted(w.real for w in zs.roots)
         n = len(xs)
         dist = mpf(0)
         for i, x in enumerate(xs):
             x = min(max(x, mpf(-1)), mpf(1))
-            fx = psi_cdf(x, prec)
+            fx = psi_cdf(x, zs.prec)
             dist = max(dist, abs(mpf(i + 1) / n - fx), abs(mpf(i) / n - fx))
         return +dist

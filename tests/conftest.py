@@ -35,7 +35,7 @@ def get_poly(n: int, nu, prec: int = 256):
     key = (n, str(nu), prec)
     if key not in _POLY:
         poly = monic_op(n, nu, prec)
-        _POLY[key] = (poly, rescale_to_tilde(poly, n))
+        _POLY[key] = (poly, rescale_to_tilde(poly))
     return _POLY[key]
 
 

@@ -7,7 +7,10 @@ engine, directly or through another oscq module.  The mpc recurrence of
 `MonicPolynomial` is an oracle for the root finder and the Gauss weights,
 which evaluate in fixed point, never by it.  Likewise mpmath's J and Y are
 oracles for `mpfun.besseljy_real`, the one route of the small-norm kernels
-to them.
+to them.  The root finder's fixed-point frame is `zeros`' own: every
+other reader takes its scale from `zeros.root_scale`.  Every library
+definition is used somewhere in the source, the tests or the benchmark,
+and no library module reads the environment.
 """
 
 import ast
@@ -15,12 +18,20 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "oscq"
+HERE = pathlib.Path(__file__).resolve()
+ROOT = HERE.parents[1]
+SRC = ROOT / "src" / "oscq"
+# every Python file that may use a library name; the package's re-exports
+# and this file's own strings do not count as uses
+USERS = sorted(p for d in ("src", "tests", "oscbench")
+               for p in (ROOT / d).rglob("*.py")
+               if p not in (SRC / "__init__.py", HERE))
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 NO_QUADRATURE = ("moments", "equilibrium", "zeros", "quadrule")
 MPC_EVALUATORS = ("eval", "eval_with_deriv", "deriv_eval")
 FIXED_POINT_EVALUATORS = ("zeros", "quadrule")
 MPMATH_JY = ("besselj", "bessely")
+ENVIRONMENT = ("environ", "getenv", "putenv")
 
 
 def _imports(module: str):
@@ -83,3 +94,55 @@ def test_small_norm_kernels_never_call_mpmath_j_or_y():
                      if isinstance(node, ast.ImportFrom)
                      for a in node.names if a.name in MPMATH_JY})
     assert not used, f"smallnorm reaches mpmath's {used}"
+
+
+def _top_level_names(module: str):
+    """The functions, classes and constants a module defines at top level,
+    dunder names aside."""
+    names = set()
+    for node in ast.parse((SRC / f"{module}.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def _uses(path, strings: bool = True):
+    """The names a file uses: loaded names, attributes, imported names and,
+    with strings, string constants that are identifiers (as in
+    monkeypatch.setattr(module, "name", ...))."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.ImportFrom, ast.Import)):
+            out.update(a.name.split(".")[-1] for a in node.names)
+        elif strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str) and node.value.isidentifier():
+            out.add(node.value)
+    return out
+
+
+def test_every_library_definition_is_used():
+    used = set().union(*(_uses(p) for p in USERS))
+    unused = sorted(f"{m}.{name}" for m in MODULES
+                    for name in _top_level_names(m) - used)
+    assert not unused, f"defined but never used: {unused}"
+
+
+def test_only_zeros_names_the_fixed_point_guard():
+    naming = [str(p.relative_to(ROOT)) for p in USERS
+              if p != SRC / "zeros.py" and "FIXED_GUARD" in _uses(p, False)]
+    assert not naming, f"{naming} name zeros.FIXED_GUARD; read root_scale"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_library_reads_no_environment(module):
+    used = _uses(SRC / f"{module}.py", False) & set(ENVIRONMENT)
+    assert not used, f"{module} reads the environment through {used}"

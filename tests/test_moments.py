@@ -193,14 +193,14 @@ def test_rescale_reflection_symmetry():
 def test_rescale_requires_raw_frame():
     _, pt = get_poly(2, 0)
     with pytest.raises(ValueError):
-        rescale_to_tilde(pt, 2)
+        rescale_to_tilde(pt)
 
 
 def test_orthogonality_residual_deep():
     # polynomial built deep, quadrature pushed to the example tolerance
     prec = 128
     poly = monic_op(2, "0.25", 512)
-    pt = rescale_to_tilde(poly, 2)
+    pt = rescale_to_tilde(poly)
     res, scale = orthogonality_residuals(pt, 2, "0.25", 256, js=[0],
                                          target=mpf(2) ** -96)[0]
     with workprec(256):
@@ -225,7 +225,7 @@ def test_orthogonality_sweep():
     for nu in ("0.25", "0.5"):
         for n in range(1, 9):
             poly = monic_op(n, nu, 512)
-            pt = rescale_to_tilde(poly, n)
+            pt = rescale_to_tilde(poly)
             out = orthogonality_residuals(pt, n, nu, 128)
             with workprec(192):
                 for j, (res, scale) in out.items():
@@ -240,7 +240,7 @@ def test_solver_error_on_unreachable_residual(monkeypatch):
         return ((mpf(0), mpf(1)),) * n, mpf(1)
 
     monkeypatch.setattr(moments, "_solve_recurrence", fake_solve)
-    monkeypatch.setenv("OSCQ_PREC_CAP", "512")
+    monkeypatch.setattr(moments, "PREC_CAP", 512)
     with pytest.raises(SolverError):
         monic_op(2, "0.25", 256)
     assert calls["n"] >= 2  # escalated at least once before giving up

@@ -5,7 +5,7 @@ from oscq import verify
 from oscq.moments import moment, moment_sequence
 from oscq.mpfun import workprec
 from oscq.quadrule import _exactness_report, apply_rule, gauss_rule
-from oscq.zeros import FIXED_GUARD, gauss_int
+from oscq.zeros import gauss_int, root_scale
 
 from conftest import get_rule, get_zeros
 
@@ -101,7 +101,7 @@ def test_exactness_report_sees_a_weight_off_by_2_to_the_minus_64(n, nu):
     # to max|m_j| (3.8e31 at n = 16), so from n = 12 on the weight largest
     # in modulus, near the origin, moves it by less than 10^(-0.15 prec)
     rule = get_rule(n, nu)
-    scale = rule.prec + 64 + FIXED_GUARD
+    scale = root_scale(rule.prec)
     roots = [gauss_int(w, scale) for w in get_zeros(n, nu).roots]
     with workprec(rule.prec, guard=64):
         k = max(range(n), key=lambda i: abs(rule.weights[i])

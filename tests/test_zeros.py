@@ -6,14 +6,15 @@ from mpmath import mp, mpc, mpf
 from oscq import verify, zeros
 from oscq.moments import MonicPolynomial, SolverError, Variable
 from oscq.mpfun import workprec
-from oscq.zeros import (FIXED_GUARD, ZeroSet, ecdf_vs_psi, find_zeros,
-                        fixed_eval_with_deriv, gauss_int, zero_line_stats)
+from oscq.zeros import (ZeroSet, ecdf_vs_psi, find_zeros,
+                        fixed_eval_with_deriv, gauss_int, root_scale,
+                        zero_line_stats)
 
 from conftest import get_poly, get_tilde, get_zeros
 from test_recurrence_props import nus
 
 PREC = 256
-SCALE = PREC + 64 + FIXED_GUARD     # find_zeros' fixed-point scale at PREC
+SCALE = root_scale(PREC)     # find_zeros' fixed-point scale at PREC
 
 
 def test_quadratic_roots():
@@ -205,6 +206,22 @@ def test_fixed_eval_exponent_follows_shifts_both_ways():
     assert _assert_fixed_matches_mpc(get_poly(64, "0.25")[0], x) > 0
     root = get_zeros(64, "0.25").roots[20]
     assert _assert_fixed_matches_mpc(get_tilde(64, "0.25"), root) < 0
+
+
+# solve precisions of gauss_rule at prec 64 (128 bits), of gauss_rule and
+# `oscq zeros` from 128 to 256 (256) and of both at 512 (512)
+@pytest.mark.parametrize("prec, solve_prec", [(256, 128), (256, 256),
+                                              (512, 512)])
+@pytest.mark.parametrize("nu", ["0", "0.25", "0.999"])
+@pytest.mark.parametrize("n", [1, 2, 16, 64])
+def test_roots_are_exact_at_the_root_scale(n, nu, prec, solve_prec):
+    # quadrule re-reads the roots as Gaussian ints at root_scale(zs.prec)
+    zs = get_zeros(n, nu, prec, solve_prec)
+    scale = root_scale(zs.prec)
+    with workprec(2 * scale):
+        for w in zs.roots:
+            re, im = gauss_int(w, scale)
+            assert mpc(mpf((re, -scale)), mpf((im, -scale))) == w
 
 
 @pytest.mark.parametrize("n, nu", [(64, "0.25"), (200, "0.37"), (33, "0")])
