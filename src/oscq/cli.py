@@ -23,24 +23,22 @@ import mpmath
 from mpmath import mp, mpc, mpf
 
 from . import parametrix as px
-from .moments import (IndeterminateHankelError, SolverError, monic_op,
-                      rescale_to_tilde)
+from .moments import (MIN_POLY_PREC, IndeterminateHankelError, SolverError,
+                      monic_op, rescale_to_tilde)
 from .mpfun import MIN_PREC, DomainError, workprec
 from .smallnorm import CHI_PROFILE, EPS_DEFAULT, RHO_DEFAULT
 from .verify import SUITE_MIN_N, SUITES, run_suite
-from .zeros import find_zeros, zero_line_stats
+from .zeros import (find_zeros, fixed_eval_with_deriv, gauss_int, root_scale,
+                    zero_line_stats)
 
 DESK_N_CEILING = 200
 
 
-def _digits(prec: int) -> int:
-    return int(math.ceil(prec * 0.30103)) + 2
-
-
 def fmt(x, prec: int) -> str:
-    """Full-precision decimal serialization (locale-free, '.' decimal)."""
+    """Full-precision decimal serialization (locale-free, '.' decimal), in
+    ceil(0.30103 prec) + 2 digits."""
     with workprec(prec):
-        return mp.nstr(x, _digits(prec))
+        return mp.nstr(x, math.ceil(prec * 0.30103) + 2)
 
 
 def _atomic_write(path: str, text: str):
@@ -111,7 +109,7 @@ def _parse_n_list(text: str):
 
 _BITS = _int_from(MIN_PREC)
 _BITS_OR_AUTO = _arg(f"'auto' or an integer >= {MIN_PREC}",
-                     lambda t: t if t == "auto" else _BITS(t))
+                     lambda t: MIN_PREC if t == "auto" else _BITS(t))
 # kept as the caller's string: manifests record it and the layers read it
 _REAL = _arg("a finite real number",
              lambda t: t if mp.isfinite(mpf(t)) else None)
@@ -146,8 +144,7 @@ def _zero_line_summary(zs, args):
 def cmd_zeros(args, parser) -> int:
     t0 = time.time()
     _require_desk_scale(args.n, args.allow_long, parser)
-    prec_floor = 64 if args.prec == "auto" else args.prec
-    poly = monic_op(args.n, args.nu, prec_floor)
+    poly = monic_op(args.n, args.nu, args.prec)
     zs = find_zeros(rescale_to_tilde(poly))
     prec = zs.prec
     rows = []
@@ -213,7 +210,8 @@ _INNER_GRID = ("0.3", "0.5", "0.7", "0.45-0.02i", "-0.5")
 
 def _read_points(source: str, parser):
     """The (z_re, z_im) strings of a CSV points file; a file that cannot
-    be read, lacks either column or holds no point is a usage error."""
+    be read, lacks either column, holds a non-finite coordinate or holds
+    no point is a usage error."""
     def fail(why):
         parser.error(f"argument --points: points file {source!r} {why}")
 
@@ -223,8 +221,9 @@ def _read_points(source: str, parser):
             if not {"z_re", "z_im"} <= set(rd.fieldnames or ()):
                 fail("has no z_re,z_im header")
             pts = [(row["z_re"], row["z_im"]) for row in rd]
-        for re_, im_ in pts:    # syntax only; converted at prec later
-            mpf(re_), mpf(im_)
+        # syntax and finiteness only; converted at prec later
+        if not all(mp.isfinite(mpf(t)) for pt in pts for t in pt):
+            fail("holds a non-finite coordinate")
     except (OSError, csv.Error, ValueError, TypeError) as exc:
         fail(f"cannot be read: {exc}")
     if not pts:
@@ -236,35 +235,36 @@ def cmd_asymptotics(args, parser) -> int:
     t0 = time.time()
     _require_desk_scale(args.n, args.allow_long, parser)
     raw = None if args.points == "grid" else _read_points(args.points, parser)
-    prec_floor = 256 if args.prec == "auto" else args.prec
-    poly = monic_op(args.n, args.nu, prec_floor)
+    poly = monic_op(args.n, args.nu, args.prec)
     tilde = rescale_to_tilde(poly)
     prec = tilde.prec
+    # P~_n by the root finder's recurrence at its scale; with prec + 32 bits
+    # and |z| >= 0.2, only a coordinate below 2^-64 is cut, by <= 2^-scale
+    scale = root_scale(prec)
+    pair = fixed_eval_with_deriv(tilde.recurrence, scale)
     with workprec(prec):
         if raw is None:
             grid = _OUTER_GRID if args.regime == "outer" else _INNER_GRID
             points = [mp.mpmathify(t.replace("i", "j")) for t in grid]
         else:
             points = [mpc(mpf(re_), mpf(im_)) for re_, im_ in raw]
+    predict = px.outer_eval if args.regime == "outer" else px.inner_eval
     rows = []
     for z in points:
         try:
-            if args.regime == "outer":
-                pred = px.outer_eval(z, args.n, args.nu, prec)
-            else:
-                pred = px.inner_eval(z, args.n, args.nu, prec)
+            pred = predict(z, args.n, args.nu, prec)
         except DomainError as exc:
             print(f"point {z} outside {args.regime} domain: {exc}",
                   file=sys.stderr)
             return 4
+        pr, pi, *_, e = pair(*gauss_int(z, scale))
         with workprec(prec):
-            actual = tilde.eval(z, tilde.prec)
+            actual = mpc(mpf((pr, e - scale)), mpf((pi, e - scale)))
             rel = abs(pred.value - actual) / abs(actual)
             rows.append([fmt(z.real, prec), fmt(z.imag, prec),
                          fmt(pred.value.real, prec),
                          fmt(pred.value.imag, prec),
-                         fmt(mpc(actual).real, prec),
-                         fmt(mpc(actual).imag, prec),
+                         fmt(actual.real, prec), fmt(actual.imag, prec),
                          fmt(rel, 64), fmt(pred.error_scale, 64)])
     _write_csv(args.out, ["z_re", "z_im", "pred_re", "pred_im",
                           "actual_re", "actual_im", "rel_err",
@@ -291,8 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
                                       "frames) to CSV + manifest")
     pz.add_argument("--nu", type=_REAL, required=True)
     pz.add_argument("--n", type=_int_from(1), required=True)
+    prec_help = f"'auto' ({MIN_PREC} bits, raised to {MIN_POLY_PREC}) or bits"
     pz.add_argument("--prec", type=_BITS_OR_AUTO, default="auto",
-                    help="'auto' (a 64-bit floor) or bits")
+                    help=prec_help)
     pz.add_argument("--delta", type=_REAL, default="0.2",
                     help="disk-exclusion radius for zero-line stats")
     pz.add_argument("--allow-long", action="store_true",
@@ -317,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--points", default="grid",
                     help="'grid' or a CSV file with z_re,z_im columns")
     pa.add_argument("--regime", required=True, choices=["outer", "inner"])
-    pa.add_argument("--prec", type=_BITS_OR_AUTO, default="auto")
+    pa.add_argument("--prec", type=_BITS_OR_AUTO, default="auto",
+                    help=prec_help)
     pa.add_argument("--allow-long", action="store_true")
     pa.add_argument("--out", required=True)
     return p

@@ -14,7 +14,7 @@ Measured at nu = 0.25, the entries fall at most 43 bits (n = 64) and
 137 bits (n = 200) below their diagonal's scale, and the pairs lose
 about 1.2 n bits against a run 200 bits deeper: 79 at n = 64, 245 at
 n = 200, inside the 2n + 32 guard bits.  The same table, run on the
-stored pairs at twice the working precision, gives the residual.
+stored pairs at the deeper run's precision, gives the residual.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ class Variable(Enum):
 @dataclass(frozen=True)
 class MonicPolynomial:
     """Monic polynomial of degree len(recurrence), stored as its three-term
-    recurrence P_{k+1} = (x - a_k) P_k - b_k P_{k-1}, pairs (a_k, b_k), and
-    evaluated by it, which stays accurate where the power basis cancels."""
+    recurrence P_{k+1} = (x - a_k) P_k - b_k P_{k-1}, pairs (a_k, b_k); its
+    mpc evaluators are the oracle of zeros.fixed_eval_with_deriv."""
 
     recurrence: tuple
     variable: Variable
@@ -234,10 +234,10 @@ def monic_op(n: int, nu, prec: int) -> MonicPolynomial:
     """Monic orthogonal polynomial P_n (raw frame) of max(prec, 256) bits
     from its certified recurrence.  The residual is max_j<n |L(P_n x^j)| /
     max|m_{j..j+n}| for the polynomial the stored pairs define, read off
-    row n of the Chebyshev table run on those pairs at twice the
-    recurrence's working precision."""
+    row n of the Chebyshev table run on those pairs 64 bits above the
+    recurrence's working precision, as the certification's deeper run."""
     rec, work = _certified_recurrence(n, nu, prec)
-    with workprec(2 * work):
+    with workprec(work + 64):
         nu = mpf(nu)
         row = _table(n, nu, mp.prec, rec)
         size = [abs(m) for m in _moments(2 * n, nu)]

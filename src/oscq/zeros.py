@@ -87,7 +87,7 @@ def _float_eval_with_deriv(recurrence):
 
 
 def _aberth(z, pair, tol):
-    """Up to MAX_SWEEPS Aberth-Ehrlich sweeps on z (complex or mpc), pair(w)
+    """Up to MAX_SWEEPS Aberth-Ehrlich sweeps on complex floats z, pair(w)
     giving P(w) and P'(w) up to a common factor.  A root is frozen once its
     Newton correction |P/P'| is below tol.  Returns each root's last
     correction (0 where P vanished), below tol exactly for frozen roots."""

@@ -1,12 +1,17 @@
+import cmath
 import csv
 import json
+import random
 import subprocess
 import sys
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
+from oscq.cli import _INNER_GRID, _OUTER_GRID, main
 from oscq.mpfun import workprec
+
+from conftest import get_tilde
 
 
 def run_cli(*args):
@@ -102,7 +107,9 @@ def test_verify_bad_suite():
 # malformed --points files, written into each case's tmp_path
 BAD_POINTS = {"empty.csv": "", "header_only.csv": "z_re,z_im\r\n",
               "no_columns.csv": "x,y\r\n0.5,0.5\r\n",
-              "bad_number.csv": "z_re,z_im\r\nabc,0\r\n"}
+              "bad_number.csv": "z_re,z_im\r\nabc,0\r\n",
+              "infinite.csv": "z_re,z_im\r\ninf,0\r\n",
+              "nan.csv": "z_re,z_im\r\nnan,0.5\r\n"}
 
 
 @pytest.mark.parametrize("args", [
@@ -171,3 +178,49 @@ def test_asymptotics_inner_points_file(tmp_path):
     with workprec(96):
         for row in rows:
             assert mpf(row["rel_err"]) <= mpf(row["error_scale"]) * 3
+
+
+def _seeded_points(regime: str, count: int = 6):
+    """(z_re, z_im) strings inside the regime's domain: |z| in [1.3, 3]
+    (outer), or |Re z| in [0.25, 0.75] and |Im z| <= 0.1 (inner)."""
+    rng = random.Random(f"asymptotics:{regime}")
+    if regime == "outer":
+        zs = [cmath.rect(rng.uniform(1.3, 3), rng.uniform(-3.1, 3.1))
+              for _ in range(count)]
+    else:
+        zs = [complex(rng.choice((-1, 1)) * rng.uniform(0.25, 0.75),
+                      rng.uniform(-0.1, 0.1)) for _ in range(count)]
+    return [(repr(z.real), repr(z.imag)) for z in zs]
+
+
+@pytest.mark.parametrize("regime", ["outer", "inner"])
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("nu", ["0", "0.999"])
+def test_asymptotics_actual_column_matches_mpc_oracle(tmp_path, nu, n,
+                                                      regime):
+    # actual = P~_n(z) from the fixed-point recurrence, against the mpc
+    # recurrence at 4 prec on the same binary points, the default grid
+    # and a seeded points file
+    grid = _OUTER_GRID if regime == "outer" else _INNER_GRID
+    seeded = _seeded_points(regime)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("z_re,z_im\r\n"
+                   + "".join(f"{re_},{im_}\r\n" for re_, im_ in seeded))
+    tilde = get_tilde(n, nu)
+    for source in ("grid", str(pts)):
+        out = tmp_path / "a.csv"
+        assert main(["asymptotics", "--nu", nu, "--n", str(n), "--regime",
+                     regime, "--points", source, "--out", str(out)]) == 0
+        prec = json.loads((tmp_path / "a.csv.manifest.json").read_text())[
+            "precision_bits_used"]
+        rows = list(csv.DictReader(out.open(newline="")))
+        with workprec(prec):    # the points as the command builds them
+            zs = [mp.mpmathify(t.replace("i", "j")) for t in grid] \
+                if source == "grid" \
+                else [mpc(mpf(re_), mpf(im_)) for re_, im_ in seeded]
+        assert len(rows) == len(zs)
+        for row, z in zip(rows, zs):
+            ref = tilde.eval(z, 4 * prec)
+            with workprec(4 * prec):
+                got = mpc(mpf(row["actual_re"]), mpf(row["actual_im"]))
+                assert abs(got - ref) <= mpf(2) ** (16 - prec) * abs(ref), z

@@ -4,8 +4,9 @@ A module's underscore names are its own; only `verify`, which holds the
 test oracles, reaches into them.  The recurrence pipeline (moments, zeros,
 rules) and the closed-form equilibrium layer run without the tanh-sinh
 engine, directly or through another oscq module.  The mpc recurrence of
-`MonicPolynomial` is an oracle for the root finder and the Gauss weights,
-which evaluate in fixed point, never by it.  Likewise mpmath's J and Y are
+`MonicPolynomial` is an oracle: outside `moments`, which defines it, and
+`verify`, no library module evaluates by it, and polynomial values come
+from the root finder's fixed-point recurrence.  Likewise mpmath's J and Y are
 oracles for `mpfun.besseljy_real`, the one route of the small-norm kernels
 to them.  The root finder's fixed-point frame is `zeros`' own: every
 other reader takes its scale from `zeros.root_scale`.  Every library
@@ -29,7 +30,7 @@ USERS = sorted(p for d in ("src", "tests", "oscbench")
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 NO_QUADRATURE = ("moments", "equilibrium", "zeros", "quadrule")
 MPC_EVALUATORS = ("eval", "eval_with_deriv", "deriv_eval")
-FIXED_POINT_EVALUATORS = ("zeros", "quadrule")
+MPC_OWNERS = ("moments", "verify")   # the definitions and the oracles
 MPMATH_JY = ("besselj", "bessely")
 ENVIRONMENT = ("environ", "getenv", "putenv")
 
@@ -76,13 +77,18 @@ def test_recurrence_and_closed_form_layers_skip_quadrature(module):
     assert "quadrature" not in seen, f"{module} reaches quadrature"
 
 
-def test_root_finder_never_evaluates_by_the_mpc_recurrence():
-    for module in FIXED_POINT_EVALUATORS:
+def test_library_never_evaluates_by_the_mpc_recurrence():
+    reaching = {}
+    for module in MODULES:
+        if module in MPC_OWNERS:
+            continue
         tree = ast.parse((SRC / f"{module}.py").read_text())
         used = sorted({node.attr for node in ast.walk(tree)
                        if isinstance(node, ast.Attribute)
                        and node.attr in MPC_EVALUATORS})
-        assert not used, f"{module} reaches MonicPolynomial.{used}"
+        if used:
+            reaching[module] = used
+    assert not reaching, f"{reaching} reach MonicPolynomial's mpc methods"
 
 
 def test_small_norm_kernels_never_call_mpmath_j_or_y():
