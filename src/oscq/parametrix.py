@@ -6,8 +6,10 @@ Chebyshev kernel; it is evaluated either through a frozen per-(n, nu)
 quadrature grid (fast, cached, bit-reproducible) or adaptively.  The grid
 holds its nodes and weights as Python-int mantissas at one shared
 exponent, and a read is one fixed-point integer sum at a scale chosen from
-z (see D1Grid.cauchy), the way mpmath sums its own series; on the
-imaginary axis the sum is real and costs one division per node.  Its
+z (see D1Grid.cauchy), the way mpmath sums its own series.  On the
+imaginary axis the sum is real; at the grid's bulk scale, which most
+reads share, it runs over two integer arrays derived once per grid and
+held for the grid read last, one addition and one division per node.  Its
 limit at infinity is the grid's weight sum.  The second factor and the
 matrix model are closed forms.
 """
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import add, floordiv
 
 from mpmath import mp, mpc, mpf
 
@@ -26,6 +30,7 @@ from .mpfun import (DomainError, besselk_real, man_exp, require_prec,
 from .quadrature import quad_ts, segment_nodes
 
 GRID_SPLIT_LEVELS = {192: 6, 448: 7}
+BULK_BITS = 32     # a D1 read carries at least prec + 64 + BULK_BITS bits
 
 
 @dataclass(frozen=True)
@@ -135,13 +140,20 @@ def n0_matrix(z, prec: int):
         mp.prec = old
 
 
-def _k_log_weight(t, n: int, nu, prec: int):
-    """log W_n(t) / sqrt(1-t^2) for t in (0,1); W_n is even in t."""
+def _k_log_weight(n: int, nu, prec: int):
+    """The map t -> log W_n(t) / sqrt(1-t^2) for t in (0,1), W_n being even
+    in t.  nu, n pi and log(2n)/2 are taken once, at prec + 32 bits; the
+    map evaluates at the caller's working precision, which must be
+    prec + 32 bits (workprec(prec))."""
     with workprec(prec):
-        arg = n * mp.pi * t
-        k = besselk_real(mpf(nu), arg, mp.prec)
-        logw = mp.log(2 * n) / 2 + mp.log(k) + arg
+        nu, npi, half_log2n = mpf(nu), n * mp.pi, mp.log(2 * n) / 2
+
+    def k(t):
+        arg = npi * t
+        logw = half_log2n + mp.log(besselk_real(nu, arg, prec + 32)) + arg
         return logw / mp.sqrt((1 - t) * (1 + t))
+
+    return k
 
 
 @dataclass(frozen=True)
@@ -154,6 +166,11 @@ class D1Grid:
     node exponent, so every node is held exactly, and the weights to the
     same absolute resolution.  Immutable snapshot: cached and freshly
     built grids are bit-identical.
+
+    Reads on the imaginary axis at bulk_scale take the numerators and the
+    -t_i^2 from integer arrays derived from this payload on first use
+    (_bulk_arrays); they are held outside the grid, for one grid at a
+    time, so they add neither to the payload nor to its equality.
     """
 
     n: int
@@ -167,10 +184,19 @@ class D1Grid:
     def read_scale(self, z) -> int:
         """Fixed-point scale W (bits) of a read at z: prec + 64 plus four
         bits per binade of dist(z, [-1,1]) below 1 (dist <= |z|, so this
-        also covers small |z|) and per binade of |z| above 1."""
+        also covers small |z|) and per binade of |z| above 1, and never
+        less than bulk_scale."""
         near = dist_to_interval(z, 96)
-        return (self.prec + 64 + 4 * max(0, 1 - mp.mag(near))
-                + 4 * max(0, mp.mag(z)))
+        return self.prec + 64 + max(BULK_BITS,
+                                    4 * max(0, 1 - mp.mag(near))
+                                    + 4 * max(0, mp.mag(z)))
+
+    @property
+    def bulk_scale(self) -> int:
+        """The least read scale, prec + 96 bits, which every read with
+        dist(z, [-1,1]) >= 2^-8 and |z| < 2^8 shares (at n=16, prec 128:
+        151 of the 182 axis reads of k_norm_bounds)."""
+        return self.prec + 64 + BULK_BITS
 
     def cauchy(self, z):
         """integral over [-1,1] of k(t)/(z-t) dt via the folded grid, z off
@@ -206,10 +232,33 @@ class D1Grid:
         return (t * t << -shift for t in self.nodes)
 
     def _axis_sum(self, a0: int, w: int):
-        """sum wk_i / (a0 - t_i^2) for real a0 at scale w, as an mpf."""
-        shift = 2 * w - self.scale     # wk/a at scale w
-        return mpf((sum((wk << shift) // (a0 - t2)
-                        for t2, wk in zip(self._squares(w), self.wk)), -w))
+        """sum wk_i / (a0 - t_i^2) for real a0 at scale w, as an mpf.  At
+        bulk_scale the numerators wk_i << (2w - scale) and the -t_i^2 come
+        from _bulk_arrays, so a node costs one addition and one floor
+        division, both run by map in C; other scales form them per node."""
+        if w == self.bulk_scale:
+            neg_t2, num = self._bulk_arrays()
+            total = sum(map(floordiv, num, map(add, repeat(a0), neg_t2)))
+        else:
+            shift = 2 * w - self.scale     # wk/a at scale w
+            total = sum((wk << shift) // (a0 - t2)
+                        for t2, wk in zip(self._squares(w), self.wk))
+        return mpf((total, -w))
+
+    def _bulk_arrays(self):
+        """(-t_i^2, wk_i << (2W - scale)) at W = bulk_scale, derived on the
+        first axis read of this grid at that scale and held until another
+        grid is read there, so at most one grid's arrays are alive."""
+        global _held_bulk_arrays
+        held = _held_bulk_arrays
+        if held is None or held[0] is not self:
+            _held_bulk_arrays = held = None    # release the last grid's first
+            w = self.bulk_scale
+            shift = 2 * w - self.scale
+            held = (self, tuple(-t2 for t2 in self._squares(w)),
+                    tuple(wk << shift for wk in self.wk))
+            _held_bulk_arrays = held
+        return held[1], held[2]
 
     def _complex_sum(self, a0: int, b: int, w: int):
         """sum wk_i / (a0 - t_i^2 + ib) for a0, b at scale w, as an mpc."""
@@ -224,6 +273,11 @@ class D1Grid:
         return mpc(mpf((re, -2 * w)), mpf((-b * im, -2 * w)))
 
 
+# (grid, -t_i^2, numerators) of the grid whose axis was read last at its
+# bulk scale; see D1Grid._bulk_arrays
+_held_bulk_arrays = None
+
+
 def _grid_level(prec: int) -> int:
     for cutoff, level in GRID_SPLIT_LEVELS.items():
         if prec <= cutoff:
@@ -236,7 +290,7 @@ def build_d1_grid(n: int, nu, prec: int) -> D1Grid:
     x* = 1/(n pi) and at the endpoints."""
     require_prec(prec)
     level = _grid_level(prec)
-    nodes, wk = [], []
+    nodes, factors = [], []
     # guard must cover the closest node offsets ~2^-(prec+48) near t=1
     with workprec(prec, guard=64):
         nu = mpf(nu)
@@ -246,10 +300,14 @@ def build_d1_grid(n: int, nu, prec: int) -> D1Grid:
             width = b - a
             for lev in range(level + 1):
                 for w, ts in segment_nodes(a, b, lev, prec):
-                    for t in ts:
-                        nodes.append(t)
-                        wk.append(w * h_final * width / 2
-                                  * _k_log_weight(t, n, nu, prec))
+                    nodes += ts
+                    factors += [w * h_final * width / 2] * len(ts)
+    k = _k_log_weight(n, nu, prec)
+    with workprec(prec):
+        wk = [k(t) for t in nodes]
+    with workprec(prec, guard=64):
+        for i, c in enumerate(factors):
+            wk[i] *= c
     scale = -min(t._mpf_[2] for t in nodes)
     return D1Grid(n=n, nu=nu, prec=prec, level=level, scale=scale,
                   nodes=tuple(to_fixed(*man_exp(t), scale) for t in nodes),
@@ -286,12 +344,11 @@ def d1n(z, n: int, nu, prec: int, adaptive: bool = False):
         if _on_cut(z):
             raise DomainError("d1n is cut along [-1,1]")
         if adaptive:
-            nu = mpf(nu)
+            k = _k_log_weight(n, mpf(nu), prec + 32)
             points = [mpf(0), 1 / (n * mp.pi), mpf(1)]
 
             def f(t):
-                k = _k_log_weight(t, n, nu, prec + 32)
-                return k * (1 / (z - t) + 1 / (z + t))
+                return k(t) * (1 / (z - t) + 1 / (z + t))
 
             integral, _ = quad_ts(f, points, prec)
         else:   # the caller's nu, so every caller shares the cached grid

@@ -6,8 +6,10 @@ integrals whose decay certifies the local analysis.
 The kernels are evaluated in mirrored pairs, |j1(iy)| with |j2(-iy)| and
 |eta1(iy)| with |eta2(-iy)|: one Bessel triple (mpfun.besseljy_real), one
 cutoff value, one D1 read and one D2 value per axis point y > 0, D1 at -iy
-being conj D1(iy) by Schwarz reflection and D2(-iy) = 1/D2(iy).  The
-public single-kernel functions select from the pair.
+being conj D1(iy) by Schwarz reflection and D2(-iy) = 1/D2(iy).  A point
+where the cutoff is 0, which includes its tail below 2^-(prec+1), costs
+the cutoff value alone.  The public single-kernel functions select from
+the pair.
 """
 
 from __future__ import annotations
@@ -32,7 +34,12 @@ CHI_PROFILE = "smoothstep-exp"
 @dataclass(frozen=True)
 class CutoffChi:
     """Smooth bump on the imaginary axis: identically 1 within |y| <= eps,
-    identically 0 beyond 2*eps, exp(-1/t)-smoothstep between."""
+    identically 0 beyond 2*eps, exp(-1/t)-smoothstep between.
+
+    chi(y, prec) has absolute accuracy 2^-prec: the bump lies in [0, 1],
+    so a value below 2^-(prec+1) is returned as exact 0, which spares the
+    small-norm kernels every node of the vanishing tail next to 2*eps.
+    """
 
     eps: mpf = field(default_factory=lambda: EPS_DEFAULT)
 
@@ -55,7 +62,8 @@ class CutoffChi:
             a = mp.exp(-1 / t)
             b = mp.exp(-1 / (1 - t))
             v = b / (a + b)
-        return round_to(v, prec)
+        v = round_to(v, prec)
+        return v if v >= mpf(2) ** -(prec + 1) else mpf(0)
 
 
 def _axis_y(y):

@@ -81,7 +81,7 @@ def d_infty_by_quadrature(n: int, nu, prec: int):
     the log-weight kernel over (0,1), by tanh-sinh to 2^-(prec/4)."""
     with workprec(prec, guard=32):
         nu = mpf(nu)
-        v, _ = quad_ts(lambda t: px._k_log_weight(t, n, nu, prec + 32),
+        v, _ = quad_ts(px._k_log_weight(n, nu, prec + 32),
                        [mpf(0), 1 / (n * mp.pi), mpf(1)], prec)
         return mp.exp(v / mp.pi)
 
@@ -362,6 +362,7 @@ def suite_parametrix(prec: int = 192, nu="0.25", **_) -> list[CheckRecord]:
         n_b = 20
         pq = 128
         worst = mpf(0)
+        klog = px._k_log_weight(n_b, nu, pq + 32)
         for k in range(10):
             x = mpf("0.08") + mpf("0.84") * k / 9
             kcache = {}
@@ -369,7 +370,7 @@ def suite_parametrix(prec: int = 192, nu="0.25", **_) -> list[CheckRecord]:
             def kfun(t):
                 v = kcache.get(t)
                 if v is None:
-                    v = px._k_log_weight(t, n_b, nu, pq + 32)
+                    v = klog(t)
                     kcache[t] = v
                 return v
 

@@ -170,18 +170,48 @@ def test_d1_grid_axis_read(y):
         assert down._mpc_ == mp.conj(up)._mpc_
 
 
+def _axis_sum_per_node(grid, a0, w):
+    """D1Grid._axis_sum's integer total with each term formed node by
+    node: wk_i << (2w - scale) over a0 - t_i^2, both at scale w."""
+    return sum((wk << (2 * w - grid.scale))
+               // (a0 - to_fixed(t * t, -2 * grid.scale, w))
+               for t, wk in zip(grid.nodes, grid.wk))
+
+
 def test_d1_grid_axis_read_is_the_complex_read():
-    # at every node of AC-8's n=16 integrals, the axis branch gives bit
-    # for bit what the general branch's complex sum gives with b = 0
-    grid = px._get_grid(16, NU, 128)
-    for y in get_k_norm_nodes(16, NU, 128):
-        with workprec(grid.prec):
-            z = mpc(0, y)
-            w = grid.read_scale(z)
-            man, exp = man_exp(z.imag)
-            a0 = -to_fixed(man * man, 2 * exp, w)
-            ref = 2 * z * grid._complex_sum(a0, 0, w)
-        assert grid.cauchy(z)._mpc_ == ref._mpc_, y
+    # at every node of AC-8's integrals, the axis branch gives bit for bit
+    # what the general branch's complex sum gives with b = 0, and its sum
+    # (from the held arrays at the bulk scale) is the per-node integer sum
+    for n in (16, 32):
+        grid = px._get_grid(n, NU, 128)
+        nodes = get_k_norm_nodes(n, NU, 128)
+        at_bulk = 0
+        for y in nodes:
+            with workprec(grid.prec):
+                z = mpc(0, y)
+                w = grid.read_scale(z)
+                man, exp = man_exp(z.imag)
+                a0 = -to_fixed(man * man, 2 * exp, w)
+                ref = 2 * z * grid._complex_sum(a0, 0, w)
+                per_node = mpf((_axis_sum_per_node(grid, a0, w), -w))
+                assert grid._axis_sum(a0, w)._mpf_ == per_node._mpf_, (n, y)
+            assert grid.cauchy(z)._mpc_ == ref._mpc_, (n, y)
+            at_bulk += w == grid.bulk_scale
+        assert at_bulk > len(nodes) // 2, n
+
+
+def test_d1_grid_holds_bulk_arrays_for_one_grid():
+    # the axis read's integer arrays are derived per grid and held only
+    # for the grid read last
+    a, b = px._get_grid(9, NU, 128), px._get_grid(16, NU, 128)
+    z = mpc(0, "0.1")
+    assert a.read_scale(z) == a.bulk_scale
+    first = a.cauchy(z)
+    assert px._held_bulk_arrays[0] is a
+    b.cauchy(z)
+    assert px._held_bulk_arrays[0] is b
+    assert a.cauchy(z)._mpc_ == first._mpc_   # derived again, same read
+    assert px._held_bulk_arrays[0] is a
 
 
 @given(y=small_axis, nu=st.floats(0, 1, exclude_max=True),

@@ -6,7 +6,7 @@ from mpmath import mp, mpc, mpf
 from oscq import parametrix as px
 from oscq import smallnorm as sn
 from oscq import verify
-from oscq.mpfun import workprec
+from oscq.mpfun import round_to, workprec
 
 from conftest import get_k_norm_reads, get_k_norms
 
@@ -25,6 +25,53 @@ def test_cutoff_partition():
         assert 0 < mid < 1
         # even in y
         assert chi(mpf("-0.18")) == mid
+
+
+class _UnroundedTailChi(sn.CutoffChi):
+    """The same bump without the cut at 2^-(prec+1): the tail next to
+    2 eps is returned however small."""
+
+    def __call__(self, y, prec: int = 96):
+        with workprec(prec):
+            y = abs(mpf(y))
+            if y <= self.eps:
+                return mpf(1)
+            if y >= 2 * self.eps:
+                return mpf(0)
+            t = (y - self.eps) / self.eps
+            a = mp.exp(-1 / t)
+            b = mp.exp(-1 / (1 - t))
+            v = b / (a + b)
+        return round_to(v, prec)
+
+
+@pytest.mark.parametrize("prec", (96, 128, 192))
+def test_cutoff_absolute_accuracy(prec):
+    # values below 2^-(prec+1) are exact 0, all others are unchanged
+    chi, raw = sn.CutoffChi(), _UnroundedTailChi()
+    cut = kept = 0
+    with workprec(prec):
+        ys = [chi.eps * (1 + mpf(i) / 200) for i in range(1, 200)]
+        ys += [chi.eps * (2 - mpf(2) ** -j) for j in range(1, 24)]
+    for y in ys:
+        got, ref = chi(y, prec), raw(y, prec)
+        if ref < mpf(2) ** -(prec + 1):
+            assert got == 0, y
+            cut += 1
+        else:
+            assert got._mpf_ == ref._mpf_, y
+            kept += 1
+    assert cut and kept
+
+
+@pytest.mark.parametrize("n", (2, 16, 64))
+@pytest.mark.parametrize("nu", ("0.05", "0.99"))
+def test_k_norm_bounds_chi_tail_is_bit_identical(n, nu):
+    # the nodes where chi is cut to 0 add nothing the integrals can see
+    lib = sn.k_norm_bounds(n, nu, prec=PREC)
+    raw = sn.k_norm_bounds(n, nu, _UnroundedTailChi(), PREC)
+    for key in ("k1_bound", "k2_bound", "product"):
+        assert lib[key]._mpf_ == raw[key]._mpf_, key
 
 
 def test_cutoff_eps_constraint():
