@@ -167,6 +167,7 @@ def cmd_zeros(args, parser) -> int:
             "hankel_solve_residual": fmt(poly.residual, 64),
             "max_newton_residual": fmt(max(zs.residuals), 64),
             "zero_line": _zero_line_summary(zs, args),
+            "roots_mirrored": zs.mirrored,
         }
     _manifest(args.out, man)
     return 0

@@ -114,7 +114,7 @@ def orthogonality_residuals(pt: MonicPolynomial, n: int, nu, prec: int,
 
     Returns {j: (residual, scale)} where scale is the absolute mass
     integral(|x|^j K_nu(n pi |x|) dx) over the truncated range.  Bessel
-    values are shared across the j batch.
+    values and polynomial values are shared across the j batch.
     """
     if pt.variable is not Variable.RESCALED_Z:
         raise ValueError("orthogonality check expects the rescaled frame")
@@ -123,12 +123,20 @@ def orthogonality_residuals(pt: MonicPolynomial, n: int, nu, prec: int,
     js = list(js)
     x_max = _tail_cutoff(n, max(js), prec)
     kcache: dict = {}
+    pcache: dict = {}
 
     def kval(ax):
         v = kcache.get(ax)
         if v is None:
             v = mp.besselk(nu, n * mp.pi * ax)
             kcache[ax] = v
+        return v
+
+    def pval(x):
+        v = pcache.get(x)
+        if v is None:
+            v = pt.eval(x, prec + 64)
+            pcache[x] = v
         return v
 
     out = {}
@@ -141,7 +149,7 @@ def orthogonality_residuals(pt: MonicPolynomial, n: int, nu, prec: int,
             def f(x, j=j):
                 ax = abs(x)
                 w = kval(ax) * (phase_pos if x > 0 else phase_neg)
-                return pt.eval(x, prec + 64) * x ** j * w
+                return pval(x) * x ** j * w
 
             def fabs(x, j=j):
                 ax = abs(x)
@@ -560,9 +568,11 @@ def suite_quadrature(prec: int = 256, nu=None, n_list=None,
             worst = mpf(0)
             sym_worst = mpf(0)
             sum_worst = mpf(0)
+            degree_worst = mpf(0)
             for n in n_list:
                 rule = gauss_rule(n, nu_s, prec)
                 worst = max(worst, rule.exactness_report)
+                degree_worst = max(degree_worst, rule.exactness_per_degree)
                 sum_worst = max(sum_worst,
                                 abs(mp.fsum(rule.weights) - 1))
                 for x, w in zip(rule.nodes, rule.weights):
@@ -573,6 +583,8 @@ def suite_quadrature(prec: int = 256, nu=None, n_list=None,
                                     abs(mp.conj(w) - match) / max(1, abs(w)))
                 out.append(_le(f"exactness nu={nu_s} n={n}",
                                rule.exactness_report, thresh))
+            out.append(_le(f"per-degree exactness (nu={nu_s})",
+                           degree_worst, thresh))
             out.append(_le(f"weights sum to 1 (nu={nu_s})", sum_worst,
                            mpf(2) ** (-(prec // 2))))
             out.append(_le(f"conjugate-node weight symmetry (nu={nu_s})",

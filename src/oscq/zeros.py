@@ -23,6 +23,21 @@ sum of 1/(z_k - z_j) and the Aberth update are integer divisions at S;
 the evaluator also gives P_{n-1} and the block exponent, for `quadrule`.
 `MonicPolynomial`'s mpc recurrence is never used here: it is the tests'
 oracle.
+
+Mirror pairs.  The raw recurrence of P_n is real, so its complex zeros
+come in pairs x and conj(x), and in the rescaled frame (real b_k,
+imaginary a_k) in pairs w and -conj(w).  `_mirrors` reads which mirror
+holds from the recurrence itself; a complex recurrence has none.  After
+the float stage, which is unchanged, `_mirror_pairs` matches each float
+root off the mirror's axis with the float root nearest its image: a pair
+needs a mutual match, an image missed by at most 1e-9 and a distance to
+the axis of at least 1e-6, both relative to max(1, |z|).  The fixed stage
+then iterates one root of each pair and holds the other as its exact
+mirror image, with the same correction, so a pair costs one evaluation
+per sweep.  Every other root iterates on its own: the axis roots (real
+roots of P_n; two of them at nu near 1 and even n) and pairs still close
+to the axis, so two axis roots are never forced into one pair.
+`ZeroSet.mirror_of` records the pairing and `quadrule` reuses it.
 """
 
 from __future__ import annotations
@@ -41,6 +56,8 @@ MAX_SWEEPS = 500
 FLOAT_TOL = 1e-12   # hand-over point of the float stage
 FIXED_GUARD = 32    # bits of the fixed-point stage beyond prec + 64
 WINDOW = 32         # its P, P' block is renormalised past 2^(scale +- WINDOW)
+MIRROR_AXIS = 1e-6  # float roots nearer a mirror's axis are not paired
+MIRROR_MATCH = 1e-9  # largest mirror mismatch of a paired float root
 
 
 def root_scale(prec: int) -> int:
@@ -54,6 +71,14 @@ class ZeroSet:
     residuals: tuple      # each root's last Newton correction |P/P'|
     variable: Variable
     prec: int
+    # per root, the index of the root it is the exact mirror image of, or
+    # None for a root that was iterated (empty for a set built by hand)
+    mirror_of: tuple = ()
+
+    @property
+    def mirrored(self) -> int:
+        """How many roots were taken as mirror images of their partners."""
+        return sum(k is not None for k in self.mirror_of)
 
 
 def _initial_guesses(p: MonicPolynomial):
@@ -172,14 +197,57 @@ def _div(xr, xi, yr, yi, scale: int):
             ((xi * yr - xr * yi) << scale) // den)
 
 
-def _fixed_aberth(z, pair, tol: int, scale: int):
+def _mirrors(recurrence):
+    """The mirrors (re, im) -> (sr re, si im) that map P's zero set to
+    itself, as sign pairs (sr, si): conjugation (1, -1) when every a_k and
+    b_k is real, and (-1, 1), w -> -conj(w), when every b_k is real and
+    every a_k imaginary, for then P(-conj w) = (-1)^n conj P(w)."""
+    ab = [(mp.mpmathify(a), mp.mpmathify(b)) for a, b in recurrence]
+    if any(b.imag for _, b in ab):
+        return []
+    out = []
+    if not any(a.imag for a, _ in ab):
+        out.append((1, -1))
+    if not any(a.real for a, _ in ab):
+        out.append((-1, 1))
+    return out
+
+
+def _mirror_pairs(zf, signs):
+    """{k: j} for the float roots zf: root j is to be held as the mirror
+    image of root k under signs.  A root pairs with the root nearest its
+    mirror image when it lies at least MIRROR_AXIS from the mirror's axis,
+    the two are each other's nearest match and they miss each other's
+    image by at most MIRROR_MATCH, both relative to max(1, |z|).  Roots on
+    or near the axis (real roots of P, pairs about to meet there) stay
+    unpaired, so two axis roots are never forced into one pair."""
+    sr, si = signs
+    near = []
+    for z in zf:
+        m = complex(sr * z.real, si * z.imag)
+        size = max(1.0, abs(z))
+        gap, j = min((abs(w - m), i) for i, w in enumerate(zf))
+        off_axis = abs(m - z) >= 2 * MIRROR_AXIS * size
+        near.append(j if off_axis and gap <= MIRROR_MATCH * size else None)
+    return {k: j for k, j in enumerate(near)
+            if j is not None and k < j and near[j] == k}
+
+
+def _fixed_aberth(z, pair, tol: int, scale: int, pairs, signs):
     """_aberth on roots z held as Gaussian ints (re, im) at 2^scale, with
     pair from fixed_eval_with_deriv and tol at 2^scale; every step is
-    integer arithmetic at that scale.  Returns each root's last squared
-    correction |P/P'|^2 at 2^(2 scale)."""
+    integer arithmetic at that scale.  Root pairs[k] is held as the exact
+    mirror (fr re, fi im) of root k, signs = (fr, fi): only k iterates, each
+    update of k writes its partner, whose correction is k's, and the
+    Aberth sum of k still runs over all other roots.  Returns each root's
+    last squared correction |P/P'|^2 at 2^(2 scale)."""
     one, two, tol2 = 1 << scale, 2 * scale, tol * tol
+    fr, fi = signs
     corr = [tol2] * len(z)
-    active = range(len(z))
+    for k, j in pairs.items():
+        z[j] = (fr * z[k][0], fi * z[k][1])
+    held = set(pairs.values())
+    active = [k for k in range(len(z)) if k not in held]
     for _ in range(MAX_SWEEPS):
         still = []
         for k in active:
@@ -187,29 +255,31 @@ def _fixed_aberth(z, pair, tol: int, scale: int):
             pr, pi, dr, di = pair(zr, zi)[:4]
             if pr == pi == 0:
                 corr[k] = 0
-                continue
-            if dr == di == 0:
+            elif dr == di == 0:
                 z[k] = (zr + tol, zi)  # nudge off the critical point
                 still.append(k)
-                continue
-            nr, ni = _div(pr, pi, dr, di, scale)
-            corr[k] = nr * nr + ni * ni
-            sr = si = 0                # sum_{j != k} 1/(z_k - z_j)
-            for j, (wr, wi) in enumerate(z):
-                if j != k:
-                    wr, wi = zr - wr, zi - wi
-                    den = wr * wr + wi * wi
-                    sr += (wr << two) // den
-                    si -= (wi << two) // den
-            qr = one - ((nr * sr - ni * si) >> scale)   # 1 - newton * s
-            qi = -((nr * si + ni * sr) >> scale)
-            if qr == qi == 0:
-                z[k] = (zr - nr, zi - ni)
             else:
-                qr, qi = _div(nr, ni, qr, qi, scale)
-                z[k] = (zr - qr, zi - qi)
-            if not corr[k] < tol2:
-                still.append(k)
+                nr, ni = _div(pr, pi, dr, di, scale)
+                corr[k] = nr * nr + ni * ni
+                sr = si = 0                # sum_{j != k} 1/(z_k - z_j)
+                for j, (wr, wi) in enumerate(z):
+                    if j != k:
+                        wr, wi = zr - wr, zi - wi
+                        den = wr * wr + wi * wi
+                        sr += (wr << two) // den
+                        si -= (wi << two) // den
+                qr = one - ((nr * sr - ni * si) >> scale)   # 1 - newton * s
+                qi = -((nr * si + ni * sr) >> scale)
+                if qr == qi == 0:
+                    z[k] = (zr - nr, zi - ni)
+                else:
+                    qr, qi = _div(nr, ni, qr, qi, scale)
+                    z[k] = (zr - qr, zi - qi)
+                if not corr[k] < tol2:
+                    still.append(k)
+            j = pairs.get(k)
+            if j is not None:
+                z[j], corr[j] = (fr * z[k][0], fi * z[k][1]), corr[k]
         active = still
         if not active:
             break
@@ -219,8 +289,12 @@ def _fixed_aberth(z, pair, tol: int, scale: int):
 def find_zeros(p: MonicPolynomial, prec: int | None = None) -> ZeroSet:
     """All roots of p with Newton corrections below 2^(-prec/2): Aberth
     in floats from the seeds, then in fixed point at 2^-root_scale(prec)
-    from the float roots.  Roots are sorted by real part on the 2^-(prec/2)
-    grid, then by imaginary part."""
+    from the float roots.  When the recurrence maps the zero set to itself
+    by a mirror (`_mirrors`), the fixed stage iterates one root of each
+    float pair that `_mirror_pairs` matches and holds the other as its
+    exact mirror image; of two mirrors, the one that pairs more roots.
+    Roots are sorted by real part on the 2^-(prec/2) grid, then by
+    imaginary part."""
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
     prec = prec or p.prec
@@ -232,10 +306,13 @@ def find_zeros(p: MonicPolynomial, prec: int | None = None) -> ZeroSet:
         _aberth(zf, _float_eval_with_deriv(p.recurrence), FLOAT_TOL)
         if not all(map(cmath.isfinite, zf)):   # a nan would read as 0
             raise SolverError("float Aberth stage left a non-finite root")
+        pairs, signs = max(((_mirror_pairs(zf, s), s)
+                            for s in _mirrors(p.recurrence)),
+                           key=lambda t: len(t[0]), default=({}, (1, 1)))
         z = [gauss_int(w, scale) for w in zf]
         grid = scale - half                   # 2^-half at 2^scale
         corr2 = _fixed_aberth(z, fixed_eval_with_deriv(p.recurrence, scale),
-                              1 << grid, scale)
+                              1 << grid, scale, pairs, signs)
         # isqrt(c) < 2^grid has at most prec + 64 bits: below tol, exact
         corr = [mpf((isqrt(c), -scale)) for c in corr2]
         if not max(corr2) < 1 << 2 * grid:
@@ -244,11 +321,15 @@ def find_zeros(p: MonicPolynomial, prec: int | None = None) -> ZeroSet:
                 f"worst Newton correction {mp.nstr(max(corr), 6)}")
         order = sorted(range(n), key=lambda k: (
             (z[k][0] + (1 << (grid - 1))) >> grid, z[k][1]))
+        pos = {k: i for i, k in enumerate(order)}
+        leader = {j: k for k, j in pairs.items()}
         return ZeroSet(roots=tuple(mpc(mpf((z[k][0], -scale)),
                                        mpf((z[k][1], -scale)))
                                    for k in order),
                        residuals=tuple(corr[k] for k in order),
-                       variable=p.variable, prec=prec)
+                       variable=p.variable, prec=prec,
+                       mirror_of=tuple(pos[leader[k]] if k in leader
+                                       else None for k in order))
 
 
 @dataclass(frozen=True)

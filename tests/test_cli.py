@@ -71,6 +71,18 @@ def test_zeros_zero_line_divides_by_epsilon_n_in_proven_range(
     assert (line["max_dev_over_epsilon_n"] is not None) is proven
 
 
+@pytest.mark.parametrize("n, nu, mirrored", [(64, "0.37", 32),
+                                              (16, "0.999999", 7)])
+def test_zeros_manifest_counts_mirrored_roots(tmp_path, n, nu, mirrored):
+    # generic nu: every root has a mirror partner off the axis; near
+    # nu = 1 two roots of even degree lie on the axis, (n - 2)/2 mirrored
+    out = tmp_path / "z.csv"
+    assert main(["zeros", "--nu", nu, "--n", str(n), "--out",
+                 str(out)]) == 0
+    man = json.loads((tmp_path / "z.csv.manifest.json").read_text())
+    assert man["residual_summaries"]["roots_mirrored"] == mirrored
+
+
 def test_zeros_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli("zeros", "--nu", "0.25", "--n", "5",

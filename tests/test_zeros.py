@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -242,3 +244,94 @@ def test_equilibrium_seeds_keep_the_float_stage_short(monkeypatch, n, nu):
     monkeypatch.setattr(zeros, "_float_eval_with_deriv", counting)
     find_zeros(get_tilde(n, nu))
     assert evals[0] <= 6 * n
+
+
+def _assert_mirror_closed(poly, zs, signs):
+    """A root held as a mirror image is bitwise the mirror (sr re, si im),
+    signs = (sr, si), of an iterated partner; every root's Newton
+    correction by the mpc oracle at 2 prec is within the contract
+    2^-(prec/2), the set closes under the mirror within that contract and
+    no two roots lie closer than it."""
+    sr, si = signs
+    tol = mpf(2) ** -(zs.prec // 2)
+
+    def flip(w):
+        return mpc(sr * w.real, si * w.imag)
+
+    with workprec(2 * zs.prec):
+        for k, j in enumerate(zs.mirror_of):
+            if j is not None:
+                assert zs.mirror_of[j] is None
+                assert zs.roots[k] == flip(zs.roots[j])
+        roots = set(zs.roots)
+        for i, w in enumerate(zs.roots):
+            val, der = poly.eval_with_deriv(w, 2 * zs.prec)
+            assert abs(val / der) <= tol
+            assert flip(w) in roots or \
+                min(abs(flip(w) - v) for v in zs.roots) <= tol
+            assert all(abs(w - v) > tol for v in zs.roots[i + 1:])
+
+
+@given(n=st.integers(1, 64), nu=nus)
+def test_mirrored_roots_are_exact_and_certified(n, nu):
+    _assert_mirror_closed(get_tilde(n, nu), get_zeros(n, nu), (-1, 1))
+
+
+@pytest.mark.parametrize("n, nu, mirrored, on_axis", [
+    (14, "0.842937417", 6, 2),    # two roots on Re w = 0
+    (14, "0.842937415", 6, 0),    # a pair at Re w = +-7.6e-7, unpaired
+    (14, "0.842936415", 7, 0),    # the pair at Re w = +-2.7e-5, mirrored
+    (16, "0.999999", 7, 2),
+    (64, "0.25", 32, 0),
+])
+def test_pairing_near_the_axis(n, nu, mirrored, on_axis):
+    # near nu = 0.842937416 two roots of P~_14 leave the axis as a mirror
+    # pair; pairs nearer the axis than MIRROR_AXIS and the axis roots
+    # themselves are iterated on their own
+    zs = get_zeros(n, nu)
+    _assert_mirror_closed(get_tilde(n, nu), zs, (-1, 1))
+    assert zs.mirrored == mirrored
+    with workprec(zs.prec):
+        axis = [k for k, w in enumerate(zs.roots)
+                if abs(w.real) < mpf(2) ** -(zs.prec // 2)]
+    assert len(axis) == on_axis
+    assert all(zs.mirror_of[k] is None for k in axis)
+    assert all(k not in zs.mirror_of for k in axis)
+
+
+@pytest.mark.parametrize("n, nu", [(64, "0.25"), (16, "0.999999"),
+                                   (14, "0.842936415")])
+def test_mirrored_roots_match_the_unpaired_route(monkeypatch, n, nu):
+    # with no mirror every root iterates on its own; the roots agree to
+    # 2^-prec, the corrections do not (the update order differs)
+    zs = get_zeros(n, nu)
+    monkeypatch.setattr(zeros, "_mirrors", lambda recurrence: [])
+    alone = find_zeros(get_tilde(n, nu), prec=zs.prec)
+    assert alone.mirrored == 0
+    with workprec(2 * zs.prec):
+        for w, v in zip(zs.roots, alone.roots):
+            assert abs(w - v) <= mpf(2) ** -zs.prec
+
+
+def test_real_raw_polynomial_pairs_conjugates():
+    # x^2 + 1: a_k = 0 and b_k real, so both mirrors apply; conjugation
+    # pairs +-i, the reflection w -> -conj(w) would fix both on its axis
+    p = MonicPolynomial(recurrence=((0, 1), (0, -1)),
+                        variable=Variable.RAW_X, prec=PREC)
+    assert zeros._mirrors(p.recurrence) == [(1, -1), (-1, 1)]
+    zs = find_zeros(p)
+    assert zs.mirrored == 1
+    _assert_mirror_closed(p, zs, (1, -1))
+    with workprec(PREC):
+        assert zs.roots[0] == mp.conj(zs.roots[1])
+
+
+def test_complex_recurrence_mirrors_nothing():
+    rng = random.Random(73)
+    rec = tuple((mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                 mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+                for _ in range(8))
+    assert zeros._mirrors(rec) == []
+    zs = find_zeros(MonicPolynomial(recurrence=rec, variable=Variable.RAW_X,
+                                    prec=PREC))
+    assert zs.mirror_of == (None,) * 8
