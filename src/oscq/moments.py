@@ -14,7 +14,7 @@ Measured at nu = 0.25, the entries fall at most 43 bits (n = 64) and
 137 bits (n = 200) below their diagonal's scale, and the pairs lose
 about 1.2 n bits against a run 200 bits deeper: 79 at n = 64, 245 at
 n = 200, inside the 2n + 32 guard bits.  The same table, run on the
-stored pairs at the deeper run's precision, gives the residual.
+stored pairs from the deeper run's moments, gives the residual.
 """
 
 from __future__ import annotations
@@ -109,9 +109,9 @@ def moment_sequence(kmax: int, nu, prec: int) -> tuple:
 
 
 def _fixed_moments(count: int, nu, scale: int):
-    """m_0..m_{count-1} at the ambient precision, by their recurrence, each
-    as an int at 2^(scale - E_j), and the exponents E_j: one per
-    anti-diagonal j = k + l of the Chebyshev table.  2^E_j follows |m_j|
+    """m_0..m_{count-1} at the ambient precision, by their recurrence, as
+    mpf and each as an int at 2^(scale - E_j), and the exponents E_j: one
+    per anti-diagonal j = k + l of the Chebyshev table.  2^E_j follows |m_j|
     through the same recurrence, with the odd diagonals started from 1,
     not from m_1 = nu (the odd moments vanish at nu = 0), and factors
     below 2^-32 (nu near an integer) counted as 2^-32, so no shift of
@@ -121,7 +121,8 @@ def _fixed_moments(count: int, nu, scale: int):
     for j in range(count - 2):
         size.append(size[j] * max(abs(nu2 - (j + 1) ** 2), floor))
     exps = [int(mp.mag(v)) for v in size]
-    return [to_fixed(*man_exp(v), scale - e) for v, e in zip(m, exps)], exps
+    return m, [to_fixed(*man_exp(v), scale - e)
+               for v, e in zip(m, exps)], exps
 
 
 def _narrow(x, scale: int, room: int):
@@ -132,17 +133,17 @@ def _narrow(x, scale: int, room: int):
     return man << exp + scale - t, t
 
 
-def _table(n: int, nu, scale: int, rec=None):
+def _table(n: int, moments, scale: int, rec=None):
     """Gautschi's Chebyshev table sig_k(l) = L(P_k x^l) in Python-int
-    fixed point: entry (k, l) is an int at 2^(scale - E_{k+l}), one
-    exponent per anti-diagonal from _fixed_moments, so the update
-    sig_{k+1}(l) = sig_k(l+1) - a_k sig_k(l) - b_k sig_{k-1}(l) is two
-    products and two shifts, fixed per diagonal.  Without rec, the pairs
+    fixed point from moments = _fixed_moments(2n, nu, scale): entry (k, l)
+    is an int at 2^(scale - E_{k+l}), one exponent per anti-diagonal, so
+    the update sig_{k+1}(l) = sig_k(l+1) - a_k sig_k(l) - b_k sig_{k-1}(l)
+    is two products and two shifts, fixed per diagonal.  Without rec, the pairs
     (a_k, b_k), k < n, are read off the table as mpf ratios at the ambient
     precision (entries l < k, zero in exact arithmetic, are skipped) and
     returned.  With rec, the table runs on its pairs and returns row n,
     L(P_n x^j) for j < n, as mpf."""
-    sig, e = _fixed_moments(2 * n, nu, scale)
+    _, sig, e = moments
     old = [0] * (2 * n)
     # shifts of the a_k and b_k products into anti-diagonal j (the
     # entries below j = 1 and j = 2 only fill the index)
@@ -175,14 +176,15 @@ def _table(n: int, nu, scale: int, rec=None):
 
 
 def _solve_recurrence(n: int, nu, work: int):
-    """The recurrence from the table at work bits and its largest
+    """The recurrence from the table at work bits, its largest
     disagreement with a run 64 bits deeper, relative to |b_k| and to
-    |a_k| + |b_k|^(1/2).  A b_k that disagrees by its own size is not
-    separated from zero."""
+    |a_k| + |b_k|^(1/2), and the deeper run's _fixed_moments.  A b_k that
+    disagrees by its own size is not separated from zero."""
     runs = []
     for bits in (work, work + 64):
         with workprec(bits):
-            runs.append(_table(n, mpf(nu), mp.prec))
+            moments = _fixed_moments(2 * n, mpf(nu), mp.prec)
+            runs.append(_table(n, moments, mp.prec))
     lo, hi = runs
     with workprec(work + 64):
         gap = mpf(0)
@@ -192,26 +194,26 @@ def _solve_recurrence(n: int, nu, work: int):
                     f"b_{k} not separated from 0 at {work} bits")
             gap = max(gap, abs(b - b2) / abs(b2),
                       abs(a - a2) / (abs(a2) + mp.sqrt(abs(b2))))
-    return tuple(lo), gap
+    return tuple(lo), gap, moments
 
 
 def _certified_recurrence(n: int, nu, prec: int):
-    """The recurrence to 2^-max(prec, 256) relative and its working
-    precision, max(prec, 256) + 2n + 32 bits with the guard doubling while
-    the runs disagree, up to PREC_CAP bits."""
+    """The recurrence to 2^-max(prec, 256) relative, its working precision
+    (max(prec, 256) + 2n + 32 bits, the guard doubling while the runs
+    disagree, up to PREC_CAP bits) and the deeper run's moments."""
     if n < 1:
         raise ValueError("n must be >= 1")
     base, guard = max(require_prec(prec), MIN_POLY_PREC), 2 * n + 32
     while True:
         work = min(base + guard, PREC_CAP)
         try:
-            rec, gap = _solve_recurrence(n, nu, work)
+            rec, gap, moments = _solve_recurrence(n, nu, work)
         except IndeterminateHankelError:
             if work >= PREC_CAP:
                 raise
         else:
             if gap <= mpf(2) ** -base:
-                return rec, work
+                return rec, work, moments
             if work >= PREC_CAP:
                 raise SolverError(f"recurrence disagrees by {mp.nstr(gap, 6)}"
                                   f" at the precision cap {PREC_CAP}")
@@ -221,7 +223,7 @@ def _certified_recurrence(n: int, nu, prec: int):
 def hankel_det(n: int, nu, prec: int):
     """Hankel determinant det[m_{i+j}]_{i,j<n} = prod_{k<n} b_0 ... b_k of
     the certified recurrence; nonzero certifies existence."""
-    rec, work = _certified_recurrence(n, nu, prec)
+    rec, work, _ = _certified_recurrence(n, nu, prec)
     with workprec(work):
         h = det = mpf(1)
         for _, b in rec:
@@ -234,13 +236,12 @@ def monic_op(n: int, nu, prec: int) -> MonicPolynomial:
     """Monic orthogonal polynomial P_n (raw frame) of max(prec, 256) bits
     from its certified recurrence.  The residual is max_j<n |L(P_n x^j)| /
     max|m_{j..j+n}| for the polynomial the stored pairs define, read off
-    row n of the Chebyshev table run on those pairs 64 bits above the
-    recurrence's working precision, as the certification's deeper run."""
-    rec, work = _certified_recurrence(n, nu, prec)
+    row n of the Chebyshev table run on those pairs and on the m_j of
+    the certification's run 64 bits above the working precision."""
+    rec, work, moments = _certified_recurrence(n, nu, prec)
     with workprec(work + 64):
-        nu = mpf(nu)
-        row = _table(n, nu, mp.prec, rec)
-        size = [abs(m) for m in _moments(2 * n, nu)]
+        row = _table(n, moments, mp.prec, rec)
+        size = [abs(m) for m in moments[0]]
         # max|m_{j..j+n}| = max(max|m_{j..n-1}|, max|m_{n..n+j}|)
         head = list(accumulate(reversed(size[:n]), max))[::-1]
         residual = max(abs(r) / max(h, t) for r, h, t in

@@ -321,7 +321,7 @@ def _get_grid(n: int, nu, prec: int) -> D1Grid:
     return _cached_grid(n, nu, prec)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=16)   # 0.2 MB a grid; below 16 the tests rebuild some
 def _cached_grid(n: int, nu: mpf, prec: int) -> D1Grid:
     return build_d1_grid(n, nu, prec)
 

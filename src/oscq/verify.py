@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from mpmath import mp, mpc, mpf
 
@@ -364,34 +365,24 @@ def suite_parametrix(prec: int = 192, nu="0.25", **_) -> list[CheckRecord]:
         out.append(_le("d_infty nu=1/2 equals 2^(1/4)",
                        abs(px.d_infty_n(20, "0.5", prec)
                            - mpf(2) ** mpf("0.25")), mpf(2) ** (-(prec // 4))))
-        # boundary product D1+ D1- = W_n by shrinking-offset extrapolation;
-        # the log-weight values are shared across the four evaluations per
-        # point (the quadrature revisits the same nodes)
+        # boundary product D1+ D1- = W_n by shrinking-offset extrapolation,
+        # with D1(x - ih) = conj D1(x + ih) by Schwarz reflection; the
+        # log-weight values are shared by all points (the quadratures
+        # revisit the same nodes)
         n_b = 20
         pq = 128
         worst = mpf(0)
-        klog = px._k_log_weight(n_b, nu, pq + 32)
+        klog = lru_cache(maxsize=None)(px._k_log_weight(n_b, nu, pq + 32))
         for k in range(10):
             x = mpf("0.08") + mpf("0.84") * k / 9
-            kcache = {}
-
-            def kfun(t):
-                v = kcache.get(t)
-                if v is None:
-                    v = klog(t)
-                    kcache[t] = v
-                return v
-
             vals = []
             for h_ in (mpf(10) ** -5, mpf(10) ** -5 / 2):
-                prod = mpf(1)
-                for sgn in (1, -1):
-                    z = x + sgn * h_ * mpc(0, 1)
-                    integral, _ = quad_ts(
-                        lambda t: kfun(t) * (1 / (z - t) + 1 / (z + t)),
-                        [mpf(0), 1 / (n_b * mp.pi), x, mpf(1)], pq)
-                    prod *= mp.exp(sqrt_offcut(z) / (2 * mp.pi) * integral)
-                vals.append(prod)
+                z = x + h_ * mpc(0, 1)
+                integral, _ = quad_ts(
+                    lambda t: klog(t) * (1 / (z - t) + 1 / (z + t)),
+                    [mpf(0), 1 / (n_b * mp.pi), x, mpf(1)], pq)
+                vals.append(abs(mp.exp(sqrt_offcut(z) / (2 * mp.pi)
+                                       * integral)) ** 2)
             extrap = 2 * vals[1] - vals[0]
             wref = px.w_weight(x, n_b, nu, prec)
             worst = max(worst, abs(extrap - wref) / abs(wref))

@@ -5,30 +5,32 @@ Aberth-Ehrlich iteration, no deflation: all n roots are refined together,
 which is robust for the clustered complex roots these polynomials produce.
 Runs are deterministic for a given (polynomial, precision).
 
-Two stages.  The first runs in Python complex floats from the seeds to a
-Newton correction of 1e-12.  In the rescaled frame the seeds are the
-(k + 1/2)/n quantiles of the equilibrium law, the real parts the roots
-follow, on the line Im w = Im(sum a_k)/n through the roots' centroid;
-from there the stage takes about 4 evaluations per root at every n from
-16 to 200.  Raw-frame seeds lie on the unit circle.  The second runs in
-block-floating fixed point, in the Python-int idiom of mpmath's own
-series summers: every root and every recurrence pair (a_k, b_k), complex
-b_k included, is a Gaussian int (re, im) at one scale S = root_scale(prec),
-where the returned roots are exact.  P and P' run through the recurrence
-as Gaussian ints sharing one exponent, and the block is shifted down, or
-up, whenever its top bit leaves S +- WINDOW: the values fall by hundreds
-of bits over the recurrence in the rescaled frame (n = 200), so a block
-that was only shifted down would underflow.  The Newton step P/P', the
-sum of 1/(z_k - z_j) and the Aberth update are integer divisions at S;
-the evaluator also gives P_{n-1} and the block exponent, for `quadrule`.
-`MonicPolynomial`'s mpc recurrence is never used here: it is the tests'
-oracle.
+Two stages share one sweep loop, `_aberth`, which owns the sweep cap,
+the active list, freezing below tol and mirror holding; each stage gives
+only its arithmetic step.  The first runs in Python complex floats from
+the seeds to a Newton correction of 1e-12.  In the rescaled frame the
+seeds are the (k + 1/2)/n quantiles of the equilibrium law, the real
+parts the roots follow, on the line Im w = Im(sum a_k)/n through the
+roots' centroid; from there the stage takes about 4 evaluations per root
+at every n from 16 to 200.  Raw-frame seeds lie on the unit circle.  The
+second runs in block-floating fixed point, in the Python-int idiom of
+mpmath's own series summers: every root and every recurrence pair (a_k,
+b_k), complex b_k included, is a Gaussian int (re, im) at one scale S =
+root_scale(prec), where the returned roots are exact.  P and P' run
+through the recurrence as Gaussian ints sharing one exponent, and the
+block is shifted down, or up, whenever its top bit leaves S +- WINDOW:
+the values fall by hundreds of bits over the recurrence in the rescaled
+frame (n = 200), so a block that was only shifted down would underflow.
+The Newton step P/P', the sum of 1/(z_k - z_j) and the Aberth update are
+integer divisions at S; the evaluator also gives P_{n-1} and the block
+exponent, for `quadrule`.  `MonicPolynomial`'s mpc recurrence is never
+used here: it is the tests' oracle.
 
 Mirror pairs.  The raw recurrence of P_n is real, so its complex zeros
 come in pairs x and conj(x), and in the rescaled frame (real b_k,
 imaginary a_k) in pairs w and -conj(w).  `_mirrors` reads which mirror
 holds from the recurrence itself; a complex recurrence has none.  After
-the float stage, which is unchanged, `_mirror_pairs` matches each float
+the float stage, which holds no pairs, `_mirror_pairs` matches each float
 root off the mirror's axis with the float root nearest its image: a pair
 needs a mutual match, an image missed by at most 1e-9 and a distance to
 the axis of at least 1e-6, both relative to max(1, |z|).  The fixed stage
@@ -111,38 +113,57 @@ def _float_eval_with_deriv(recurrence):
     return pair
 
 
-def _aberth(z, pair, tol):
-    """Up to MAX_SWEEPS Aberth-Ehrlich sweeps on complex floats z, pair(w)
-    giving P(w) and P'(w) up to a common factor.  A root is frozen once its
-    Newton correction |P/P'| is below tol.  Returns each root's last
-    correction (0 where P vanished), below tol exactly for frozen roots."""
-    n = len(z)
-    corr = [tol] * n
-    active = range(n)
+def _aberth(z, step, tol, pairs=None, mirror=None):
+    """Up to MAX_SWEEPS Aberth-Ehrlich sweeps over the roots z, for both
+    stages.  step(z, k), the stage's arithmetic, moves root k by one
+    Aberth update and returns its Newton correction's size: 0 where P
+    vanished (k stays), None where P' did (k is nudged off the critical
+    point).  A root is frozen once its correction is below tol.  Root
+    pairs[k] is held as mirror(z[k]) with k's correction: only k iterates,
+    and its Aberth sum still runs over all other roots.  Returns each
+    root's last correction, below tol exactly for frozen roots."""
+    pairs = pairs or {}
+    corr = [tol] * len(z)
+    for k, j in pairs.items():
+        z[j] = mirror(z[k])
+    active = [k for k in range(len(z)) if k not in pairs.values()]
     for _ in range(MAX_SWEEPS):
         still = []
         for k in active:
-            pv, dv = pair(z[k])
-            if pv == 0:
-                corr[k] = 0
-                continue
-            if dv == 0:
-                z[k] += tol  # nudge off the critical point
+            c = step(z, k)
+            if c is not None:
+                corr[k] = c
+            if c is None or not c < tol:
                 still.append(k)
-                continue
-            newton = pv / dv
-            corr[k] = abs(newton)
-            zk = z[k]
-            s = sum(1 / (zk - w) for w in z[:k]) \
-                + sum(1 / (zk - w) for w in z[k + 1:])
-            denom = 1 - newton * s
-            z[k] -= newton if denom == 0 else newton / denom
-            if not corr[k] < tol:
-                still.append(k)
+            j = pairs.get(k)
+            if j is not None:
+                z[j], corr[j] = mirror(z[k]), corr[k]
         active = still
         if not active:
             break
     return corr
+
+
+def _float_step(recurrence, tol):
+    """_aberth's step on complex floats, by _float_eval_with_deriv; the
+    correction is |P/P'|, a nudge adds tol."""
+    pair = _float_eval_with_deriv(recurrence)
+
+    def step(z, k):
+        zk = z[k]
+        pv, dv = pair(zk)
+        if pv == 0:
+            return 0
+        if dv == 0:
+            z[k] += tol
+            return None
+        newton = pv / dv
+        s = sum(1 / (zk - w) for w in z[:k]) \
+            + sum(1 / (zk - w) for w in z[k + 1:])
+        denom = 1 - newton * s
+        z[k] -= newton if denom == 0 else newton / denom
+        return abs(newton)
+    return step
 
 
 def gauss_int(x, scale: int):
@@ -233,68 +254,50 @@ def _mirror_pairs(zf, signs):
             if j is not None and k < j and near[j] == k}
 
 
-def _fixed_aberth(z, pair, tol: int, scale: int, pairs, signs):
-    """_aberth on roots z held as Gaussian ints (re, im) at 2^scale, with
-    pair from fixed_eval_with_deriv and tol at 2^scale; every step is
-    integer arithmetic at that scale.  Root pairs[k] is held as the exact
-    mirror (fr re, fi im) of root k, signs = (fr, fi): only k iterates, each
-    update of k writes its partner, whose correction is k's, and the
-    Aberth sum of k still runs over all other roots.  Returns each root's
-    last squared correction |P/P'|^2 at 2^(2 scale)."""
-    one, two, tol2 = 1 << scale, 2 * scale, tol * tol
-    fr, fi = signs
-    corr = [tol2] * len(z)
-    for k, j in pairs.items():
-        z[j] = (fr * z[k][0], fi * z[k][1])
-    held = set(pairs.values())
-    active = [k for k in range(len(z)) if k not in held]
-    for _ in range(MAX_SWEEPS):
-        still = []
-        for k in active:
-            zr, zi = z[k]
-            pr, pi, dr, di = pair(zr, zi)[:4]
-            if pr == pi == 0:
-                corr[k] = 0
-            elif dr == di == 0:
-                z[k] = (zr + tol, zi)  # nudge off the critical point
-                still.append(k)
-            else:
-                nr, ni = _div(pr, pi, dr, di, scale)
-                corr[k] = nr * nr + ni * ni
-                sr = si = 0                # sum_{j != k} 1/(z_k - z_j)
-                for j, (wr, wi) in enumerate(z):
-                    if j != k:
-                        wr, wi = zr - wr, zi - wi
-                        den = wr * wr + wi * wi
-                        sr += (wr << two) // den
-                        si -= (wi << two) // den
-                qr = one - ((nr * sr - ni * si) >> scale)   # 1 - newton * s
-                qi = -((nr * si + ni * sr) >> scale)
-                if qr == qi == 0:
-                    z[k] = (zr - nr, zi - ni)
-                else:
-                    qr, qi = _div(nr, ni, qr, qi, scale)
-                    z[k] = (zr - qr, zi - qi)
-                if not corr[k] < tol2:
-                    still.append(k)
-            j = pairs.get(k)
-            if j is not None:
-                z[j], corr[j] = (fr * z[k][0], fi * z[k][1]), corr[k]
-        active = still
-        if not active:
-            break
-    return corr
+def _fixed_step(recurrence, tol: int, scale: int):
+    """_aberth's step on roots held as Gaussian ints (re, im) at 2^scale,
+    by fixed_eval_with_deriv; every step is integer arithmetic at that
+    scale.  The correction is |P/P'|^2 at 2^(2 scale); a nudge adds tol,
+    at 2^scale."""
+    pair = fixed_eval_with_deriv(recurrence, scale)
+    one, two = 1 << scale, 2 * scale
+
+    def step(z, k):
+        zr, zi = z[k]
+        pr, pi, dr, di = pair(zr, zi)[:4]
+        if pr == pi == 0:
+            return 0
+        if dr == di == 0:
+            z[k] = (zr + tol, zi)
+            return None
+        nr, ni = _div(pr, pi, dr, di, scale)
+        sr = si = 0                # sum_{j != k} 1/(z_k - z_j)
+        for j, (wr, wi) in enumerate(z):
+            if j != k:
+                wr, wi = zr - wr, zi - wi
+                den = wr * wr + wi * wi
+                sr += (wr << two) // den
+                si -= (wi << two) // den
+        qr = one - ((nr * sr - ni * si) >> scale)   # 1 - newton * s
+        qi = -((nr * si + ni * sr) >> scale)
+        if qr == qi == 0:
+            z[k] = (zr - nr, zi - ni)
+        else:
+            qr, qi = _div(nr, ni, qr, qi, scale)
+            z[k] = (zr - qr, zi - qi)
+        return nr * nr + ni * ni
+    return step
 
 
 def find_zeros(p: MonicPolynomial, prec: int | None = None) -> ZeroSet:
     """All roots of p with Newton corrections below 2^(-prec/2): Aberth
     in floats from the seeds, then in fixed point at 2^-root_scale(prec)
-    from the float roots.  When the recurrence maps the zero set to itself
-    by a mirror (`_mirrors`), the fixed stage iterates one root of each
-    float pair that `_mirror_pairs` matches and holds the other as its
-    exact mirror image; of two mirrors, the one that pairs more roots.
-    Roots are sorted by real part on the 2^-(prec/2) grid, then by
-    imaginary part."""
+    from the float roots, both stages in `_aberth`'s loop.  When the
+    recurrence maps the zero set to itself by a mirror (`_mirrors`), the
+    fixed stage iterates one root of each float pair that `_mirror_pairs`
+    matches and holds the other as its exact mirror image; of two mirrors,
+    the one that pairs more roots.  Roots are sorted by real part on the
+    2^-(prec/2) grid, then by imaginary part."""
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
     prec = prec or p.prec
@@ -303,7 +306,7 @@ def find_zeros(p: MonicPolynomial, prec: int | None = None) -> ZeroSet:
     half = prec // 2
     with workprec(prec, guard=64):
         zf = _initial_guesses(p)
-        _aberth(zf, _float_eval_with_deriv(p.recurrence), FLOAT_TOL)
+        _aberth(zf, _float_step(p.recurrence, FLOAT_TOL), FLOAT_TOL)
         if not all(map(cmath.isfinite, zf)):   # a nan would read as 0
             raise SolverError("float Aberth stage left a non-finite root")
         pairs, signs = max(((_mirror_pairs(zf, s), s)
@@ -311,8 +314,9 @@ def find_zeros(p: MonicPolynomial, prec: int | None = None) -> ZeroSet:
                            key=lambda t: len(t[0]), default=({}, (1, 1)))
         z = [gauss_int(w, scale) for w in zf]
         grid = scale - half                   # 2^-half at 2^scale
-        corr2 = _fixed_aberth(z, fixed_eval_with_deriv(p.recurrence, scale),
-                              1 << grid, scale, pairs, signs)
+        fr, fi = signs
+        corr2 = _aberth(z, _fixed_step(p.recurrence, 1 << grid, scale),
+                        1 << 2 * grid, pairs, lambda w: (fr * w[0], fi * w[1]))
         # isqrt(c) < 2^grid has at most prec + 64 bits: below tol, exact
         corr = [mpf((isqrt(c), -scale)) for c in corr2]
         if not max(corr2) < 1 << 2 * grid:

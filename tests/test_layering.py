@@ -15,6 +15,8 @@ and no library module reads the environment.
 """
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -152,3 +154,24 @@ def test_only_zeros_names_the_fixed_point_guard():
 def test_library_reads_no_environment(module):
     used = _uses(SRC / f"{module}.py", False) & set(ENVIRONMENT)
     assert not used, f"{module} reads the environment through {used}"
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    """The benchmark's span tracer (`oscbench/spans.py`) patches library
+    names by string: `FUNCTIONS`, `METHODS` and `POLY_METHODS`.  Entering
+    and leaving `Tracer().patched()` once fails here, not in a traced
+    benchmark run, when one of them is deleted or renamed.  Among them
+    are the names that wait on a benchmark change before they can go:
+    `mpfun.gamma_fn` and `recip_gamma`, `moments.hankel_det`,
+    `smallnorm.j1_direct` and `j2_direct`, the oracles
+    `bessel_ratio_bounds_check` and `eta_bound_check`, and the
+    single-kernel wrappers `j1_modulus`, `j2_modulus`, `eta1_modulus` and
+    `eta2_modulus`."""
+    spec = importlib.util.spec_from_file_location(
+        "oscbench_spans", ROOT / "oscbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, *_ in spans.FUNCTIONS + spans.METHODS:
+        importlib.import_module(f"oscq.{module}")
+    with spans.Tracer().patched():
+        pass

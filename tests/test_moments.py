@@ -4,7 +4,7 @@ from mpmath import mp, mpc, mpf
 from oscq import moments
 from oscq.moments import (SolverError, _moments, hankel_det, moment,
                           monic_op, rescale_to_tilde)
-from oscq.mpfun import workprec
+from oscq.mpfun import GUARD_BITS, workprec
 from oscq.verify import orthogonality_residuals
 
 from conftest import get_poly
@@ -237,7 +237,7 @@ def test_solver_error_on_unreachable_residual(monkeypatch):
 
     def fake_solve(n, nu, work):
         calls["n"] += 1
-        return ((mpf(0), mpf(1)),) * n, mpf(1)
+        return ((mpf(0), mpf(1)),) * n, mpf(1), None
 
     monkeypatch.setattr(moments, "_solve_recurrence", fake_solve)
     monkeypatch.setattr(moments, "PREC_CAP", 512)
@@ -262,3 +262,35 @@ def test_certification_needs_no_escalation(monkeypatch):
     for n, nu in cases:
         monic_op(n, nu, 256)
     assert calls == cases
+
+
+def test_residual_reads_the_certification_moments(monkeypatch):
+    # each certification pass builds one moment sequence per run, at work
+    # and work + 64 bits (scale: those plus workprec's guard); the residual
+    # table and its normalisation read the deeper run's, so monic_op
+    # builds no moments of its own
+    passes, built = [], []
+    solve, fixed, plain = (moments._solve_recurrence,
+                           moments._fixed_moments, moments._moments)
+
+    def counting_solve(n, nu, work):
+        passes.append(work + GUARD_BITS)
+        return solve(n, nu, work)
+
+    def counting_fixed(count, nu, scale):
+        built.append(scale)
+        return fixed(count, nu, scale)
+
+    def counting_plain(count, nu):
+        built.append(None)
+        return plain(count, nu)
+
+    monkeypatch.setattr(moments, "_solve_recurrence", counting_solve)
+    monkeypatch.setattr(moments, "_fixed_moments", counting_fixed)
+    monkeypatch.setattr(moments, "_moments", counting_plain)
+    for n in (16, 64, 200):
+        for nu in ("0", "0.000001", "0.37", "0.999999"):
+            del passes[:], built[:]
+            monic_op(n, nu, 256)
+            assert built == [x for w in passes
+                             for x in (w, None, w + 64, None)], (n, nu)

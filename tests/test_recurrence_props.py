@@ -63,7 +63,7 @@ def _assert_table_matches_oracles(n, nu):
     """The certified pairs agree with the mpf Chebyshev algorithm run 64
     bits deeper, in the certification's gap norm, to 2^-PREC; monic_op's
     residual is the power-basis one of the same pairs within a factor 2."""
-    rec, work = _certified_recurrence(n, nu, PREC)
+    rec, work, _ = _certified_recurrence(n, nu, PREC)
     ref = _chebyshev(n, nu, work + 64)
     with workprec(work + 64):
         gap = max(max(abs(b - b2) / abs(b2),
