@@ -21,10 +21,8 @@ from mpmath import mp, mpc, mpf
 from .branches import arccos_branch, sqrt_offcut, sqrt_onecut
 from .mpfun import GUARD_BITS, DomainError, round_to, workprec
 
-DEFAULT_PREC = 192
 
-
-def psi_real(x, prec: int = DEFAULT_PREC):
+def psi_real(x, prec: int):
     """Limiting zero density on [-1,1]; even, >= 0, log-divergent at 0."""
     with workprec(prec):
         x = mpf(x)
@@ -36,7 +34,7 @@ def psi_real(x, prec: int = DEFAULT_PREC):
     return round_to(v, prec)
 
 
-def psi_complex(z, prec: int = DEFAULT_PREC):
+def psi_complex(z, prec: int):
     """Analytic continuation of the density to {Re z > 0} \\ [1, oo)."""
     with workprec(prec):
         z = mpc(z)
@@ -84,7 +82,7 @@ def psi_quantiles(n: int) -> list:
     return [-x for x in right] + [0.0] * (n % 2) + right[::-1]
 
 
-def psi_cdf(x, prec: int = DEFAULT_PREC):
+def psi_cdf(x, prec: int):
     """CDF of the equilibrium measure on [-1,1]."""
     with workprec(prec):
         x = mpf(x)
@@ -95,7 +93,7 @@ def psi_cdf(x, prec: int = DEFAULT_PREC):
     return round_to(v, prec)
 
 
-def ell_const(prec: int = DEFAULT_PREC):
+def ell_const(prec: int):
     """Lagrange multiplier of the equilibrium problem: -2 - 2 log 2."""
     with workprec(prec):
         v = -2 - 2 * mp.ln(2)
@@ -118,7 +116,7 @@ def _g(z, prec: int):
     return round_to(v, prec)
 
 
-def g_fn(z, prec: int = DEFAULT_PREC):
+def g_fn(z, prec: int):
     """Log potential integral(log(z-x) psi(x) dx); analytic off (-oo, 1]."""
     with workprec(prec):
         z = mpc(z)
@@ -128,7 +126,7 @@ def g_fn(z, prec: int = DEFAULT_PREC):
     return _g(z, prec)
 
 
-def g_boundary(x, side: int, prec: int = DEFAULT_PREC):
+def g_boundary(x, side: int, prec: int):
     """One-sided boundary value of g on the real axis.
 
     side=+1 approaches from the upper half plane, side=-1 from below.
@@ -142,7 +140,7 @@ def g_boundary(x, side: int, prec: int = DEFAULT_PREC):
         return v if side > 0 else mp.conj(v)
 
 
-def phi_boundary(x, side: int, prec: int = DEFAULT_PREC):
+def phi_boundary(x, side: int, prec: int):
     """One-sided value of phi on (-1,1); purely imaginary up to rounding."""
     with workprec(prec):
         x = mpf(x)
@@ -151,7 +149,7 @@ def phi_boundary(x, side: int, prec: int = DEFAULT_PREC):
     return round_to(v, prec)
 
 
-def phi_imag_side(y, side: str, prec: int = DEFAULT_PREC):
+def phi_imag_side(y, side: str, prec: int):
     """phi on the imaginary axis z=iy from the 'left' or 'right' half plane.
 
     With the axis oriented upward, the left half plane is the + side.
@@ -166,7 +164,7 @@ def phi_imag_side(y, side: str, prec: int = DEFAULT_PREC):
     return round_to(v, prec)
 
 
-def re_phi_imag_axis(s, prec: int = DEFAULT_PREC):
+def re_phi_imag_axis(s, prec: int):
     """Re phi on the imaginary axis at distance s>0 from 0: pi Im F(is).
 
     Evaluated as the real closed form -s log s + s log(1+sqrt(1+s^2)) +
@@ -181,7 +179,7 @@ def re_phi_imag_axis(s, prec: int = DEFAULT_PREC):
     return round_to(v, prec)
 
 
-def theta_n(z, n: int, prec: int = DEFAULT_PREC):
+def theta_n(z, n: int, prec: int):
     """Oscillation phase: n pi integral_z^1 psi + arccos(z)/4 - pi/4,
     with the integral 1/2 - F(z) in closed form; real-valued on (0,1)."""
     with workprec(prec):
@@ -197,7 +195,7 @@ def theta_n(z, n: int, prec: int = DEFAULT_PREC):
     return round_to(v, prec)
 
 
-def epsilon_n(n: int, nu, prec: int = DEFAULT_PREC):
+def epsilon_n(n: int, nu, prec: int):
     """Master error scale n^(nu-1/2) / (log n)^(nu+1/2)."""
     if n < 2:
         raise ValueError("error scale defined for n >= 2")

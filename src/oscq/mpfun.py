@@ -7,9 +7,10 @@ working precision in bits and evaluates internally with guard bits before
 rounding down to the requested precision.
 Relative error contract for the gamma functions: <= 2**(-prec+16).
 ``besselk_real`` serves the log-weight of the D1 grid and ``besseljy_real``
-the J/Y triples of ``smallnorm``; both sum their power series in Python
-ints below mpmath's asymptotic crossover.  The complex weight
-(``parametrix.w_weight``/``w_pm_imag``) still calls mp.besselk directly.
+the J/Y triples of ``smallnorm``; below mpmath's asymptotic crossover both
+take their +-nu pair of power series, summed in Python ints, from one
+core.  The complex weight (``parametrix.w_weight``/``w_pm_imag``) still
+calls mp.besselk directly.
 
 mpmath rounds on every construction and operation at the ambient context,
 so all argument conversion happens inside the functions' own workprec
@@ -135,7 +136,7 @@ def _series_constants(nu, prec: int):
                 mp.rgamma(1 + nu), sin_bits)
 
 
-def _series(q: int, b: int, one: int, alternating: bool = False) -> int:
+def _series(q: int, b: int, one: int, alternating: bool) -> int:
     """sum_k (-+q)^k / (k! (b)_k) with q, b > 0 and the result at scale
     one; the terms are held as magnitudes, so each truncates toward
     zero, and alternating flips the sign of the odd ones."""
@@ -147,6 +148,28 @@ def _series(q: int, b: int, one: int, alternating: bool = False) -> int:
         b += one
         total += -term if alternating and k & 1 else term
     return total
+
+
+def _pm_series(nu, x, prec: int, scale, alternating: bool, reflect):
+    """reflect(A_-nu, A_nu, c, nu) at the scale W = scale(sin_bits), for
+    x > 0 and 0 <= nu < 1 (nu = 0 taken as 2^-(prec+32)): A_-+nu = S_-+
+    g_-+ (x/2)^-+nu, with S_-+ = sum_k (+-x^2/4)^k / (k! (1-+nu)_k), - if
+    alternating, summed in Python ints, and c, g_-+, sin_bits those of
+    _series_constants."""
+    if nu == 0:
+        nu = mpf(2) ** -(prec + 32)
+    c, g_minus, g_plus, sin_bits = _series_constants(nu, prec)
+    w = scale(sin_bits)
+    one = 1 << w
+    man, exp = man_exp(x)
+    q = to_fixed(man * man, 2 * exp - 2, w)      # x^2/4
+    nfix = to_fixed(*man_exp(nu), w)
+    s_minus = _series(q, one - nfix, one, alternating)
+    s_plus = _series(q, one + nfix, one, alternating)
+    with workprec(w, guard=0):
+        p = mp.exp(nu * mp.log(x / 2))           # (x/2)^nu
+        return reflect(mpf((s_minus, -w)) * g_minus / p,
+                       mpf((s_plus, -w)) * g_plus * p, c, nu)
 
 
 def besselk_real(nu, x, prec: int):
@@ -168,21 +191,9 @@ def besselk_real(nu, x, prec: int):
     if nu >= 1 or 2 * LOG2E * float(x) >= prec + ASYMPTOTIC_BITS:
         with workprec(prec, guard=0):
             return mp.besselk(nu, x)
-    if nu == 0:
-        nu = mpf(2) ** -(prec + 32)
-    c, g_minus, g_plus, sin_bits = _series_constants(nu, prec)
-    w = _series_scale(x, prec, sin_bits)
-    one = 1 << w
-    man, exp = man_exp(x)
-    q = to_fixed(man * man, 2 * exp - 2, w)      # x^2/4
-    nfix = to_fixed(*man_exp(nu), w)
-    s_minus = _series(q, one - nfix, one)
-    s_plus = _series(q, one + nfix, one)
-    with workprec(w, guard=0):
-        p = mp.exp(nu * mp.log(x / 2))           # (x/2)^nu
-        v = c * (mpf((s_minus, -w)) * g_minus / p
-                 - mpf((s_plus, -w)) * g_plus * p)
-    return round_to(v, prec)
+    return round_to(_pm_series(
+        nu, x, prec, lambda sin_bits: _series_scale(x, prec, sin_bits), False,
+        lambda a_minus, a_plus, c, nu: c * (a_minus - a_plus)), prec)
 
 
 def besseljy_real(nu, s, prec: int):
@@ -216,20 +227,13 @@ def besseljy_real(nu, s, prec: int):
         with workprec(prec):
             j_minus = j_plus * mp.cospi(nu) - y * mp.sinpi(nu)
         return j_plus, round_to(j_minus, prec), y
-    if nu == 0:
-        nu = mpf(2) ** -(prec + 32)
-    c, g_minus, g_plus, sin_bits = _series_constants(nu, prec)
-    w = prec + sin_bits + SERIES_GUARD
-    one = 1 << w
-    man, exp = man_exp(s)
-    q = to_fixed(man * man, 2 * exp - 2, w)      # s^2/4
-    nfix = to_fixed(*man_exp(nu), w)
-    s_minus = _series(q, one - nfix, one, alternating=True)
-    s_plus = _series(q, one + nfix, one, alternating=True)
-    with workprec(w, guard=0):
-        p = mp.exp(nu * mp.log(s / 2))           # (s/2)^nu
-        j_plus = mpf((s_plus, -w)) * g_plus * p
-        j_minus = mpf((s_minus, -w)) * g_minus / p
-        y = (j_plus * mp.cospi(nu) - j_minus) * (2 * c / mp.pi)
+
+    def reflect(j_minus, j_plus, c, nu):     # Y_nu at W, before rounding
+        return j_plus, j_minus, \
+            (j_plus * mp.cospi(nu) - j_minus) * (2 * c / mp.pi)
+
+    j_plus, j_minus, y = _pm_series(
+        nu, s, prec, lambda sin_bits: prec + sin_bits + SERIES_GUARD, True,
+        reflect)
     return (round_to(j_plus, prec), round_to(j_minus, prec),
             round_to(y, prec))

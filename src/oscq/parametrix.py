@@ -39,7 +39,7 @@ class AsymptoticPrediction:
     error_scale: mpf   # the formula's own O-term magnitude
 
 
-def dist_to_interval(z, prec: int = 96):
+def dist_to_interval(z, prec: int):
     """Distance from z to [-1,1]."""
     with workprec(prec):
         z = mpc(z)

@@ -56,7 +56,7 @@ def gauss_rule(n: int, nu, prec: int) -> QuadratureRule:
     require_prec(prec)
     poly = monic_op(n, nu, prec)
     tilde = rescale_to_tilde(poly)
-    zs = find_zeros(tilde, prec=min(tilde.prec, 2 * prec))
+    zs = find_zeros(tilde)
     scale = root_scale(zs.prec)     # where the roots are exact
     roots = [gauss_int(w, scale) for w in zs.roots]
     pair = fixed_eval_with_deriv(tilde.recurrence, scale)

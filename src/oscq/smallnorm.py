@@ -14,7 +14,7 @@ the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
@@ -34,24 +34,17 @@ CHI_PROFILE = "smoothstep-exp"
 @dataclass(frozen=True)
 class CutoffChi:
     """Smooth bump on the imaginary axis: identically 1 within |y| <= eps,
-    identically 0 beyond 2*eps, exp(-1/t)-smoothstep between.
+    identically 0 beyond 2*eps, exp(-1/t)-smoothstep between; eps is the
+    construction's constant EPS_DEFAULT.
 
     chi(y, prec) has absolute accuracy 2^-prec: the bump lies in [0, 1],
     so a value below 2^-(prec+1) is returned as exact 0, which spares the
     small-norm kernels every node of the vanishing tail next to 2*eps.
     """
 
-    eps: mpf = field(default_factory=lambda: EPS_DEFAULT)
+    eps = EPS_DEFAULT
 
-    def __post_init__(self):
-        with workprec(128):
-            eps = mpf(self.eps)
-            if not 0 < eps < min(1 / (2 * mp.e), RHO_DEFAULT / 3):
-                raise ValueError(
-                    "eps must satisfy 0 < eps < min(1/(2e), rho/3)")
-        object.__setattr__(self, "eps", eps)
-
-    def __call__(self, y, prec: int = 96):
+    def __call__(self, y, prec: int):
         with workprec(prec):
             y = abs(mpf(y))
             if y <= self.eps:
@@ -130,7 +123,7 @@ def j2_direct(y, n: int, nu, prec: int):
         return -_j_jump(-_axis_y(y), n, nu, prec)
 
 
-def bessel_ratio_bounds_check(s, nu, prec: int = 96):
+def bessel_ratio_bounds_check(s, nu, prec: int):
     """Both sides of the two Bessel-ratio shape bounds with constants 1.
 
     lhs1 = |J cos(nu pi) - Y sin(nu pi)| / (J^2+Y^2) = |J_-nu| / (J^2+Y^2)
@@ -182,7 +175,7 @@ def eta2_modulus(y, n: int, nu, chi: CutoffChi, prec: int):
     return _eta_moduli(y, n, nu, chi, prec)[1]
 
 
-def eta_bound_check(y, n: int, nu, chi: CutoffChi, prec: int = 128):
+def eta_bound_check(y, n: int, nu, chi: CutoffChi, prec: int):
     """Kernel moduli against the predicted shape bounds with constants 1:
     bound1 = y^nu e^(-2n Re phi), bound2 = (n^(2nu) y^nu + n y^(1-nu))
     e^(-2n Re phi)."""

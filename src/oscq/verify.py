@@ -48,7 +48,7 @@ def _le(name, measured, bound) -> CheckRecord:
                 mpf(measured) <= mpf(bound))
 
 
-def psi_quantile(q, prec: int = eq.DEFAULT_PREC):
+def psi_quantile(q, prec: int):
     """Oracle for the equilibrium quantiles (eq.psi_quantiles, in floats):
     the inverse CDF in mpf by bisection (the CDF is strictly increasing
     on [-1,1])."""
@@ -123,22 +123,14 @@ def orthogonality_residuals(pt: MonicPolynomial, n: int, nu, prec: int,
         js = range(n)
     js = list(js)
     x_max = _tail_cutoff(n, max(js), prec)
-    kcache: dict = {}
-    pcache: dict = {}
 
+    @lru_cache(maxsize=None)
     def kval(ax):
-        v = kcache.get(ax)
-        if v is None:
-            v = mp.besselk(nu, n * mp.pi * ax)
-            kcache[ax] = v
-        return v
+        return mp.besselk(nu, n * mp.pi * ax)
 
+    @lru_cache(maxsize=None)
     def pval(x):
-        v = pcache.get(x)
-        if v is None:
-            v = pt.eval(x, prec + 64)
-            pcache[x] = v
-        return v
+        return pt.eval(x, prec + 64)
 
     out = {}
     rel = target if target is not None else mpf(2) ** (-(prec // 4))

@@ -11,7 +11,8 @@ oracles for `mpfun.besseljy_real`, the one route of the small-norm kernels
 to them.  The root finder's fixed-point frame is `zeros`' own: every
 other reader takes its scale from `zeros.root_scale`.  Every library
 definition is used somewhere in the source, the tests or the benchmark,
-and no library module reads the environment.
+no library module reads the environment, and a numerical operation takes
+its working precision from the caller or from its own object.
 """
 
 import ast
@@ -35,6 +36,10 @@ MPC_EVALUATORS = ("eval", "eval_with_deriv", "deriv_eval")
 MPC_OWNERS = ("moments", "verify")   # the definitions and the oracles
 MPMATH_JY = ("besselj", "bessely")
 ENVIRONMENT = ("environ", "getenv", "putenv")
+# the suites' and commands' precision defaults are documented CLI behaviour
+NUMERICAL = [m for m in MODULES if m not in ("verify", "cli")]
+# its optional chi comes before prec, and the benchmark passes prec= only
+PREC_DEFAULT_EXEMPT = {"smallnorm.k_norm_bounds"}
 
 
 def _imports(module: str):
@@ -142,6 +147,42 @@ def test_every_library_definition_is_used():
     unused = sorted(f"{m}.{name}" for m in MODULES
                     for name in _top_level_names(m) - used)
     assert not unused, f"defined but never used: {unused}"
+
+
+def _prec_defaults(module: str):
+    """The qualified names of the functions in the module whose parameter
+    prec has a default other than None."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if isinstance(child, ast.FunctionDef):
+                    a = child.args
+                    pos = a.posonlyargs + a.args
+                    pairs = list(zip(pos[len(pos) - len(a.defaults):],
+                                     a.defaults))
+                    pairs += zip(a.kwonlyargs, a.kw_defaults)
+                    if any(p.arg == "prec" and d is not None
+                           and not (isinstance(d, ast.Constant)
+                                    and d.value is None) for p, d in pairs):
+                        out.append(name)
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse((SRC / f"{module}.py").read_text()), f"{module}.")
+    return out
+
+
+def test_numerical_modules_default_no_precision():
+    # None stands for the object's own precision (MonicPolynomial.eval,
+    # find_zeros); any other default is a precision no caller chose
+    defaulted = set().union(*(_prec_defaults(m) for m in NUMERICAL))
+    assert defaulted == PREC_DEFAULT_EXEMPT, \
+        f"precision defaults: {sorted(defaulted - PREC_DEFAULT_EXEMPT)}, " \
+        f"stale exemptions: {sorted(PREC_DEFAULT_EXEMPT - defaulted)}"
 
 
 def test_only_zeros_names_the_fixed_point_guard():

@@ -233,3 +233,104 @@ def test_besseljy_real_branches(monkeypatch):
         assert _besseljy_error(nu, s, prec) <= 16
     with pytest.raises(DomainError):
         besseljy_real(0.25, 0, prec)
+
+
+def _hexbits(v):
+    """An mpf's exact value: signed mantissa in hex, p, exponent."""
+    man, exp = mpfun.man_exp(v)
+    return f"{man:#x}p{exp}"
+
+
+# exact results on both branches, from x = 1e-59 to just past the
+# crossover to mpmath (K at 40 for 64 bits and 173 for 448, J at 79 and
+# 345): the tests above allow 16 units of 2^-prec, so a restructured
+# series that moves a bit passes them and fails these
+BESSELK_PINS = {
+    (0.0, 1e-59, 64):
+        "0x87f7ec786da79d55p-56",
+    (1e-06, 1e-30, 448):
+        "0x8a631061d36a2525b2d6009ef843ee712f9a71debbd27add74a3c0a19d104c7b86d"
+        "3a343cfcf0653c24d0f9693e58d4b98a945f6d790c3bbp-441",
+    (0.25, 1e-09, 128):
+        "0x5fd66621e20eebff27dab7f64a869cefp-118",
+    (0.999999, 0.5, 160):
+        "0xd40633b8bc70cac050f17aae0a15f184794886b9p-159",
+    (0.25, 3.0, 192):
+        "0x8f97fcd65e7b916278d4856fc27d2986bee120600de4e7b1p-196",
+    (1e-06, 20.0, 128):
+        "0x4ee82f4c129ec0288de37db9f3544577p-157",
+    (0.999999, 38.0, 64):
+        "0x76e2a3d9b03005b3p-120",
+    (0.25, 40.0, 64):
+        "0x7bf3cfd9489203b1p-123",
+    (0.0, 171.0, 448):
+        "0x3c55b4f6cd6c2a0aeed07252fbafb2a598b69049311ec8bef8182a536cab9dbac60"
+        "ce4b3a5c5233bb7e68c1ef641405d6145bc3534047847p-696",
+    (0.999999, 173.0, 448):
+        "0x2090fc47971b6b0948f98cc970b3685372f7effbc41fc824094614b49ac0b0eaeff"
+        "b7d66e61149f23742214d9710ccfba8b5b5da41f2e863p-698",
+}
+BESSELJY_PINS = {
+    (0.0, 1e-59, 64): (
+        "0x1p0",
+        "0x1p0",
+        "-0x568f6997aaa1a899p-56"),
+    (1e-06, 1e-30, 448): (
+        "0xfffb772a868fd0fb211b31c797f58bfb874a462266c90e6fed1b98d804fd1438a70"
+        "9bfbf65ea4b7723a36f36374ee7e34d80432fea3ab93bp-448",
+        "0x4001223a81f36c73c10e3c94f8b2ab58e6ba2af30c6344e9c946f00f58007be35df"
+        "10e9d6624be976ba225b58ec63f66485ebc68262bed51p-446",
+        "-0x1606647e7753229c36a540c7a8b2297214ccc606fc92de76d26c69628d9a787074"
+        "18e091b67d36a078330679a4e02edc27e425602d2add77p-439"),
+    (0.25, 1e-09, 128): (
+        "0xaaf36d2ba3123f6e32b3c095b717c7d9p-135",
+        "0x159258cc308fa73bd4321ed613b3dbe7p-117",
+        "-0xf40ce319f60779f9862ed026072abf0bp-120"),
+    (0.999999, 0.5, 160): (
+        "0xf8155621f4fddfe8dacb4f4c4474954f7384342fp-162",
+        "-0xf8141fe7799eb5fcc29ff93eb787c603a238785p-158",
+        "-0x5e2c9537a89bf598e0050d5e2737f45370ce3e23p-158"),
+    (0.25, 3.0, 192): (
+        "-0xce1ace20bbd1ccf95076939acbe95f329b2fd2ac3334a52dp-195",
+        "-0x6333a2d5f53cc9aedc56df9f416352806cb4a2a966c8a74dp-192",
+        "0xe50f012fb6b28906201a2da4103832a2db2e5b1b8fd43b41p-193"),
+    (1e-06, 40.0, 128): (
+        "0x78b3cef0f3b8ac12d687dc4dcb7527ffp-134",
+        "0x3c591310006cb3da734edaa63f84c5e5p-133",
+        "0x101eaf237834e4cbfb3d488362a93147p-127"),
+    (0.999999, 77.0, 64): (
+        "0x8850ff28b6cba33p-63",
+        "-0x2214394259817c31p-65",
+        "-0x7ee064a87c39eaedp-67"),
+    (0.25, 79.0, 64): (
+        "-0x45299fbee8d06e91p-66",
+        "-0xb77112e5403646f9p-67",
+        "0xf2337a9c32b6a62fp-68"),
+    (0.0, 343.0, 448): (
+        "-0xac3be4c2158b951adf637acbd98328935c7df5f7bc50de186d7a4d538142a44fda"
+        "20638e1c52fee6918d2713cd7d4207ed71a94beba6f47p-448",
+        "-0xac3be4c2158b951adf637acbd98328935c7df5f7bc50de186d7a4d538142a44fda"
+        "20638e1c52fee6918d2713cd7d4207ed71a94beba6f47p-448",
+        "0x99990d485eb4cb006d9ec2af58690df20976f97d5652d8a702041a437eb309afadc"
+        "90f21902ac9d4f0808ed5a32896d75580bc441a70329p-450"),
+    (0.999999, 345.0, 448): (
+        "-0x2b0268ced2d69786b221fc5478f75ca962feba6a4b9a848ac0361c64f19cf067e8"
+        "fac9fc15f6ea74e983182313f4866fe893382e127e7e17p-450",
+        "0xac09aad4408305e07d1cb0723cfad0ef9b5da09e528247fbf952babcef8ceafc144"
+        "aba56629c650f6c906ff5218b017f735bfdb3b86a8575p-452",
+        "-0x49cd8c4d0338938f891531dedbfc61ee354f766b1f02542877c238a3ce4d044198"
+        "d34e0f58a59d87cbfb721d12c86db21e67c91eae7888ffp-453"),
+}
+
+
+
+def test_besselk_real_bit_pins():
+    moved = [args for args, pin in BESSELK_PINS.items()
+             if _hexbits(besselk_real(*args)) != pin]
+    assert not moved, f"besselk_real moved at {moved}"
+
+
+def test_besseljy_real_bit_pins():
+    moved = [args for args, pin in BESSELJY_PINS.items()
+             if tuple(map(_hexbits, besseljy_real(*args))) != pin]
+    assert not moved, f"besseljy_real moved at {moved}"

@@ -17,21 +17,21 @@ PREC = 128
 def test_cutoff_partition():
     chi = sn.CutoffChi()
     with workprec(128):
-        assert chi(mpf("0.05")) == 1
-        assert chi(chi.eps) == 1
-        assert chi(2 * chi.eps) == 0
-        assert chi(mpf("0.3")) == 0
-        mid = chi(mpf("0.18"))
+        assert chi(mpf("0.05"), 96) == 1
+        assert chi(chi.eps, 96) == 1
+        assert chi(2 * chi.eps, 96) == 0
+        assert chi(mpf("0.3"), 96) == 0
+        mid = chi(mpf("0.18"), 96)
         assert 0 < mid < 1
         # even in y
-        assert chi(mpf("-0.18")) == mid
+        assert chi(mpf("-0.18"), 96) == mid
 
 
 class _UnroundedTailChi(sn.CutoffChi):
     """The same bump without the cut at 2^-(prec+1): the tail next to
     2 eps is returned however small."""
 
-    def __call__(self, y, prec: int = 96):
+    def __call__(self, y, prec: int):
         with workprec(prec):
             y = abs(mpf(y))
             if y <= self.eps:
@@ -74,11 +74,11 @@ def test_k_norm_bounds_chi_tail_is_bit_identical(n, nu):
         assert lib[key]._mpf_ == raw[key]._mpf_, key
 
 
-def test_cutoff_eps_constraint():
-    with pytest.raises(ValueError):
-        sn.CutoffChi(eps=mpf("0.2"))   # above min(1/(2e), rho/3)
-    with pytest.raises(ValueError):
-        sn.CutoffChi(eps=mpf(0))
+def test_cutoff_constants():
+    # the construction's condition on the cutoff width and the local disc
+    with workprec(128):
+        assert 0 < sn.EPS_DEFAULT < min(1 / (2 * mp.e), sn.RHO_DEFAULT / 3)
+    assert sn.CutoffChi().eps is sn.EPS_DEFAULT
 
 
 def test_j_moduli_finite_and_decaying():
