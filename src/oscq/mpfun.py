@@ -9,8 +9,11 @@ Relative error contract for the gamma functions: <= 2**(-prec+16).
 ``besselk_real`` serves the log-weight of the D1 grid and ``besseljy_real``
 the J/Y triples of ``smallnorm``; below mpmath's asymptotic crossover both
 take their +-nu pair of power series, summed in Python ints, from one
-core.  The complex weight (``parametrix.w_weight``/``w_pm_imag``) still
-calls mp.besselk directly.
+core, split into a per-(nu, prec) set-up (_pm_core) and a per-argument
+evaluation (_pm_series).  ``besselk_map(nu, prec)`` does the set-up once
+for a whole D1 grid and returns K_nu at each of its nodes, bit-identical
+to ``besselk_real``, which is one point of that map.  The complex weight
+(``parametrix.w_weight``/``w_pm_imag``) still calls mp.besselk directly.
 
 mpmath rounds on every construction and operation at the ambient context,
 so all argument conversion happens inside the functions' own workprec
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from functools import lru_cache
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -150,26 +154,71 @@ def _series(q: int, b: int, one: int, alternating: bool) -> int:
     return total
 
 
-def _pm_series(nu, x, prec: int, scale, alternating: bool, reflect):
-    """reflect(A_-nu, A_nu, c, nu) at the scale W = scale(sin_bits), for
-    x > 0 and 0 <= nu < 1 (nu = 0 taken as 2^-(prec+32)): A_-+nu = S_-+
-    g_-+ (x/2)^-+nu, with S_-+ = sum_k (+-x^2/4)^k / (k! (1-+nu)_k), - if
-    alternating, summed in Python ints, and c, g_-+, sin_bits those of
+class _PmCore(NamedTuple):
+    """The per-(nu, prec) part of the +-nu series pair (see _pm_core)."""
+    nu: mpf
+    nu_man_exp: tuple     # nu's (mantissa, exponent), for its fixed image
+    c: mpf
+    g_minus: mpf
+    g_plus: mpf
+    sin_bits: int
+
+
+def _pm_core(nu, prec: int) -> _PmCore:
+    """Set-up of the +-nu series pair for 0 <= nu < 1 at prec: nu = 0 is
+    taken as 2^-(prec+32), and c, g_-+, sin_bits are those of
     _series_constants."""
     if nu == 0:
         nu = mpf(2) ** -(prec + 32)
-    c, g_minus, g_plus, sin_bits = _series_constants(nu, prec)
-    w = scale(sin_bits)
+    return _PmCore(nu, man_exp(nu), *_series_constants(nu, prec))
+
+
+def _pm_series(core: _PmCore, x, w: int, alternating: bool, reflect):
+    """reflect(A_-nu, A_nu, c, nu) at the scale W = w, for x > 0: A_-+nu =
+    S_-+ g_-+ (x/2)^-+nu, with S_-+ = sum_k (+-x^2/4)^k / (k! (1-+nu)_k),
+    - if alternating, summed in Python ints."""
+    nu = core.nu
     one = 1 << w
     man, exp = man_exp(x)
     q = to_fixed(man * man, 2 * exp - 2, w)      # x^2/4
-    nfix = to_fixed(*man_exp(nu), w)
+    nfix = to_fixed(*core.nu_man_exp, w)
     s_minus = _series(q, one - nfix, one, alternating)
     s_plus = _series(q, one + nfix, one, alternating)
     with workprec(w, guard=0):
         p = mp.exp(nu * mp.log(x / 2))           # (x/2)^nu
-        return reflect(mpf((s_minus, -w)) * g_minus / p,
-                       mpf((s_plus, -w)) * g_plus * p, c, nu)
+        return reflect(mpf((s_minus, -w)) * core.g_minus / p,
+                       mpf((s_plus, -w)) * core.g_plus * p, core.c, nu)
+
+
+def _k_reflect(a_minus, a_plus, c, nu):
+    return c * (a_minus - a_plus)
+
+
+def _jy_reflect(j_minus, j_plus, c, nu):     # Y_nu at W, before rounding
+    return j_plus, j_minus, \
+        (j_plus * mp.cospi(nu) - j_minus) * (2 * c / mp.pi)
+
+
+def besselk_map(nu, prec: int):
+    """The map x -> besselk_real(nu, x, prec) for mpf x > 0, read exactly
+    as given, with what depends only on (nu, prec) done once: nu's
+    conversion, the mpmath fallback for nu >= 1 and the series set-up.
+    Every value is bit-identical to besselk_real's."""
+    require_prec(prec)
+    with workprec(prec):
+        nu = abs(mpf(nu))
+    core = _pm_core(nu, prec) if nu < 1 else None
+    edge = prec + ASYMPTOTIC_BITS
+
+    def k(x):
+        if core is None or 2 * LOG2E * float(x) >= edge:
+            with workprec(prec, guard=0):
+                return mp.besselk(nu, x)
+        return round_to(_pm_series(
+            core, x, _series_scale(x, prec, core.sin_bits), False,
+            _k_reflect), prec)
+
+    return k
 
 
 def besselk_real(nu, x, prec: int):
@@ -181,19 +230,15 @@ def besselk_real(nu, x, prec: int):
     pi/(2 sin nu pi) (I_-nu - I_nu) (DLMF 10.27.4), with the power series
     of both I summed in Python ints at the scale of _series_scale;
     nu = 0 is evaluated at nu = 2^-(prec+32), K being even in nu.  Other
-    arguments go to mp.besselk at prec.
+    arguments go to mp.besselk at prec.  One call is one point of
+    besselk_map(nu, prec).
     """
     require_prec(prec)
     with workprec(prec):
-        nu, x = abs(mpf(nu)), mpf(x)
+        x = mpf(x)
     if x <= 0:
         raise DomainError("besselk_real needs x > 0")
-    if nu >= 1 or 2 * LOG2E * float(x) >= prec + ASYMPTOTIC_BITS:
-        with workprec(prec, guard=0):
-            return mp.besselk(nu, x)
-    return round_to(_pm_series(
-        nu, x, prec, lambda sin_bits: _series_scale(x, prec, sin_bits), False,
-        lambda a_minus, a_plus, c, nu: c * (a_minus - a_plus)), prec)
+    return besselk_map(nu, prec)(x)
 
 
 def besseljy_real(nu, s, prec: int):
@@ -227,13 +272,8 @@ def besseljy_real(nu, s, prec: int):
         with workprec(prec):
             j_minus = j_plus * mp.cospi(nu) - y * mp.sinpi(nu)
         return j_plus, round_to(j_minus, prec), y
-
-    def reflect(j_minus, j_plus, c, nu):     # Y_nu at W, before rounding
-        return j_plus, j_minus, \
-            (j_plus * mp.cospi(nu) - j_minus) * (2 * c / mp.pi)
-
+    core = _pm_core(nu, prec)
     j_plus, j_minus, y = _pm_series(
-        nu, s, prec, lambda sin_bits: prec + sin_bits + SERIES_GUARD, True,
-        reflect)
+        core, s, prec + core.sin_bits + SERIES_GUARD, True, _jy_reflect)
     return (round_to(j_plus, prec), round_to(j_minus, prec),
             round_to(y, prec))

@@ -10,7 +10,10 @@ z (see D1Grid.cauchy), the way mpmath sums its own series.  On the
 imaginary axis the sum is real; at the grid's bulk scale, which most
 reads share, it runs over two integer arrays derived once per grid and
 held for the grid read last, one addition and one division per node.  Its
-limit at infinity is the grid's weight sum.  The second factor and the
+limit at infinity is the grid's weight sum.  A grid's log-weight is formed
+in one pass over its nodes, with K_nu's set-up done once per pass and the
+values at x = n pi t <= 1, which grids of one (nu, prec) share across
+degrees, held from the grid built last.  The second factor and the
 matrix model are closed forms.
 """
 
@@ -25,8 +28,8 @@ from mpmath import mp, mpc, mpf
 
 from .branches import beta_quartic, f_exterior, sqrt_offcut, sqrt_onecut
 from .equilibrium import epsilon_n, g_fn, psi_complex, theta_n
-from .mpfun import (DomainError, besselk_real, man_exp, require_prec,
-                    round_to, to_fixed, workprec)
+from .mpfun import (DomainError, besselk_map, besselk_real, man_exp,
+                    require_prec, round_to, to_fixed, workprec)
 from .quadrature import quad_ts, segment_nodes
 
 GRID_SPLIT_LEVELS = {192: 6, 448: 7}
@@ -140,18 +143,31 @@ def n0_matrix(z, prec: int):
         mp.prec = old
 
 
+def _weight_constants(n: int, nu, prec: int):
+    """nu, n pi and log(2n)/2 as the log-weight reads them, at prec + 32
+    bits."""
+    with workprec(prec):
+        return mpf(nu), n * mp.pi, mp.log(2 * n) / 2
+
+
+def _k_value(t, x, log_k, half_log2n):
+    """log W_n(t) / sqrt(1-t^2) from x = n pi t and log K_nu(x), at the
+    working precision."""
+    return (half_log2n + log_k + x) / mp.sqrt((1 - t) * (1 + t))
+
+
 def _k_log_weight(n: int, nu, prec: int):
     """The map t -> log W_n(t) / sqrt(1-t^2) for t in (0,1), W_n being even
     in t.  nu, n pi and log(2n)/2 are taken once, at prec + 32 bits; the
     map evaluates at the caller's working precision, which must be
-    prec + 32 bits (workprec(prec))."""
-    with workprec(prec):
-        nu, npi, half_log2n = mpf(nu), n * mp.pi, mp.log(2 * n) / 2
+    prec + 32 bits (workprec(prec)).  build_d1_grid forms the same values
+    in one pass (_k_log_weight_pass)."""
+    nu, npi, half_log2n = _weight_constants(n, nu, prec)
 
     def k(t):
-        arg = npi * t
-        logw = half_log2n + mp.log(besselk_real(nu, arg, prec + 32)) + arg
-        return logw / mp.sqrt((1 - t) * (1 + t))
+        x = npi * t
+        return _k_value(t, x, mp.log(besselk_real(nu, x, prec + 32)),
+                        half_log2n)
 
     return k
 
@@ -285,15 +301,14 @@ def _grid_level(prec: int) -> int:
     return 8
 
 
-def build_d1_grid(n: int, nu, prec: int) -> D1Grid:
-    """Construct the frozen grid; splits at the weight's character change
-    x* = 1/(n pi) and at the endpoints."""
-    require_prec(prec)
+def _grid_nodes(n: int, prec: int):
+    """(nodes, factors) of the grid: t_i in (0,1) and w_i h width/2, at
+    prec + 64 bits, over the segments [0, x*] and [x*, 1], x* = 1/(n pi),
+    where the weight changes character."""
     level = _grid_level(prec)
     nodes, factors = [], []
     # guard must cover the closest node offsets ~2^-(prec+48) near t=1
     with workprec(prec, guard=64):
-        nu = mpf(nu)
         xstar = 1 / (n * mp.pi)
         h_final = mpf(2) ** (-level)
         for a, b in [(mpf(0), +xstar), (+xstar, mpf(1))]:
@@ -302,9 +317,56 @@ def build_d1_grid(n: int, nu, prec: int) -> D1Grid:
                 for w, ts in segment_nodes(a, b, lev, prec):
                     nodes += ts
                     factors += [w * h_final * width / 2] * len(ts)
-    k = _k_log_weight(n, nu, prec)
+    return nodes, factors
+
+
+# (nu, prec, {x: log K_nu(x)}) over the nodes with x <= 1 of the grid
+# built last; see _k_log_weight_pass
+_held_log_k = None
+
+
+def _k_log_weight_pass(n: int, nu, nodes, prec: int):
+    """[k(t) for t in nodes] for k = _k_log_weight(n, nu, prec), formed in
+    one pass at prec + 32 bits: K_nu's set-up is done once (besselk_map),
+    and every value is bit-identical to k's.
+
+    In x = n pi t the grid's first segment [0, x*] is (0, 1] for every n,
+    so at one (nu, prec) grids of different n share x values there: all
+    of them when the degrees differ by a power of two (n = 16, 32, 64,
+    128), 240 of 552 for n = 12 after 16.  log K_nu at the x <= 1 nodes is
+    held for the grid built last and read by the next pass at the same
+    (nu, prec); a pass at any other (nu, prec) replaces it."""
+    global _held_log_k
+    nu, npi, half_log2n = _weight_constants(n, nu, prec)
+    held = _held_log_k
+    known = held[2] if held and held[:2] == (nu, prec) else {}
+    log_ks = {}     # this grid's, so nodes that round to one x share it
+    k = besselk_map(nu, prec + 32)
+    out = []
     with workprec(prec):
-        wk = [k(t) for t in nodes]
+        for t in nodes:
+            x = npi * t
+            log_k = log_ks.get(x._mpf_, known.get(x._mpf_))
+            if log_k is None:
+                log_k = mp.log(k(x))
+            if x <= 1:
+                log_ks[x._mpf_] = log_k
+            out.append(_k_value(t, x, log_k, half_log2n))
+    _held_log_k = (nu, prec, log_ks)
+    return out
+
+
+def build_d1_grid(n: int, nu, prec: int) -> D1Grid:
+    """Construct the frozen grid; splits at the weight's character change
+    x* = 1/(n pi) and at the endpoints.  The log-weight comes from one
+    pass over the nodes (_k_log_weight_pass), so the payload is
+    bit-identical to a node-by-node evaluation of _k_log_weight."""
+    require_prec(prec)
+    level = _grid_level(prec)
+    nodes, factors = _grid_nodes(n, prec)
+    with workprec(prec, guard=64):
+        nu = mpf(nu)
+    wk = _k_log_weight_pass(n, nu, nodes, prec)
     with workprec(prec, guard=64):
         for i, c in enumerate(factors):
             wk[i] *= c

@@ -86,6 +86,86 @@ def test_d1_grid_cache_keys_on_exact_nu():
     assert px._cached_grid.cache_info().misses == misses
 
 
+def _per_node_payload(n, nu, prec):
+    """(scale, nodes, wk) of the D1 grid formed node by node with
+    _k_log_weight, on the build's own nodes and factors."""
+    nodes, factors = px._grid_nodes(n, prec)
+    with workprec(prec, guard=64):
+        nu = mpf(nu)
+    k = px._k_log_weight(n, nu, prec)
+    with workprec(prec):
+        wk = [k(t) for t in nodes]
+    with workprec(prec, guard=64):
+        wk = [v * c for v, c in zip(wk, factors)]
+    scale = -min(t._mpf_[2] for t in nodes)
+    return (scale, tuple(to_fixed(*man_exp(t), scale) for t in nodes),
+            tuple(to_fixed(*man_exp(v), scale) for v in wk))
+
+
+# one build sequence: n = 32 after 16 reads the held x <= 1 values and
+# n = 12 part of them; (32, 0.7) and (32, 0.5) follow a build at another
+# nu or prec; the last two nu differ only past 40 digits (as in
+# test_d1_grid_cache_keys_on_exact_nu); n = 32, 64, 128 at 128 bits have
+# nodes past the asymptotic crossover
+D1_PASS_CASES = (
+    (16, "0.25", 128), (32, "0.25", 128), (128, "0.999999", 128),
+    (12, "0.999999", 128), (2, "0", 128), (3, "0.05", 192),
+    (16, "0.7", 128), (5, "0.3", 300), (32, "0.7", 128), (64, "0.99", 128),
+    (16, "0.5", 192), (32, "0.5", 128), (9, NU, 128),
+    (9, NU + "0" * 40 + "1", 128),
+)
+
+
+def test_d1_grid_pass_is_the_per_node_map():
+    for n, nu, prec in D1_PASS_CASES:
+        grid = px.build_d1_grid(n, nu, prec)
+        assert (grid.scale, grid.nodes, grid.wk) \
+            == _per_node_payload(n, nu, prec), (n, nu, prec)
+
+
+def _grid_xs(n, nu, prec):
+    """x_i = n pi t_i of the grid's nodes, as the build forms them."""
+    nodes, _ = px._grid_nodes(n, prec)
+    _, npi, _ = px._weight_constants(n, nu, prec)
+    with workprec(prec):
+        return [npi * t for t in nodes]
+
+
+def test_d1_grid_log_k_memo_scope(monkeypatch):
+    # count the K evaluations of each build; nu is one no other test builds
+    evaluated = []
+    besselk_map = px.besselk_map
+
+    def counted(nu, prec):
+        k = besselk_map(nu, prec)
+
+        def f(x):
+            evaluated.append(x)
+            return k(x)
+        return f
+
+    def build(n, nu, prec):
+        evaluated.clear()
+        px.build_d1_grid(n, nu, prec)
+        small = {x._mpf_ for x in _grid_xs(n, nu, prec) if x <= 1}
+        assert len(px._held_log_k[2]) <= len(small)
+        return small
+
+    def small_evaluated():
+        return {x._mpf_ for x in evaluated if x <= 1}
+
+    monkeypatch.setattr(px, "besselk_map", counted)
+    nu = "0.618034"
+    build(16, nu, 128)
+    small = build(32, nu, 128)
+    assert not small_evaluated()
+    assert len(evaluated) == sum(x > 1 for x in _grid_xs(32, nu, 128))
+    assert set(px._held_log_k[2]) == small
+    for other_nu, other_prec in (("0.618035", 128), (nu, 192)):
+        build(16, other_nu, other_prec)
+        assert build(32, nu, 128) == small_evaluated()
+
+
 def test_d1n_schwarz_reflection_on_axis_bitwise():
     # the small-norm kernels read D1 once per axis point and take
     # D1(-iy) = conj D1(iy), so the grid sum must honour it to the last bit
