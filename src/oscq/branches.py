@@ -3,8 +3,9 @@ parametrix layers.
 
 Conventions: (z^2-1)^(1/2) is analytic off [-1,1], behaves like z at
 infinity and is positive for real z > 1; (1-z^2)^(1/2) is the principal
-branch, positive on (-1,1); the inverse cosine is fixed by
-exp(i*arccos z) = z + i (1-z^2)^(1/2).
+branch, positive on (-1,1); ((z-1)/(z+1))^(1/4) is positive for z > 1.
+The inverse cosine, fixed by exp(i*arccos z) = z + i (1-z^2)^(1/2), is
+formed from a root the caller holds (equilibrium.phase_terms).
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ def f_exterior(z):
 
 def beta_quartic(z):
     """((z-1)/(z+1))^(1/4), analytic off [-1,1], positive for z > 1."""
-    z = mpc(z)
-    return ((z - 1) / (z + 1)) ** (mp.mpf(1) / 4)
+    return exterior_beta(f_exterior(z))
 
 
-def arccos_branch(z):
-    """arccos with exp(i*arccos z) = z + i(1-z^2)^(1/2); real on (-1,1)."""
-    z = mpc(z)
-    return -mpc(0, 1) * mp.log(z + mpc(0, 1) * sqrt_onecut(z))
+def exterior_beta(phi):
+    """beta_quartic at the z with f_exterior(z) = phi, |phi| > 1: the
+    principal ((phi-1)/(phi+1))^(1/2).  (z-1)/(z+1) is its square, and
+    Re (phi-1)/(phi+1) > 0, so the two principal roots agree."""
+    return mp.sqrt((phi - 1) / (phi + 1))

@@ -6,10 +6,16 @@ The measure has density psi(x) = log((1+sqrt(1-x^2))/|x|)/pi on [-1,1];
 it is even, integrates to one, diverges logarithmically at the origin and
 vanishes like a square root at the edges.  Everything derived from it
 goes through one closed antiderivative F of psi (Saff & Totik,
-Logarithmic Potentials with External Fields, ch. IV): the CDF is
+Logarithmic Potentials with External Fields, ch. IV), taken from
+s = (1-z^2)^(1/2) by phase_terms: pi psi = log((1+s)/z), arccos z =
+-i log(z + i s) and pi (1/2 - F) = arccos z - z pi psi.  The CDF is
 1/2 +- F(|x|), phi = i pi (1/2 - F) in the first quadrant, g follows by
-reflection, and theta_n = n pi (1/2 - F) + arccos(z)/4 - pi/4.  Every
-function takes its working precision in bits.
+reflection, and theta_n = n pi (1/2 - F) + arccos(z)/4 - pi/4.  The
+public functions take their working precision in bits and round once;
+the cores pi_psi, phase_terms, theta_terms and g_at evaluate at the
+ambient precision from a branch root the caller already holds, so the
+asymptotic evaluators of parametrix form each root once per point and
+run the same closed forms.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import math
 
 from mpmath import mp, mpc, mpf
 
-from .branches import arccos_branch, sqrt_offcut, sqrt_onecut
+from .branches import sqrt_offcut, sqrt_onecut
 from .mpfun import GUARD_BITS, DomainError, round_to, workprec
 
 
@@ -42,24 +48,48 @@ def psi_complex(z, prec: int):
             raise DomainError("psi continuation requires Re z > 0")
         if z.imag == 0 and z.real >= 1:
             raise DomainError("psi continuation is cut along [1, oo)")
-        v = mp.log((1 + sqrt_onecut(z)) / z) / mp.pi
+        v = pi_psi(z, sqrt_onecut(z)) / mp.pi
     return round_to(v, prec)
 
 
+def pi_psi(z, s):
+    """pi psi(z) = log((1+s)/z) at s = (1-z^2)^(1/2), z != 0, at the
+    ambient precision."""
+    return mp.log((1 + s) / z)
+
+
+def phase_terms(z, s):
+    """(pi psi(z), pi integral_z^1 psi, arccos z) at s = (1-z^2)^(1/2),
+    z != 0, at the ambient precision: arccos z = -i log(z + i s) and
+    pi integral_z^1 psi = pi (1/2 - F(z)) = arccos z - z pi psi(z).  With
+    the principal s (sqrt_onecut) this holds on {Re z > 0} \\ [1, oo);
+    on the closed first quadrant s = -i w, w = (z^2-1)^(1/2) (sqrt_offcut)
+    analytic across (1, oo), also gives the limit from above on [1, oo)
+    and the imaginary axis."""
+    i = mpc(0, 1)
+    p = pi_psi(z, s)
+    arccos = -i * mp.log(z + i * s)
+    return p, arccos - z * p, arccos
+
+
+def theta_terms(z, n: int, s):
+    """(theta_n(z), pi psi(z)) at s = (1-z^2)^(1/2), principal, for
+    Re z > 0 off [1, oo), at the ambient precision: theta_n =
+    n pi integral_z^1 psi + arccos(z)/4 - pi/4 (phase_terms)."""
+    p, phase, arccos = phase_terms(z, s)
+    return n * phase + arccos / 4 - mp.pi / 4, p
+
+
 def _primitive(z):
-    """F(z) = integral_0^z psi = (z log((1+(1-z^2)^(1/2))/z) + arcsin z)/pi
-    for Re z >= 0 at the ambient precision; F(0) = 0, F(1) = 1/2.  Above
-    the real axis, (1-z^2)^(1/2) = -i w and arcsin z = pi/2 + i log(z+w)
-    with w = (z^2-1)^(1/2) analytic across (1, oo), so [1, oo) gets the
-    limit from Im z > 0; below, F(conj z) = conj F(z)."""
+    """F(z) = integral_0^z psi = 1/2 - (pi integral_z^1 psi)/pi for
+    Re z >= 0 at the ambient precision; F(0) = 0, F(1) = 1/2.  On the
+    closed first quadrant phase_terms runs at s = -i w, so [1, oo) gets
+    the limit from Im z > 0; below, F(conj z) = conj F(z)."""
     if z.imag < 0:
         return mp.conj(_primitive(mp.conj(z)))
     if z == 0:
         return mpc(0)
-    w = sqrt_offcut(z)
-    i = mpc(0, 1)
-    return mpf(1) / 2 + (z * mp.log((1 - i * w) / z)
-                         + i * mp.log(z + w)) / mp.pi
+    return mpf(1) / 2 - phase_terms(z, -mpc(0, 1) * sqrt_offcut(z))[1] / mp.pi
 
 
 def psi_quantiles(n: int) -> list:
@@ -100,17 +130,30 @@ def ell_const(prec: int):
     return round_to(v, prec)
 
 
+def g_at(z, w):
+    """g at z != 0 with Re z >= 0, its limit from above on the real axis,
+    at the ambient precision from w = (z^2-1)^(1/2) (sqrt_offcut):
+    phi = i pi integral_z^1 psi on the closed first quadrant (phase_terms
+    at s = -i w) and g(conj z) = conj g(z).  The terms i pi F and pi z/2
+    cancel down to ~log z, so the caller's guard bits must grow with
+    log2|z|."""
+    if z.imag < 0:
+        return mp.conj(g_at(mp.conj(z), mp.conj(w)))
+    i = mpc(0, 1)
+    return (i * phase_terms(z, -i * w)[1] + mp.pi * z / 2
+            - 1 - mp.ln(2))   # ell/2 = -1 - log 2
+
+
 def _g(z, prec: int):
     """g at z off (-oo, 1], or its limit from above on the real axis:
-    phi = i pi (1/2 - F) on the closed first quadrant, g(conj z) = conj g(z)
-    and g(z) = conj g(-conj z) + i pi (psi is even).  i pi F and pi z/2
-    cancel down to ~log z, so the guard bits grow with log2|z|."""
+    g(conj z) = conj g(z), g_at on the closed first quadrant and
+    g(z) = conj g(-conj z) + i pi on the second (psi is even);
+    g(0) = i pi/2 + ell/2."""
     with workprec(prec, guard=GUARD_BITS + max(0, mp.mag(z))):
         if z.imag < 0:
             return mp.conj(_g(mp.conj(z), prec))
         q = z if z.real >= 0 else -mp.conj(z)
-        v = (mpc(0, 1) * mp.pi * (mpf(1) / 2 - _primitive(q)) + mp.pi * q / 2
-             - 1 - mp.ln(2))   # ell/2 = -1 - log 2
+        v = g_at(q, sqrt_offcut(q)) if q else mpc(-1 - mp.ln(2), mp.pi / 2)
         if z.real < 0:
             v = mp.conj(v) + mpc(0, mp.pi)
     return round_to(v, prec)
@@ -180,16 +223,15 @@ def re_phi_imag_axis(s, prec: int):
 
 
 def theta_n(z, n: int, prec: int):
-    """Oscillation phase: n pi integral_z^1 psi + arccos(z)/4 - pi/4,
-    with the integral 1/2 - F(z) in closed form; real-valued on (0,1)."""
+    """Oscillation phase: n pi integral_z^1 psi + arccos(z)/4 - pi/4 in
+    closed form (theta_terms); real-valued on (0,1)."""
     with workprec(prec):
         z = mpc(z)
         if z.real <= 0:
             raise DomainError("theta_n requires Re z > 0")
         if z.imag == 0 and z.real >= 1:
             raise DomainError("theta_n is cut along [1, oo)")
-        v = (n * mp.pi * (mpf(1) / 2 - _primitive(z))
-             + arccos_branch(z) / 4 - mp.pi / 4)
+        v = theta_terms(z, n, sqrt_onecut(z))[0]
         if z.imag == 0:
             v = v.real
     return round_to(v, prec)

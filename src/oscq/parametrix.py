@@ -15,6 +15,14 @@ in one pass over its nodes, with K_nu's set-up done once per pass and the
 values at x = n pi t <= 1, which grids of one (nu, prec) share across
 degrees, held from the grid built last.  The second factor and the
 matrix model are closed forms.
+
+The outer and inner evaluators take each formula in one pass per point:
+one branch root ((z^2-1)^(1/2) outer, (1-z^2)^(1/2) inner), the
+equilibrium closed forms at that root (equilibrium.g_at,
+equilibrium.theta_terms), one exponential for the outer value and its
+power factors, at prec plus guard bits that cover n and |z|, and one
+rounding at the end.  Both evaluate at Re z >= 0 and reflect the value.
+Their per-(n, nu, prec) constants come from a small memo.
 """
 
 from __future__ import annotations
@@ -23,13 +31,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import add, floordiv
+from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 
-from .branches import beta_quartic, f_exterior, sqrt_offcut, sqrt_onecut
-from .equilibrium import epsilon_n, g_fn, psi_complex, theta_n
-from .mpfun import (DomainError, besselk_map, besselk_real, man_exp,
-                    require_prec, round_to, to_fixed, workprec)
+from .branches import (beta_quartic, exterior_beta, f_exterior, sqrt_offcut,
+                       sqrt_onecut)
+from .equilibrium import epsilon_n, g_at, theta_terms
+from .mpfun import (GUARD_BITS, DomainError, besselk_map, besselk_real,
+                    man_exp, require_prec, round_to, to_fixed, workprec)
 from .quadrature import quad_ts, segment_nodes
 
 GRID_SPLIT_LEVELS = {192: 6, 448: 7}
@@ -103,24 +113,28 @@ def szego_power(z, alpha, prec: int):
     return round_to(v, prec)
 
 
+def _d2_base(z, w):
+    """(w-i)/(w+i) at w = (z^2-1)^(1/2), formed through (w-i)(w+i) = z^2
+    from whichever of w -+ i is cancellation-free: w - i where
+    |w - i| >= |w + i|, that is Im w <= 0, else w + i."""
+    if w.imag <= 0:
+        up = w - mpc(0, 1)
+        return up * up / (z * z)
+    dn = w + mpc(0, 1)
+    return z * z / (dn * dn)
+
+
 def d2(z, nu, prec: int):
     """Phase Szego factor ((sqrt(z^2-1)-i)/(sqrt(z^2-1)+i))^(nu/4).
 
-    The base is formed through (s-i)(s+i) = z^2, computing whichever of
-    s -+ i is cancellation-free; near the origin the factor behaves like
-    z^(nu/2) above the cut and z^(-nu/2) below.
+    The base comes from _d2_base, as in outer_eval; near the origin the
+    factor behaves like z^(nu/2) above the cut and z^(-nu/2) below.
     """
     with workprec(prec):
         z = mpc(z)
         if _on_cut(z):
             raise DomainError("d2 is cut along [-1,1]")
-        s = sqrt_offcut(z)
-        up, dn = s - mpc(0, 1), s + mpc(0, 1)
-        if abs(up) >= abs(dn):
-            base = up * up / (z * z)
-        else:
-            base = z * z / (dn * dn)
-        v = base ** (mpf(nu) / 4)
+        v = _d2_base(z, sqrt_offcut(z)) ** (mpf(nu) / 4)
     return round_to(v, prec)
 
 
@@ -429,25 +443,74 @@ def d_infty_n(n: int, nu, prec: int):
     return round_to(v, prec)
 
 
+class _FormulaConstants(NamedTuple):
+    nu: mpf
+    root4_2: mpf        # 2^(1/4)
+    inner_factor: mpc   # e^(i nu pi/4) / (2^(1/4) (2e)^n)
+    epsilon: mpf        # epsilon_n, outer_eval's error scale
+    band: mpf           # 3 log n/n + epsilon_n, inner_eval's error scale
+
+
+@lru_cache(maxsize=8)
+def _formula_constants(n: int, nu, prec: int) -> _FormulaConstants:
+    """What the asymptotic formulas take from (n, nu, prec) alone, once
+    per key: nu, 2^(1/4) and the inner factor at prec + GUARD_BITS bits
+    plus the bits of n (the evaluators run at least that wide), and the
+    error scales at prec from the caller's nu."""
+    with workprec(prec):
+        epsilon = epsilon_n(n, nu, prec)
+        band = round_to(3 * mp.log(n) / n + epsilon, prec)
+    with workprec(prec, guard=GUARD_BITS + n.bit_length()):
+        nu = mpf(nu)
+        root4_2 = mp.sqrt(mp.sqrt(2))
+        inner_factor = (mp.expj(nu * mp.pi / 4)
+                        / (root4_2 * (2 * mp.e) ** n))
+    return _FormulaConstants(nu, root4_2, inner_factor, epsilon, band)
+
+
+def _eval_guard(z, n: int) -> int:
+    """Guard bits of the evaluators.  They exponentiate n g, n pi z/2 and
+    i theta_n, whose absolute errors are about n |z| ulps (in g, i pi F
+    and pi z/2 cancel down to log z), so the guard covers the bits of n
+    and of |z| (as equilibrium._g covers |z|)."""
+    return GUARD_BITS + n.bit_length() + max(0, mp.mag(z))
+
+
+def _outer_value(z, n: int, c: _FormulaConstants):
+    """The outer formula at Re z >= 0 off [-1,1], at the ambient
+    precision, in one pass from w = (z^2-1)^(1/2) and phi = z + w:
+    2^(1/4) N0_11 e^(n g) (z/phi)^(1/4) D2^(-1), the last three as one
+    exponential.  N0_11 = (beta + 1/beta)/2 (n0_matrix), g from g_at,
+    (z/phi)^(1/4) is szego_power at alpha = 1/2 and D2 = base^(nu/4) with
+    d2's base."""
+    w = sqrt_offcut(z)
+    phi = z + w
+    b = exterior_beta(phi)
+    expo = (n * g_at(z, w) + mp.log(z / phi) / 4
+            - c.nu / 4 * mp.log(_d2_base(z, w)))
+    return c.root4_2 * (b + 1 / b) / 2 * mp.exp(expo)
+
+
 def outer_eval(z, n: int, nu, prec: int) -> AsymptoticPrediction:
     """Leading outer approximation of the rescaled polynomial off [-1,1].
 
-    value = exp(n g) * (z(z+s)/(2(z^2-1)))^(1/4) * (phase factor)^(-nu/4);
-    error_scale is the master scale epsilon_n.
+    value = exp(n g) * (z(z+s)/(2(z^2-1)))^(1/4) * (phase factor)^(-nu/4),
+    rounded once (_outer_value).  Re z < 0 is reflected through
+    P~_n(-conj z) = (-1)^n conj P~_n(z), so the symmetry holds bit for
+    bit; error_scale is the master scale epsilon_n.
     """
     with workprec(prec):
         z = mpc(z)
-        nu = mpf(nu)
         if dist_to_interval(z, prec) < mpf("0.2"):
             raise DomainError("outer regime needs dist(z, [-1,1]) >= 0.2")
-        g = g_fn(z, prec)
-        b = beta_quartic(z)
-        n011 = (b + 1 / b) / 2
-        pref = (mpf(2) ** (mpf(1) / 4) * n011
-                * szego_power(z, mpf(1) / 2, prec + 16) / d2(z, nu, prec + 16))
-        value = mp.exp(n * g) * pref
+    c = _formula_constants(n, nu, prec)
+    with workprec(prec, guard=_eval_guard(z, n)):
+        reflect = z.real < 0
+        value = _outer_value(-mp.conj(z) if reflect else z, n, c)
+        if reflect:
+            value = mp.conj(value) * (-1) ** n
     return AsymptoticPrediction(value=round_to(value, prec),
-                                error_scale=epsilon_n(n, nu, prec))
+                                error_scale=c.epsilon)
 
 
 def _check_inner_domain(z):
@@ -459,30 +522,38 @@ def _check_inner_domain(z):
                           "oscillatory regime")
 
 
+def _inner_parts(z, n: int, c: _FormulaConstants):
+    """(prefactor, t_plus, t_minus) at Re z > 0, at the ambient precision,
+    in one pass from s = (1-z^2)^(1/2): t_+- = e^(+-(nu pi psi/2 +
+    i theta_n)) with pi psi and theta_n from theta_terms, and the
+    prefactor z^(1/4) e^(i nu pi/4) e^(n pi z/2) / (2^(1/4) (2e)^n
+    s^(1/2)), its roots as square roots."""
+    s = sqrt_onecut(z)
+    theta, p = theta_terms(z, n, s)
+    tp = mp.exp(c.nu * p / 2 + mpc(0, 1) * theta)
+    pref = (c.inner_factor * mp.exp(n * mp.pi * z / 2)
+            * mp.sqrt(mp.sqrt(z) / s))
+    return pref, tp, 1 / tp
+
+
 def inner_terms(z, n: int, nu, prec: int):
     """Prefactor and the two oscillatory exponential terms at Re z > 0.
 
     Returns (prefactor, t_plus, t_minus) with the approximation equal to
-    prefactor * (t_plus + t_minus) to leading order.
+    prefactor * (t_plus + t_minus) to leading order (_inner_parts).
     """
     with workprec(prec):
         z = mpc(z)
         if z.real <= 0:
             raise DomainError("inner_terms requires Re z > 0; reflect first")
-        nu = mpf(nu)
-        pref = (z ** (mpf(1) / 4) * mp.exp(nu * mp.pi * mpc(0, 1) / 4)
-                * mp.exp(n * mp.pi * z / 2)
-                / (mpf(2) ** (mpf(1) / 4) * (2 * mp.e) ** n
-                   * sqrt_onecut(z) ** (mpf(1) / 2)))
-        expo = nu * mp.pi / 2 * psi_complex(z, prec + 16) \
-            + mpc(0, 1) * theta_n(z, n, prec)
-        tp = mp.exp(expo)
-        tm = 1 / tp
-    return round_to(pref, prec), round_to(tp, prec), round_to(tm, prec)
+    c = _formula_constants(n, nu, prec)
+    with workprec(prec, guard=_eval_guard(z, n)):
+        parts = _inner_parts(z, n, c)
+    return tuple(round_to(v, prec) for v in parts)
 
 
 def inner_eval(z, n: int, nu, prec: int) -> AsymptoticPrediction:
-    """Oscillatory-regime approximation near (-1,1).
+    """Oscillatory-regime approximation near (-1,1), rounded once.
 
     Reflection handles Re z < 0 through the conjugation symmetry of the
     polynomials (with the degree-parity sign).  error_scale combines the
@@ -492,11 +563,12 @@ def inner_eval(z, n: int, nu, prec: int) -> AsymptoticPrediction:
     with workprec(prec):
         z = mpc(z)
         _check_inner_domain(z)
+    c = _formula_constants(n, nu, prec)
+    with workprec(prec, guard=_eval_guard(z, n)):
         reflect = z.real < 0
-        pref, tp, tm = inner_terms(-mp.conj(z) if reflect else z, n, nu, prec)
+        pref, tp, tm = _inner_parts(-mp.conj(z) if reflect else z, n, c)
         value = pref * (tp + tm)
         if reflect:
             value = mp.conj(value) * (-1) ** n
-        scale = 3 * mp.log(n) / n + epsilon_n(n, nu, prec)
     return AsymptoticPrediction(value=round_to(value, prec),
-                                error_scale=round_to(scale, prec))
+                                error_scale=c.band)

@@ -192,6 +192,19 @@ def test_asymptotics_inner_points_file(tmp_path):
             assert mpf(row["rel_err"]) <= mpf(row["error_scale"]) * 3
 
 
+@pytest.mark.parametrize("regime", ["outer", "inner"])
+def test_asymptotics_determinism(tmp_path, regime):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("z_re,z_im\r\n" + "".join(
+        f"{re_},{im_}\r\n" for re_, im_ in _seeded_points(regime)))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for out in (a, b):
+        assert run_cli("asymptotics", "--nu", "0.25", "--n", "16",
+                       "--regime", regime, "--points", str(pts),
+                       "--out", str(out)).returncode == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def _seeded_points(regime: str, count: int = 6):
     """(z_re, z_im) strings inside the regime's domain: |z| in [1.3, 3]
     (outer), or |Re z| in [0.25, 0.75] and |Im z| <= 0.1 (inner)."""

@@ -449,6 +449,71 @@ def test_outer_reflection_even_degree():
             mpf(2) ** -40 * abs(b.value)
 
 
+def _outer_domain(xy):
+    """dist(z, [-1,1]) >= 0.2 and |z| <= 3, the benchmark's outer domain."""
+    x, y = xy
+    return math.hypot(max(abs(x) - 1, 0), y) >= 0.2 and math.hypot(x, y) <= 3
+
+
+def _inner_right_half(xy):
+    """Outside the 0.2-disks at 0 and 1: with 0.2 <= x <= 1 and
+    |y| <= 0.1, the right half of the benchmark's inner domain."""
+    x, y = xy
+    return min(math.hypot(x, y), math.hypot(x - 1, y)) >= 0.2
+
+
+def _seeded_domain_points(regime: str, count: int = 8):
+    """Exact binary points with Re z != 0 in the regime's validated
+    domain, half of them with Re z < 0: the outer domain, or |Im z| <= 0.1
+    and |Re z| in [0.25, 0.75] (inner)."""
+    rng = random.Random(f"reflection:{regime}")
+    out = []
+    while len(out) < count:
+        if regime == "outer":
+            x, y = rng.uniform(-3, 3), rng.uniform(-3, 3)
+        else:
+            x, y = rng.uniform(0.25, 0.75), rng.uniform(-0.1, 0.1)
+        if x != 0 and (regime == "inner" or _outer_domain((x, y))):
+            out.append(mpc(abs(x) if len(out) % 2 else -abs(x), y))
+    return out
+
+
+@pytest.mark.parametrize("n", [15, 16])
+@pytest.mark.parametrize("regime", ["outer", "inner"])
+def test_reflection_is_bit_exact(regime, n):
+    # P~_n(-conj z) = (-1)^n conj P~_n(z): both evaluators reduce to
+    # Re z >= 0 and reflect the value, so the symmetry holds bit for bit
+    evaluate = px.outer_eval if regime == "outer" else px.inner_eval
+    for z in _seeded_domain_points(regime):
+        a = evaluate(-mp.conj(z), n, NU, 256).value
+        b = evaluate(z, n, NU, 256).value
+        with workprec(256):
+            ref = mp.conj(b) * (-1) ** n
+        assert a._mpc_ == ref._mpc_, (regime, n, z)
+
+
+outer_points = st.tuples(st.floats(-3, 3), st.floats(-3, 3)).filter(
+    _outer_domain)
+inner_points = st.tuples(st.floats(0.2, 1), st.floats(-0.1, 0.1)).filter(
+    _inner_right_half)
+
+
+@given(outer=outer_points, inner=inner_points,
+       nu=st.floats(0, 1, exclude_max=True), n=st.integers(2, 64),
+       prec=st.sampled_from((128, 256)))
+def test_asymptotic_values_keep_the_working_precision(outer, inner, nu, n,
+                                                      prec):
+    # one rounding per value: outer_eval and each inner term lie within
+    # 2^-(prec-2) relative of the same call at prec + 128
+    got = [px.outer_eval(mpc(*outer), n, nu, prec).value,
+           *px.inner_terms(mpc(*inner), n, nu, prec)]
+    ref = [px.outer_eval(mpc(*outer), n, nu, prec + 128).value,
+           *px.inner_terms(mpc(*inner), n, nu, prec + 128)]
+    for name, a, b in zip(("outer", "prefactor", "t_plus", "t_minus"),
+                          got, ref):
+        assert _rel_err(a, b) <= mpf(2) ** (2 - prec), (name, prec)
+
+
 def test_inner_domain_guards():
     for bad in (mpf("0.15"), mpc("0.5", "0.3"), mpf("0.95"), mpf("1.5")):
         with pytest.raises(DomainError):
