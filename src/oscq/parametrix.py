@@ -1,36 +1,27 @@
 """Szego functions, the cut-normalized matrix model, and the outer/inner
 asymptotic evaluators for the rescaled polynomials.
 
-The first Szego factor is a Cauchy-type integral of log W_n against the
-Chebyshev kernel; it is evaluated either through a frozen per-(n, nu)
-quadrature grid (fast, cached, bit-reproducible) or adaptively.  The grid
-holds its nodes and weights as Python-int mantissas at one shared
-exponent, and a read is one fixed-point integer sum at a scale chosen from
-z (see D1Grid.cauchy), the way mpmath sums its own series.  On the
-imaginary axis the sum is real; at the grid's bulk scale, which most
-reads share, it runs over two integer arrays derived once per grid and
-held for the grid read last, one addition and one division per node.  Its
-limit at infinity is the grid's weight sum.  A grid's log-weight is formed
-in one pass over its nodes, with K_nu's set-up done once per pass and the
-values at x = n pi t <= 1, which grids of one (nu, prec) share across
-degrees, held from the grid built last.  The second factor and the
-matrix model are closed forms.
+The first Szego factor d1n is a Cauchy-type integral of log W_n against
+the Chebyshev kernel, read from a frozen tanh-sinh grid per (n, nu, prec)
+(D1Grid; a cached and a fresh grid are bit-identical) as one fixed-point
+sum at a scale chosen from z.  On the imaginary axis that sum is within
+2^-(prec+64) relative of the mpc sum over the grid's nodes, and D1(-iy) =
+conj D1(iy) bit for bit.  The grid's log-weight is within 2^-(prec+16) in
+log W_n of log K_nu by its series at prec + 96 bits.  The second factor
+and the matrix model are closed forms.
 
-The outer and inner evaluators take each formula in one pass per point:
-one branch root ((z^2-1)^(1/2) outer, (1-z^2)^(1/2) inner), the
-equilibrium closed forms at that root (equilibrium.g_at,
-equilibrium.theta_terms), one exponential for the outer value and its
-power factors, at prec plus guard bits that cover n and |z|, and one
-rounding at the end.  Both evaluate at Re z >= 0 and reflect the value.
-Their per-(n, nu, prec) constants come from a small memo.
+The outer and inner evaluators round once: a value is within 2^-(prec-2)
+relative of the same call at prec + 128 bits, and P~_n(-conj z) =
+(-1)^n conj P~_n(z) holds bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import add, floordiv
+from operator import add, floordiv, lshift, mul, rshift, sub
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
@@ -38,8 +29,8 @@ from mpmath import mp, mpc, mpf
 from .branches import (beta_quartic, exterior_beta, f_exterior, sqrt_offcut,
                        sqrt_onecut)
 from .equilibrium import epsilon_n, g_at, theta_terms
-from .mpfun import (GUARD_BITS, DomainError, besselk_map, besselk_real,
-                    man_exp, require_prec, round_to, to_fixed, workprec)
+from .mpfun import (GUARD_BITS, DomainError, besselk_map, man_exp,
+                    require_prec, round_to, to_fixed, workprec)
 from .quadrature import quad_ts, segment_nodes
 
 GRID_SPLIT_LEVELS = {192: 6, 448: 7}
@@ -50,17 +41,6 @@ BULK_BITS = 32     # a D1 read carries at least prec + 64 + BULK_BITS bits
 class AsymptoticPrediction:
     value: mpc
     error_scale: mpf   # the formula's own O-term magnitude
-
-
-def dist_to_interval(z, prec: int):
-    """Distance from z to [-1,1]."""
-    with workprec(prec):
-        z = mpc(z)
-        if -1 <= z.real <= 1:
-            v = abs(z.imag)
-        else:
-            v = min(abs(z - 1), abs(z + 1))
-    return round_to(v, prec)
 
 
 def _on_cut(z) -> bool:
@@ -174,16 +154,109 @@ def _k_log_weight(n: int, nu, prec: int):
     """The map t -> log W_n(t) / sqrt(1-t^2) for t in (0,1), W_n being even
     in t.  nu, n pi and log(2n)/2 are taken once, at prec + 32 bits; the
     map evaluates at the caller's working precision, which must be
-    prec + 32 bits (workprec(prec)).  build_d1_grid forms the same values
-    in one pass (_k_log_weight_pass)."""
+    prec + 32 bits (workprec(prec)).  log K_nu comes from _log_k_map, and
+    build_d1_grid forms the same values in one pass (_k_log_weight_pass)."""
     nu, npi, half_log2n = _weight_constants(n, nu, prec)
+    log_k = _log_k_map(nu, npi, prec)
 
     def k(t):
         x = npi * t
-        return _k_value(t, x, mp.log(besselk_real(nu, x, prec + 32)),
-                        half_log2n)
+        return _k_value(t, x, log_k(x), half_log2n)
 
     return k
+
+
+TAYLOR_BITS = 64    # a log K_nu Taylor table is held to prec + 64 bits
+
+
+class _LogKTaylor(NamedTuple):
+    """log K_nu(x) for lo < x <= hi, x > 1, as a polynomial in u =
+    (x - x0) / 2^q, |u| <= 1, held in Python ints at the scale 2^scale and
+    evaluated by Horner (see _log_k_taylor)."""
+    lo: mpf
+    hi: mpf
+    x0: int           # x0 at the scale 2^(scale - q)
+    q: int
+    scale: int
+    coeffs: tuple     # highest degree first
+
+    def __call__(self, x):
+        man, exp = man_exp(x)
+        u = to_fixed(man, exp, self.scale - self.q) - self.x0
+        acc = 0
+        for a in self.coeffs:
+            acc = (acc * u >> self.scale) + a
+        return mpf((acc, -self.scale))
+
+
+@lru_cache(maxsize=8)    # the table about x = 1 serves every n at (nu, prec)
+def _log_k_taylor(x0: mpf, nu: mpf, prec: int) -> _LogKTaylor:
+    """Taylor table of log K_nu about x0 > 0, valid for x > 1 with |x - x0|
+    <= R = min(x0/8, 2), to about 2^-(prec+48) absolute.
+
+    v = e^x K_nu solves x^2 v'' + x(1-2x) v' - (x+nu^2) v = 0.  Its
+    coefficients about x0 follow from v(x0) and v'(x0) (K_nu' = -K_(1-nu)
+    - (nu/x) K_nu, DLMF 10.29.2) by the three-term recurrence of that
+    equation, and log v by the recurrence of v' = v (log v)', both in
+    u = (x - x0)/2^q, 2^q >= R.  The forward recurrence also carries the
+    growing solution (like e^x I_nu), whose coefficients grow like
+    (2^(q+1))^k/k! before they fall; R <= 2 bounds that growth by e^4, and
+    with it the terms a table needs.  Coefficients are taken until two in
+    a row fall below 2^-(prec+48); they decay like (2^q/x0)^k <= 4^-k."""
+    scale = prec + TAYLOR_BITS
+    radius = min(x0 / 8, 2)
+    q = math.ceil(math.log2(radius))         # 2^q >= R, so |u| <= 1
+    with workprec(scale):
+        k_nu = besselk_map(nu, scale)(x0)
+        # K_(nu-1) = K_(1-nu), by the series at nu = 0 too (1 - 2^-(scale
+        # + 32), as the series takes nu = 0), where mp.besselk is slow
+        k_lo = besselk_map(1 - max(nu, mpf(2) ** -(scale + 32)), scale)(x0)
+        c1 = 1 - k_lo / k_nu - nu / x0          # v'(x0) / v(x0)
+        log_k0 = mp.log(k_nu)
+        nu2 = to_fixed(*man_exp(nu * nu), scale)
+        lo, hi = max(x0 - radius, mpf(1)), x0 + radius
+    one = 1 << scale
+    x = to_fixed(*man_exp(x0), scale)
+    x2 = x * x >> scale
+    b = [one, to_fixed(*man_exp(c1), scale + q)]          # c_k 2^(qk)
+    logs = [0, b[1]]                                      # of log(v/v0)
+    tol = 1 << (scale - prec - 48)
+    k = 0
+    while abs(logs[-1]) > tol or abs(logs[-2]) > tol:
+        alpha = (k + 1) * ((2 * k + 1) * x - 2 * x2)
+        beta = k * k * one - 4 * k * x - x - nu2
+        num = (to_fixed(alpha * b[k + 1], 0, q)
+               + to_fixed(beta * b[k], 0, 2 * q))
+        if k:
+            num -= to_fixed((2 * k - 1) * b[k - 1] << scale, 0, 3 * q)
+        b.append(-num // (x2 * (k + 1) * (k + 2)))
+        m = k + 2
+        conv = sum(j * logs[j] * b[m - j] for j in range(1, m))
+        logs.append(b[m] - (conv >> scale) // m)
+        k += 1
+    # log K_nu = log K_nu(x0) + log(v/v0) - (x - x0)
+    coeffs = [to_fixed(*man_exp(log_k0), scale), logs[1] - (1 << (scale + q)),
+              *logs[2:]]
+    return _LogKTaylor(lo, hi, to_fixed(*man_exp(x0), scale - q), q, scale,
+                       tuple(reversed(coeffs)))
+
+
+def _log_k_map(nu, npi, prec: int):
+    """x -> log K_nu(x) for x = n pi t, t in (0,1), at the working
+    precision prec + 32: by the Taylor tables about x = 1 and x = n pi
+    (_log_k_taylor) where they cover x, which holds for the grid's node
+    clusters at t -> x* from above and t -> 1, else as log of
+    besselk_map(nu, prec + 32)."""
+    tables = (_log_k_taylor(mpf(1), nu, prec), _log_k_taylor(npi, nu, prec))
+    k = besselk_map(nu, prec + 32)
+
+    def log_k(x):
+        for table in tables:
+            if table.lo < x <= table.hi:
+                return table(x)
+        return mp.log(k(x))
+
+    return log_k
 
 
 @dataclass(frozen=True)
@@ -197,8 +270,8 @@ class D1Grid:
     same absolute resolution.  Immutable snapshot: cached and freshly
     built grids are bit-identical.
 
-    Reads on the imaginary axis at bulk_scale take the numerators and the
-    -t_i^2 from integer arrays derived from this payload on first use
+    Reads on the imaginary axis take integer arrays and the moments of
+    the node clusters from this payload, derived on first use
     (_bulk_arrays); they are held outside the grid, for one grid at a
     time, so they add neither to the payload nor to its equality.
     """
@@ -213,10 +286,11 @@ class D1Grid:
 
     def read_scale(self, z) -> int:
         """Fixed-point scale W (bits) of a read at z: prec + 64 plus four
-        bits per binade of dist(z, [-1,1]) below 1 (dist <= |z|, so this
-        also covers small |z|) and per binade of |z| above 1, and never
-        less than bulk_scale."""
-        near = dist_to_interval(z, 96)
+        bits per binade of d = max(|Re z| - 1, |Im z|) below 1 (d is |Im z|
+        for |Re z| <= 1, and within a factor sqrt 2 below dist(z, [-1,1])
+        otherwise, so it also covers small |z|) and per binade of |z|
+        above 1, and never less than bulk_scale."""
+        near = max(abs(z.real) - 1, abs(z.imag))
         return self.prec + 64 + max(BULK_BITS,
                                     4 * max(0, 1 - mp.mag(near))
                                     + 4 * max(0, mp.mag(z)))
@@ -237,7 +311,8 @@ class D1Grid:
         one integer division per node.  z^2 is taken exactly from z's
         mantissas and truncated toward zero.  On the imaginary axis (Re z
         exactly 0) z^2 = -y^2 is real, and the sum is the real sum of wk_i
-        / a_i, a_i = -(y^2 + t_i^2) (see _axis_sum).  Elsewhere it is
+        / a_i, a_i = -(y^2 + t_i^2), with the node clusters summed from
+        their moments (see _axis_sum).  Elsewhere it is
         2z * sum wk_i (a_i - ib)/(a_i^2 + b^2), a_i = Re z^2 - t_i^2,
         b = Im z^2 (see _complex_sum).  conj z flips only the sign of b,
         and of z on the axis, so the read honours Schwarz reflection bit
@@ -262,33 +337,80 @@ class D1Grid:
         return (t * t << -shift for t in self.nodes)
 
     def _axis_sum(self, a0: int, w: int):
-        """sum wk_i / (a0 - t_i^2) for real a0 at scale w, as an mpf.  At
-        bulk_scale the numerators wk_i << (2w - scale) and the -t_i^2 come
-        from _bulk_arrays, so a node costs one addition and one floor
-        division, both run by map in C; other scales form them per node."""
+        """sum wk_i / (a0 - t_i^2) for real a0 <= 0 at scale w, as an mpf.
+
+        The node clusters of _bulk_arrays are summed from their moments
+        (_Cluster.axis_sum), the near-0 one only at bulk_scale, where
+        y >= 2^-8.  Every other node costs one floor division, run by map
+        in C: at bulk_scale over the held -t_i^2 and numerators wk_i <<
+        (2w - scale), at other scales over shifts of the held t_i^2."""
+        neg_t2, num, squares, wks, (near0, *clusters) = self._bulk_arrays()
         if w == self.bulk_scale:
-            neg_t2, num = self._bulk_arrays()
             total = sum(map(floordiv, num, map(add, repeat(a0), neg_t2)))
+            clusters.append(near0)
         else:
-            shift = 2 * w - self.scale     # wk/a at scale w
-            total = sum((wk << shift) // (a0 - t2)
-                        for t2, wk in zip(self._squares(w), self.wk))
+            shift = 2 * self.scale - w      # t_i^2 at scale w
+            t2 = map(rshift, squares, repeat(shift)) if shift >= 0 \
+                else map(lshift, squares, repeat(-shift))
+            total = sum(map(floordiv,
+                            map(lshift, wks, repeat(2 * w - self.scale)),
+                            map(sub, repeat(a0), t2)))
+        for cluster in clusters:
+            total += cluster.axis_sum(a0, w, self.bulk_scale)
         return mpf((total, -w))
 
     def _bulk_arrays(self):
-        """(-t_i^2, wk_i << (2W - scale)) at W = bulk_scale, derived on the
-        first axis read of this grid at that scale and held until another
-        grid is read there, so at most one grid's arrays are alive."""
+        """(-t_i^2, wk_i << (2W - scale)) at W = bulk_scale over the nodes
+        in no cluster; t_i^2 at scale 2 scale and wk_i over those and the
+        near-0 cluster; and the clusters [near 0, t -> x*, t -> 1] (see
+        _clusters).  Derived on the first axis read of this grid and held
+        until another grid's axis is read, so at most one grid's arrays
+        are alive."""
         global _held_bulk_arrays
         held = _held_bulk_arrays
         if held is None or held[0] is not self:
             _held_bulk_arrays = held = None    # release the last grid's first
+            squares = [t * t for t in self.nodes]
+            (near0, near), *others = self._clusters(squares)
+            taken = set(near).union(*(members for _, members in others))
+            rest = [i for i in range(len(squares)) if i not in taken]
             w = self.bulk_scale
-            shift = 2 * w - self.scale
-            held = (self, tuple(-t2 for t2 in self._squares(w)),
-                    tuple(wk << shift for wk in self.wk))
+            held = (self,
+                    tuple(-(squares[i] >> (2 * self.scale - w)) for i in rest),
+                    tuple(self.wk[i] << (2 * w - self.scale) for i in rest),
+                    tuple(squares[i] for i in rest + near),
+                    tuple(self.wk[i] for i in rest + near),
+                    (near0, *(cluster for cluster, _ in others)))
             _held_bulk_arrays = held
-        return held[1], held[2]
+        return held[1:]
+
+    def _clusters(self, squares):
+        """[(cluster, its node indices)] near 0, at t -> x* and at t -> 1,
+        from the t_i^2 at scale 2 scale.
+
+        The tanh-sinh rule packs its nodes at the segment ends.  A cluster
+        takes the nodes with |t_i^2 - c| <= h = 2^-p, for a centre c and a
+        half-width h <= |a0 - c| / 16 at every a0 it serves: t -> x*,
+        c = x*^2 to 16 bits and h in (c/32, c/16]; t -> 1, c = 1 - 1/32
+        and h = 1/32; both serve every a0 <= 0.  Near 0, c = 0 and h =
+        min(2^-22, 2^-6 x*^2), for a0 = -y^2 <= -2^-16, which holds at
+        bulk_scale."""
+        mant, e = math.frexp(1 / (self.n * math.pi) ** 2)     # x*^2
+        p0 = max(22, 7 - e)
+        # (centre mantissa, its exponent, p, log2 of the least |a0 - c|)
+        specs = ((0, 0, p0, 6 - p0), (round(mant * 2 ** 16), e - 16, 5 - e,
+                                      e - 1), (31, -5, 5, -1))
+        two = 2 * self.scale
+        out = []
+        for man, exp, p, least in specs:
+            c = man << (two + exp)
+            members = [i for i, t2 in enumerate(squares)
+                       if abs(t2 - c) <= 1 << (two - p)]
+            out.append((_Cluster.build(
+                [squares[i] - c for i in members],
+                [self.wk[i] for i in members], two, self.scale, c, p, least,
+                self.bulk_scale), members))
+        return out
 
     def _complex_sum(self, a0: int, b: int, w: int):
         """sum wk_i / (a0 - t_i^2 + ib) for a0, b at scale w, as an mpc."""
@@ -303,9 +425,59 @@ class D1Grid:
         return mpc(mpf((re, -2 * w)), mpf((-b * im, -2 * w)))
 
 
-# (grid, -t_i^2, numerators) of the grid whose axis was read last at its
-# bulk scale; see D1Grid._bulk_arrays
+# (grid, bulk arrays, clusters) of the grid whose axis was read last; see
+# D1Grid._bulk_arrays
 _held_bulk_arrays = None
+
+
+def _terms(log2_mabs: float, log2_a: float, v: int, p: int,
+           target: int) -> int:
+    """Moments a cluster read sums so that the rest of its series is at
+    most 2^-target: with rho = h/|A| <= 1/2, the terms past J sum to at
+    most Mabs rho^J / ((1 - rho) |A|), Mabs = sum |wk_i|; Mabs and |A|
+    come as log2 of their images at the scale 2^v, rounded up in J."""
+    log2_inv_rho = log2_a - v + p
+    return math.ceil((target + 1 + log2_mabs - log2_a) / log2_inv_rho) + 1
+
+
+class _Cluster(NamedTuple):
+    """Nodes with |t_i^2 - c| <= h = 2^-p, summed on the imaginary axis
+    from their moments M_j = sum wk_i ((t_i^2 - c)/h)^j: with A = a0 - c
+    and r = h/A, sum wk_i / (a0 - t_i^2) = (1/A) sum_j M_j r^j, which
+    converges like 16^-j where |A| >= 16 h."""
+    centre: int       # c at the scale 2^v
+    p: int
+    v: int            # the moments' scale: bulk_scale + 16 + bits of 1/|A|
+    log2_mabs: float
+    moments: tuple    # M_0, M_1, ... at scale v
+
+    @classmethod
+    def build(cls, offsets, wks, two, scale, c, p, least, target):
+        """The cluster of the nodes with t_i^2 - c = offsets (scale
+        2^two) and wk_i = wks (scale 2^scale), with moments enough for
+        reads down to |A| = 2^least (_terms)."""
+        v = target + 16 + max(0, -least)
+        deltas = [to_fixed(d, 0, v + p - two) for d in offsets]  # scale v
+        powers = [to_fixed(wk, 0, v - scale) for wk in wks]
+        log2_mabs = math.log2(max(1, sum(map(abs, powers))))
+        moments = []
+        for _ in range(_terms(log2_mabs, v + least, v, p, target)):
+            moments.append(sum(powers))
+            powers = list(map(rshift, map(mul, powers, deltas), repeat(v)))
+        return cls(to_fixed(c, 0, v - two), p, v, log2_mabs, tuple(moments))
+
+    def axis_sum(self, a0: int, w: int, target: int) -> int:
+        """sum wk_i / (a0 - t_i^2) over the members at scale w, for a0 at
+        scale w that the cluster serves, to 2^-target plus the roundings:
+        (1/A) sum_j M_j r^j by Horner at scale v, over _terms terms."""
+        v = self.v
+        a = to_fixed(a0, 0, v - w) - self.centre         # A = a0 - c < 0
+        terms = _terms(self.log2_mabs, math.log2(-a), v, self.p, target)
+        r = (1 << (2 * v - self.p)) // a            # h / A at scale v
+        acc = 0
+        for m in reversed(self.moments[:terms]):
+            acc = m + (acc * r >> v)
+        return to_fixed((acc << v) // a, 0, w - v)
 
 
 def _grid_level(prec: int) -> int:
@@ -341,8 +513,8 @@ _held_log_k = None
 
 def _k_log_weight_pass(n: int, nu, nodes, prec: int):
     """[k(t) for t in nodes] for k = _k_log_weight(n, nu, prec), formed in
-    one pass at prec + 32 bits: K_nu's set-up is done once (besselk_map),
-    and every value is bit-identical to k's.
+    one pass at prec + 32 bits with one log K_nu map (_log_k_map), so
+    every value is bit-identical to k's.
 
     In x = n pi t the grid's first segment [0, x*] is (0, 1] for every n,
     so at one (nu, prec) grids of different n share x values there: all
@@ -355,14 +527,14 @@ def _k_log_weight_pass(n: int, nu, nodes, prec: int):
     held = _held_log_k
     known = held[2] if held and held[:2] == (nu, prec) else {}
     log_ks = {}     # this grid's, so nodes that round to one x share it
-    k = besselk_map(nu, prec + 32)
+    log_k_of = _log_k_map(nu, npi, prec)
     out = []
     with workprec(prec):
         for t in nodes:
             x = npi * t
             log_k = log_ks.get(x._mpf_, known.get(x._mpf_))
             if log_k is None:
-                log_k = mp.log(k(x))
+                log_k = log_k_of(x)
             if x <= 1:
                 log_ks[x._mpf_] = log_k
             out.append(_k_value(t, x, log_k, half_log2n))
@@ -501,7 +673,8 @@ def outer_eval(z, n: int, nu, prec: int) -> AsymptoticPrediction:
     """
     with workprec(prec):
         z = mpc(z)
-        if dist_to_interval(z, prec) < mpf("0.2"):
+        gap = max(abs(z.real) - 1, 0)      # dist(z, [-1,1])^2 < 0.2^2
+        if gap * gap + z.imag * z.imag < mpf("0.2") ** 2:
             raise DomainError("outer regime needs dist(z, [-1,1]) >= 0.2")
     c = _formula_constants(n, nu, prec)
     with workprec(prec, guard=_eval_guard(z, n)):

@@ -177,6 +177,24 @@ def test_asymptotics_domain_guard(tmp_path):
     assert r.returncode == 4
 
 
+def test_asymptotics_domain_guard_off_the_boundary(tmp_path):
+    # the outer command runs at 256 bits; points 2^-200 inside
+    # dist(z, [-1,1]) = 0.2, on the real axis and above (-1,1), exit 4
+    # one by one, and the same points 2^-200 outside pass together
+    with workprec(320):
+        off = mpf(2) ** -200
+        out_, in_ = ([(mp.nstr(mpf("1.2") + s * off, 90), "0"),
+                      ("0.5", mp.nstr(mpf("0.2") + s * off, 90))]
+                     for s in (1, -1))
+    pts = tmp_path / "pts.csv"
+    for code, points in ((0, out_), (4, in_[:1]), (4, in_[1:])):
+        pts.write_text("z_re,z_im\r\n" + "".join(
+            f"{re_},{im_}\r\n" for re_, im_ in points))
+        assert main(["asymptotics", "--nu", "0.25", "--n", "8",
+                     "--regime", "outer", "--points", str(pts),
+                     "--out", str(tmp_path / "x.csv")]) == code, points
+
+
 def test_asymptotics_inner_points_file(tmp_path):
     pts = tmp_path / "pts.csv"
     pts.write_text("z_re,z_im\r\n0.5,0.0\r\n-0.5,0.0\r\n")

@@ -9,7 +9,8 @@ from mpmath import mp, mpc, mpf
 from oscq import equilibrium as eq
 from oscq import parametrix as px
 from oscq import verify
-from oscq.mpfun import DomainError, man_exp, to_fixed, workprec
+from oscq.mpfun import (DomainError, besselk_map, man_exp, round_to,
+                        to_fixed, workprec)
 from oscq.smallnorm import EPS_DEFAULT
 
 from conftest import get_k_norm_nodes, get_tilde
@@ -159,11 +160,48 @@ def test_d1_grid_log_k_memo_scope(monkeypatch):
     build(16, nu, 128)
     small = build(32, nu, 128)
     assert not small_evaluated()
-    assert len(evaluated) == sum(x > 1 for x in _grid_xs(32, nu, 128))
+    # K is evaluated at the x > 1 nodes outside the Taylor tables' ranges
+    # and at the two seeds of the table about 32 pi (K_nu and K_(1-nu));
+    # the table about x = 1 is the n = 16 build's
+    nu_c, npi, _ = px._weight_constants(32, nu, 128)
+    tables = (px._log_k_taylor(mpf(1), nu_c, 128),
+              px._log_k_taylor(npi, nu_c, 128))
+    assert len(evaluated) == 2 + sum(
+        x > 1 and not any(tab.lo < x <= tab.hi for tab in tables)
+        for x in _grid_xs(32, nu, 128))
     assert set(px._held_log_k[2]) == small
     for other_nu, other_prec in (("0.618035", 128), (nu, 192)):
         build(16, other_nu, other_prec)
         assert build(32, nu, 128) == small_evaluated()
+
+
+@pytest.mark.parametrize("prec", (128, 192, 300))
+@pytest.mark.parametrize("n", (2, 16, 64, 128, 200))
+def test_k_log_weight_taylor_matches_series(n, prec):
+    # at every grid node that a Taylor table covers (the clusters at
+    # t -> x* from above and t -> 1), log W_n from the log-weight is
+    # within 2^-(prec+16) of log K_nu by its series at prec + 96 bits, at
+    # the same x = n pi t; tables cut at 2^-prec fail this
+    nodes, _ = px._grid_nodes(n, prec)
+    for nu in ("0", "0.000001", "0.25", "0.5", "0.75", "0.999999"):
+        nu_c, npi, _ = px._weight_constants(n, nu, prec)
+        tables = (px._log_k_taylor(mpf(1), nu_c, prec),
+                  px._log_k_taylor(npi, nu_c, prec))
+        k = px._k_log_weight(n, nu, prec)
+        series = besselk_map(nu_c, prec + 96)
+        covered = 0
+        for t in nodes:
+            with workprec(prec):
+                x = npi * t
+                if not any(tab.lo < x <= tab.hi for tab in tables):
+                    continue
+                got = k(t)
+            with workprec(2 * prec):
+                ref = mp.log(2 * n) / 2 + mp.log(series(x)) + x
+                assert abs(got * mp.sqrt((1 - t) * (1 + t)) - ref) \
+                    <= mpf(2) ** -(prec + 16), (n, nu, prec, x)
+            covered += 1
+        assert covered > len(nodes) // 4, (n, nu, prec)
 
 
 def test_d1n_schwarz_reflection_on_axis_bitwise():
@@ -213,6 +251,28 @@ def test_d1_grid_read_matches_mpc_sum(xy, sign):
     z = mpc(xy[0], sign * xy[1])
     assert _rel_err(grid.cauchy(z), _cauchy_by_mpc(grid, z)) \
         <= mpf(2) ** -grid.prec
+
+
+@given(n=st.sampled_from((2, 9, 16, 64, 128)),
+       nu=st.integers(0, 999999).map(lambda k: f"{k / 1e6:.6f}"),
+       prec=st.sampled_from((128, 192, 300)), e=st.floats(-300, 1))
+def test_d1_grid_axis_read_property(n, nu, prec, e):
+    # the sum of an axis read at its scale, with the node clusters summed
+    # from their moments, is within 2^-(prec+64) of the mpc sum over
+    # every node (cauchy rounds it to prec + 32 bits), and D1(-iy) is
+    # conj D1(iy) bit for bit
+    grid = px._get_grid(n, nu, prec)
+    z = mpc(0, 2.0 ** e)
+    with workprec(prec):
+        w = grid.read_scale(z)
+        man, exp = man_exp(z.imag)
+        a0 = -to_fixed(man * man, 2 * exp, w)      # -y^2, exactly
+    with workprec(2 * w):
+        total = 2 * z * grid._axis_sum(a0, w)
+    assert _rel_err(total, _cauchy_by_mpc(grid, z)) <= mpf(2) ** -(prec + 64)
+    up, down = px.d1n(z, n, nu, prec), px.d1n(mp.conj(z), n, nu, prec)
+    with workprec(prec):
+        assert down._mpc_ == mp.conj(up)._mpc_
 
 
 def test_d1_grid_read_scale_follows_z(monkeypatch):
@@ -384,6 +444,47 @@ def test_outer_prefactor_tends_to_one():
 def test_outer_domain_guard():
     with pytest.raises(DomainError):
         px.outer_eval(mpf("0.5"), 8, NU, 192)
+
+
+def _boundary_points(prec: int, count: int = 48):
+    """Exact prec-bit points at seeded offsets 2^-(prec-40)..2^-(prec-8)
+    on either side of dist(z, [-1,1]) = 0.2, along its straight parts
+    and its arcs about +-1, with their distance at 4 prec bits."""
+    rng = random.Random(f"outer-boundary:{prec}")
+    out = []
+    with workprec(4 * prec):
+        for _ in range(count):
+            r = mpf("0.2") + rng.choice((-1, 1)) * mpf(2) ** -rng.uniform(
+                prec - 40, prec - 8)
+            if rng.random() < 0.5:
+                z = mpc(rng.uniform(-0.99, 0.99), rng.choice((-1, 1)) * r)
+            else:
+                z = rng.choice((-1, 1)) * (1 + r * mp.expj(
+                    rng.uniform(-1.5, 1.5)))
+            z = round_to(z, prec)
+            gap = max(abs(z.real) - 1, 0)
+            out.append((z, mp.sqrt(gap * gap + z.imag * z.imag)))
+    return out
+
+
+@pytest.mark.parametrize("prec", (64, 128, 256))
+def test_outer_domain_verdict_off_the_boundary(prec):
+    # outer_eval compares the squared distance with 0.2^2 at its own
+    # precision: at points farther than 2^-(prec-8) from dist = 0.2 its
+    # verdict is the exact one
+    checked = 0
+    for z, dist in _boundary_points(prec):
+        with workprec(4 * prec):
+            if abs(dist - mpf("0.2")) <= mpf(2) ** -(prec - 8):
+                continue
+            inside = dist < mpf("0.2")
+        if inside:
+            with pytest.raises(DomainError):
+                px.outer_eval(z, 4, NU, prec)
+        else:
+            px.outer_eval(z, 4, NU, prec)
+        checked += 1
+    assert checked >= 40
 
 
 def test_outer_ratio_error_decreasing_in_n():
