@@ -35,6 +35,12 @@ from .quadrature import quad_ts, segment_nodes
 
 GRID_SPLIT_LEVELS = {192: 6, 448: 7}
 BULK_BITS = 32     # a D1 read carries at least prec + 64 + BULK_BITS bits
+# Axis reads of one grid in a row before its node clusters are derived.
+# Their moments cost what 30-65 reads save (at n = 16, 128 bits: 15 ms,
+# against 0.23 ms saved by a read at bulk_scale and 1-2 ms by a deeper
+# one; at 300 bits 44 ms against 1.2 ms), so a grid read a few times, or
+# read in turn with another, never pays for them.
+CLUSTER_READS = 32
 
 
 @dataclass(frozen=True)
@@ -270,10 +276,11 @@ class D1Grid:
     same absolute resolution.  Immutable snapshot: cached and freshly
     built grids are bit-identical.
 
-    Reads on the imaginary axis take integer arrays and the moments of
-    the node clusters from this payload, derived on first use
-    (_bulk_arrays); they are held outside the grid, for one grid at a
-    time, so they add neither to the payload nor to its equality.
+    Reads on the imaginary axis take integer arrays, and from the
+    CLUSTER_READS-th read in a row the moments of the node clusters, from
+    this payload (_bulk_arrays); they are held outside the grid, for one
+    grid at a time, so they add neither to the payload nor to its
+    equality.
     """
 
     n: int
@@ -329,12 +336,12 @@ class D1Grid:
             return 2 * z * self._complex_sum(a0, to_fixed(2 * xr * xi,
                                                           er + ei, w), w)
 
-    def _squares(self, w: int):
-        """t_i^2 at scale w, truncated."""
+    def _squares(self, squares, w: int):
+        """The t_i^2 held at scale 2 scale, at scale w, truncated."""
         shift = 2 * self.scale - w
         if shift >= 0:
-            return (t * t >> shift for t in self.nodes)
-        return (t * t << -shift for t in self.nodes)
+            return map(rshift, squares, repeat(shift))
+        return map(lshift, squares, repeat(-shift))
 
     def _axis_sum(self, a0: int, w: int):
         """sum wk_i / (a0 - t_i^2) for real a0 <= 0 at scale w, as an mpf.
@@ -343,18 +350,15 @@ class D1Grid:
         (_Cluster.axis_sum), the near-0 one only at bulk_scale, where
         y >= 2^-8.  Every other node costs one floor division, run by map
         in C: at bulk_scale over the held -t_i^2 and numerators wk_i <<
-        (2w - scale), at other scales over shifts of the held t_i^2."""
-        neg_t2, num, squares, wks, (near0, *clusters) = self._bulk_arrays()
+        (2w - scale), at other scales over the held t_i^2 shifted to w."""
+        neg_t2, num, squares, wks, clusters = self._bulk_arrays()
         if w == self.bulk_scale:
             total = sum(map(floordiv, num, map(add, repeat(a0), neg_t2)))
-            clusters.append(near0)
         else:
-            shift = 2 * self.scale - w      # t_i^2 at scale w
-            t2 = map(rshift, squares, repeat(shift)) if shift >= 0 \
-                else map(lshift, squares, repeat(-shift))
             total = sum(map(floordiv,
                             map(lshift, wks, repeat(2 * w - self.scale)),
-                            map(sub, repeat(a0), t2)))
+                            map(sub, repeat(a0), self._squares(squares, w))))
+            clusters = clusters[:2]     # not the near-0 one
         for cluster in clusters:
             total += cluster.axis_sum(a0, w, self.bulk_scale)
         return mpf((total, -w))
@@ -362,27 +366,37 @@ class D1Grid:
     def _bulk_arrays(self):
         """(-t_i^2, wk_i << (2W - scale)) at W = bulk_scale over the nodes
         in no cluster; t_i^2 at scale 2 scale and wk_i over those and the
-        near-0 cluster; and the clusters [near 0, t -> x*, t -> 1] (see
-        _clusters).  Derived on the first axis read of this grid and held
-        until another grid's axis is read, so at most one grid's arrays
-        are alive."""
+        near-0 cluster; and the clusters (t -> x*, t -> 1, near 0; see
+        _clusters).  Held for the grid whose axis was read last, so at
+        most one grid's arrays are alive.  Its first CLUSTER_READS - 1
+        reads in a row take every node and no cluster; the next derives
+        the clusters."""
         global _held_bulk_arrays
         held = _held_bulk_arrays
         if held is None or held[0] is not self:
             _held_bulk_arrays = held = None    # release the last grid's first
-            squares = [t * t for t in self.nodes]
+            held = (self, 0, self._arrays(clustered=False))
+        reads = held[1] + 1
+        arrays = self._arrays(clustered=True) if reads == CLUSTER_READS \
+            else held[2]
+        _held_bulk_arrays = (self, reads, arrays)
+        return arrays
+
+    def _arrays(self, clustered: bool):
+        """The arrays of _bulk_arrays, with the clusters or with none."""
+        squares = [t * t for t in self.nodes]
+        if clustered:
             (near0, near), *others = self._clusters(squares)
-            taken = set(near).union(*(members for _, members in others))
-            rest = [i for i in range(len(squares)) if i not in taken]
-            w = self.bulk_scale
-            held = (self,
-                    tuple(-(squares[i] >> (2 * self.scale - w)) for i in rest),
-                    tuple(self.wk[i] << (2 * w - self.scale) for i in rest),
-                    tuple(squares[i] for i in rest + near),
-                    tuple(self.wk[i] for i in rest + near),
-                    (near0, *(cluster for cluster, _ in others)))
-            _held_bulk_arrays = held
-        return held[1:]
+            clusters = (*(cluster for cluster, _ in others), near0)
+        else:
+            near, others, clusters = [], [], ()
+        taken = set(near).union(*(members for _, members in others))
+        rest = [i for i in range(len(squares)) if i not in taken]
+        w = self.bulk_scale
+        return (tuple(-(squares[i] >> (2 * self.scale - w)) for i in rest),
+                tuple(self.wk[i] << (2 * w - self.scale) for i in rest),
+                tuple(squares[i] for i in rest + near),
+                tuple(self.wk[i] for i in rest + near), clusters)
 
     def _clusters(self, squares):
         """[(cluster, its node indices)] near 0, at t -> x* and at t -> 1,
@@ -417,7 +431,8 @@ class D1Grid:
         bb = b * b
         qshift = 3 * w - self.scale     # q = wk/(a^2+b^2) at scale w
         re = im = 0
-        for t2, wk in zip(self._squares(w), self.wk):
+        for t2, wk in zip(self._squares(map(mul, self.nodes, self.nodes),
+                                        w), self.wk):
             a = a0 - t2
             q = (wk << qshift) // (a * a + bb)
             re += q * a
@@ -425,19 +440,21 @@ class D1Grid:
         return mpc(mpf((re, -2 * w)), mpf((-b * im, -2 * w)))
 
 
-# (grid, bulk arrays, clusters) of the grid whose axis was read last; see
-# D1Grid._bulk_arrays
+# (grid, its axis reads in a row, its arrays) of the grid whose axis was
+# read last; see D1Grid._bulk_arrays
 _held_bulk_arrays = None
 
 
 def _terms(log2_mabs: float, log2_a: float, v: int, p: int,
            target: int) -> int:
     """Moments a cluster read sums so that the rest of its series is at
-    most 2^-target: with rho = h/|A| <= 1/2, the terms past J sum to at
-    most Mabs rho^J / ((1 - rho) |A|), Mabs = sum |wk_i|; Mabs and |A|
+    most 2^-target / max(1, |A|), which shrinks with the read's value
+    where |A| > 1: with rho = h/|A| <= 1/2, the terms past J sum to
+    at most Mabs rho^J / ((1 - rho) |A|), Mabs = sum |wk_i|; Mabs and |A|
     come as log2 of their images at the scale 2^v, rounded up in J."""
     log2_inv_rho = log2_a - v + p
-    return math.ceil((target + 1 + log2_mabs - log2_a) / log2_inv_rho) + 1
+    return math.ceil((target + 1 + log2_mabs - min(log2_a, v))
+                     / log2_inv_rho) + 1
 
 
 class _Cluster(NamedTuple):
@@ -468,8 +485,10 @@ class _Cluster(NamedTuple):
 
     def axis_sum(self, a0: int, w: int, target: int) -> int:
         """sum wk_i / (a0 - t_i^2) over the members at scale w, for a0 at
-        scale w that the cluster serves, to 2^-target plus the roundings:
-        (1/A) sum_j M_j r^j by Horner at scale v, over _terms terms."""
+        scale w that the cluster serves: S = sum_j M_j r^j by Horner at
+        scale v over _terms terms, then S/A at scale w.  S rounds at
+        2^-v whatever |A| is, and the division keeps the read's scale, so
+        the cluster's error shrinks with the read's value as |A| grows."""
         v = self.v
         a = to_fixed(a0, 0, v - w) - self.centre         # A = a0 - c < 0
         terms = _terms(self.log2_mabs, math.log2(-a), v, self.p, target)
@@ -477,7 +496,7 @@ class _Cluster(NamedTuple):
         acc = 0
         for m in reversed(self.moments[:terms]):
             acc = m + (acc * r >> v)
-        return to_fixed((acc << v) // a, 0, w - v)
+        return (acc << w) // a
 
 
 def _grid_level(prec: int) -> int:
