@@ -35,12 +35,6 @@ from .quadrature import quad_ts, segment_nodes
 
 GRID_SPLIT_LEVELS = {192: 6, 448: 7}
 BULK_BITS = 32     # a D1 read carries at least prec + 64 + BULK_BITS bits
-# Axis reads of one grid in a row before its node clusters are derived.
-# Their moments cost what 30-65 reads save (at n = 16, 128 bits: 15 ms,
-# against 0.23 ms saved by a read at bulk_scale and 1-2 ms by a deeper
-# one; at 300 bits 44 ms against 1.2 ms), so a grid read a few times, or
-# read in turn with another, never pays for them.
-CLUSTER_READS = 32
 
 
 @dataclass(frozen=True)
@@ -150,24 +144,17 @@ def _weight_constants(n: int, nu, prec: int):
         return mpf(nu), n * mp.pi, mp.log(2 * n) / 2
 
 
-def _k_value(t, x, log_k, half_log2n):
-    """log W_n(t) / sqrt(1-t^2) from x = n pi t and log K_nu(x), at the
-    working precision."""
-    return (half_log2n + log_k + x) / mp.sqrt((1 - t) * (1 + t))
-
-
 def _k_log_weight(n: int, nu, prec: int):
     """The map t -> log W_n(t) / sqrt(1-t^2) for t in (0,1), W_n being even
     in t.  nu, n pi and log(2n)/2 are taken once, at prec + 32 bits; the
     map evaluates at the caller's working precision, which must be
-    prec + 32 bits (workprec(prec)).  log K_nu comes from _log_k_map, and
-    build_d1_grid forms the same values in one pass (_k_log_weight_pass)."""
+    prec + 32 bits (workprec(prec)).  log K_nu comes from _log_k_map."""
     nu, npi, half_log2n = _weight_constants(n, nu, prec)
     log_k = _log_k_map(nu, npi, prec)
 
     def k(t):
         x = npi * t
-        return _k_value(t, x, log_k(x), half_log2n)
+        return (half_log2n + log_k(x) + x) / mp.sqrt((1 - t) * (1 + t))
 
     return k
 
@@ -247,16 +234,36 @@ def _log_k_taylor(x0: mpf, nu: mpf, prec: int) -> _LogKTaylor:
                        tuple(reversed(coeffs)))
 
 
+@lru_cache(maxsize=1)    # the last (nu, prec) at which a map was made
+def _log_k_memo(nu: mpf, prec: int) -> dict:
+    """{x: log K_nu(x)} at the x <= 1 that the log K_nu maps made at
+    (nu, prec) have read (_log_k_map)."""
+    return {}
+
+
 def _log_k_map(nu, npi, prec: int):
     """x -> log K_nu(x) for x = n pi t, t in (0,1), at the working
     precision prec + 32: by the Taylor tables about x = 1 and x = n pi
     (_log_k_taylor) where they cover x, which holds for the grid's node
     clusters at t -> x* from above and t -> 1, else as log of
-    besselk_map(nu, prec + 32)."""
+    besselk_map(nu, prec + 32).
+
+    In x = n pi t a grid's first segment [0, x*] is (0, 1] for every n,
+    so at one (nu, prec) grids of different n share x values there: all
+    of them when the degrees differ by a power of two (n = 16, 32, 64,
+    128), 240 of 552 for n = 12 after 16.  Values at x <= 1 go into
+    _log_k_memo, which holds them for the last (nu, prec) at which a map
+    was made."""
     tables = (_log_k_taylor(mpf(1), nu, prec), _log_k_taylor(npi, nu, prec))
     k = besselk_map(nu, prec + 32)
+    memo = _log_k_memo(nu, prec)
 
     def log_k(x):
+        if x <= 1:
+            v = memo.get(x._mpf_)
+            if v is None:
+                v = memo[x._mpf_] = mp.log(k(x))
+            return v
         for table in tables:
             if table.lo < x <= table.hi:
                 return table(x)
@@ -276,11 +283,10 @@ class D1Grid:
     same absolute resolution.  Immutable snapshot: cached and freshly
     built grids are bit-identical.
 
-    Reads on the imaginary axis take integer arrays, and from the
-    CLUSTER_READS-th read in a row the moments of the node clusters, from
-    this payload (_bulk_arrays); they are held outside the grid, for one
-    grid at a time, so they add neither to the payload nor to its
-    equality.
+    Reads on the imaginary axis take integer arrays and the moments of
+    the node clusters, derived from this payload at the grid's first axis
+    read (_bulk_arrays); they are held outside the grid, for one grid at
+    a time, so they add neither to the payload nor to its equality.
     """
 
     n: int
@@ -367,36 +373,25 @@ class D1Grid:
         """(-t_i^2, wk_i << (2W - scale)) at W = bulk_scale over the nodes
         in no cluster; t_i^2 at scale 2 scale and wk_i over those and the
         near-0 cluster; and the clusters (t -> x*, t -> 1, near 0; see
-        _clusters).  Held for the grid whose axis was read last, so at
-        most one grid's arrays are alive.  Its first CLUSTER_READS - 1
-        reads in a row take every node and no cluster; the next derives
-        the clusters."""
+        _clusters).  Derived at the grid's first axis read and held for
+        the grid whose axis was read last, so at most one grid's arrays
+        are alive."""
         global _held_bulk_arrays
-        held = _held_bulk_arrays
-        if held is None or held[0] is not self:
-            _held_bulk_arrays = held = None    # release the last grid's first
-            held = (self, 0, self._arrays(clustered=False))
-        reads = held[1] + 1
-        arrays = self._arrays(clustered=True) if reads == CLUSTER_READS \
-            else held[2]
-        _held_bulk_arrays = (self, reads, arrays)
-        return arrays
-
-    def _arrays(self, clustered: bool):
-        """The arrays of _bulk_arrays, with the clusters or with none."""
+        if _held_bulk_arrays is not None and _held_bulk_arrays[0] is self:
+            return _held_bulk_arrays[1]
+        _held_bulk_arrays = None    # release the last grid's first
         squares = [t * t for t in self.nodes]
-        if clustered:
-            (near0, near), *others = self._clusters(squares)
-            clusters = (*(cluster for cluster, _ in others), near0)
-        else:
-            near, others, clusters = [], [], ()
+        (near0, near), *others = self._clusters(squares)
         taken = set(near).union(*(members for _, members in others))
         rest = [i for i in range(len(squares)) if i not in taken]
         w = self.bulk_scale
-        return (tuple(-(squares[i] >> (2 * self.scale - w)) for i in rest),
-                tuple(self.wk[i] << (2 * w - self.scale) for i in rest),
-                tuple(squares[i] for i in rest + near),
-                tuple(self.wk[i] for i in rest + near), clusters)
+        arrays = (tuple(-(squares[i] >> (2 * self.scale - w)) for i in rest),
+                  tuple(self.wk[i] << (2 * w - self.scale) for i in rest),
+                  tuple(squares[i] for i in rest + near),
+                  tuple(self.wk[i] for i in rest + near),
+                  (*(cluster for cluster, _ in others), near0))
+        _held_bulk_arrays = (self, arrays)
+        return arrays
 
     def _clusters(self, squares):
         """[(cluster, its node indices)] near 0, at t -> x* and at t -> 1,
@@ -408,7 +403,9 @@ class D1Grid:
         c = x*^2 to 16 bits and h in (c/32, c/16]; t -> 1, c = 1 - 1/32
         and h = 1/32; both serve every a0 <= 0.  Near 0, c = 0 and h =
         min(2^-22, 2^-6 x*^2), for a0 = -y^2 <= -2^-16, which holds at
-        bulk_scale."""
+        bulk_scale.  At 128 bits that cluster holds 215 of the 1114 nodes
+        at n = 16 (225 at n = 32); a bulk read sums it from its moments in
+        about 6 us, where its divisions take 80-90 us (2-core Xeon)."""
         mant, e = math.frexp(1 / (self.n * math.pi) ** 2)     # x*^2
         p0 = max(22, 7 - e)
         # (centre mantissa, its exponent, p, log2 of the least |a0 - c|)
@@ -440,8 +437,8 @@ class D1Grid:
         return mpc(mpf((re, -2 * w)), mpf((-b * im, -2 * w)))
 
 
-# (grid, its axis reads in a row, its arrays) of the grid whose axis was
-# read last; see D1Grid._bulk_arrays
+# (grid, its arrays) of the grid whose axis was read last; see
+# D1Grid._bulk_arrays
 _held_bulk_arrays = None
 
 
@@ -525,56 +522,20 @@ def _grid_nodes(n: int, prec: int):
     return nodes, factors
 
 
-# (nu, prec, {x: log K_nu(x)}) over the nodes with x <= 1 of the grid
-# built last; see _k_log_weight_pass
-_held_log_k = None
-
-
-def _k_log_weight_pass(n: int, nu, nodes, prec: int):
-    """[k(t) for t in nodes] for k = _k_log_weight(n, nu, prec), formed in
-    one pass at prec + 32 bits with one log K_nu map (_log_k_map), so
-    every value is bit-identical to k's.
-
-    In x = n pi t the grid's first segment [0, x*] is (0, 1] for every n,
-    so at one (nu, prec) grids of different n share x values there: all
-    of them when the degrees differ by a power of two (n = 16, 32, 64,
-    128), 240 of 552 for n = 12 after 16.  log K_nu at the x <= 1 nodes is
-    held for the grid built last and read by the next pass at the same
-    (nu, prec); a pass at any other (nu, prec) replaces it."""
-    global _held_log_k
-    nu, npi, half_log2n = _weight_constants(n, nu, prec)
-    held = _held_log_k
-    known = held[2] if held and held[:2] == (nu, prec) else {}
-    log_ks = {}     # this grid's, so nodes that round to one x share it
-    log_k_of = _log_k_map(nu, npi, prec)
-    out = []
-    with workprec(prec):
-        for t in nodes:
-            x = npi * t
-            log_k = log_ks.get(x._mpf_, known.get(x._mpf_))
-            if log_k is None:
-                log_k = log_k_of(x)
-            if x <= 1:
-                log_ks[x._mpf_] = log_k
-            out.append(_k_value(t, x, log_k, half_log2n))
-    _held_log_k = (nu, prec, log_ks)
-    return out
-
-
 def build_d1_grid(n: int, nu, prec: int) -> D1Grid:
     """Construct the frozen grid; splits at the weight's character change
-    x* = 1/(n pi) and at the endpoints.  The log-weight comes from one
-    pass over the nodes (_k_log_weight_pass), so the payload is
-    bit-identical to a node-by-node evaluation of _k_log_weight."""
+    x* = 1/(n pi) and at the endpoints.  The log-weight is _k_log_weight
+    at each node."""
     require_prec(prec)
     level = _grid_level(prec)
     nodes, factors = _grid_nodes(n, prec)
     with workprec(prec, guard=64):
         nu = mpf(nu)
-    wk = _k_log_weight_pass(n, nu, nodes, prec)
+    k = _k_log_weight(n, nu, prec)
+    with workprec(prec):
+        wk = [k(t) for t in nodes]
     with workprec(prec, guard=64):
-        for i, c in enumerate(factors):
-            wk[i] *= c
+        wk = [v * c for v, c in zip(wk, factors)]
     scale = -min(t._mpf_[2] for t in nodes)
     return D1Grid(n=n, nu=nu, prec=prec, level=level, scale=scale,
                   nodes=tuple(to_fixed(*man_exp(t), scale) for t in nodes),

@@ -89,7 +89,9 @@ def test_d1_grid_cache_keys_on_exact_nu():
 
 def _per_node_payload(n, nu, prec):
     """(scale, nodes, wk) of the D1 grid formed node by node with
-    _k_log_weight, on the build's own nodes and factors."""
+    _k_log_weight, on the build's own nodes and factors, with no log K_nu
+    value held from an earlier map."""
+    px._log_k_memo.cache_clear()
     nodes, factors = px._grid_nodes(n, prec)
     with workprec(prec, guard=64):
         nu = mpf(nu)
@@ -145,11 +147,15 @@ def test_d1_grid_log_k_memo_scope(monkeypatch):
             return k(x)
         return f
 
+    def memo(nu, prec):
+        return set(px._log_k_memo(px._weight_constants(2, nu, prec)[0],
+                                  prec))
+
     def build(n, nu, prec):
         evaluated.clear()
         px.build_d1_grid(n, nu, prec)
         small = {x._mpf_ for x in _grid_xs(n, nu, prec) if x <= 1}
-        assert len(px._held_log_k[2]) <= len(small)
+        assert small <= memo(nu, prec)
         return small
 
     def small_evaluated():
@@ -169,10 +175,23 @@ def test_d1_grid_log_k_memo_scope(monkeypatch):
     assert len(evaluated) == 2 + sum(
         x > 1 and not any(tab.lo < x <= tab.hi for tab in tables)
         for x in _grid_xs(32, nu, 128))
-    assert set(px._held_log_k[2]) == small
+    assert memo(nu, 128) == small
     for other_nu, other_prec in (("0.618035", 128), (nu, 192)):
         build(16, other_nu, other_prec)
         assert build(32, nu, 128) == small_evaluated()
+    # n = 12 after 16 evaluates K only at the x <= 1 values n = 16 lacks
+    small16 = build(16, nu, 128)
+    assert not small_evaluated()
+    small12 = build(12, nu, 128)
+    assert (len(small12 & small16), len(small12)) == (240, 552)
+    assert small_evaluated() == small12 - small16
+    # d1n's adaptive route maps at prec + 32 bits, so the next build at
+    # prec finds no value held and evaluates every x <= 1 node again
+    grid = px.build_d1_grid(16, nu, 128)
+    px.d1n(mpc("0.3", "0.6"), 16, nu, 128, adaptive=True)
+    evaluated.clear()
+    assert px.build_d1_grid(16, nu, 128) == grid
+    assert small_evaluated() == small16
 
 
 @pytest.mark.parametrize("prec", (128, 192, 300))
@@ -260,9 +279,8 @@ def test_d1_grid_read_matches_mpc_sum(xy, sign):
        prec=st.sampled_from((128, 192, 300)), e=st.floats(-300, 80))
 def test_d1_grid_axis_read_property(n, nu, prec, e):
     # the sum of an axis read at its scale is within 2^-(prec+64) of the
-    # mpc sum over every node (cauchy rounds it to prec + 32 bits), both
-    # at a grid's first read, one division per node, and at its
-    # CLUSTER_READS-th in a row, with the node clusters summed from their
+    # mpc sum over every node (cauchy rounds it to prec + 32 bits) at a
+    # grid's first read, with the node clusters summed from their
     # moments; and D1(-iy) is conj D1(iy) bit for bit
     grid = px._get_grid(n, nu, prec)
     z = mpc(0, 2.0 ** e)
@@ -272,12 +290,10 @@ def test_d1_grid_axis_read_property(n, nu, prec, e):
         a0 = -to_fixed(man * man, 2 * exp, w)      # -y^2, exactly
     ref = _cauchy_by_mpc(grid, z)
     px._held_bulk_arrays = None
-    for reads in range(1, px.CLUSTER_READS + 1):
-        with workprec(2 * w):
-            total = 2 * z * grid._axis_sum(a0, w)
-        if reads in (1, px.CLUSTER_READS):
-            assert _rel_err(total, ref) <= mpf(2) ** -(prec + 64), reads
-    assert grid._bulk_arrays()[-1], "no cluster held after the reads"
+    with workprec(2 * w):
+        total = 2 * z * grid._axis_sum(a0, w)
+    assert _rel_err(total, ref) <= mpf(2) ** -(prec + 64)
+    assert grid._bulk_arrays()[-1], "no cluster held after the read"
     up, down = px.d1n(z, n, nu, prec), px.d1n(mp.conj(z), n, nu, prec)
     with workprec(prec):
         assert down._mpc_ == mp.conj(up)._mpc_
