@@ -23,8 +23,8 @@ import mpmath
 from mpmath import mp, mpc, mpf
 
 from . import parametrix as px
-from .moments import (MIN_POLY_PREC, IndeterminateHankelError, SolverError,
-                      monic_op, rescale_to_tilde)
+from .moments import (IndeterminateHankelError, SolverError, monic_op,
+                      rescale_to_tilde)
 from .mpfun import MIN_PREC, DomainError, workprec
 from .smallnorm import CHI_PROFILE, EPS_DEFAULT, RHO_DEFAULT
 from .verify import SUITE_MIN_N, SUITES, run_suite
@@ -109,7 +109,7 @@ def _parse_n_list(text: str):
 
 _BITS = _int_from(MIN_PREC)
 _BITS_OR_AUTO = _arg(f"'auto' or an integer >= {MIN_PREC}",
-                     lambda t: MIN_PREC if t == "auto" else _BITS(t))
+                     lambda t: 256 if t == "auto" else _BITS(t))
 # kept as the caller's string: manifests record it and the layers read it
 _REAL = _arg("a finite real number",
              lambda t: t if mp.isfinite(mpf(t)) else None)
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "frames) to CSV + manifest")
     pz.add_argument("--nu", type=_REAL, required=True)
     pz.add_argument("--n", type=_int_from(1), required=True)
-    prec_help = f"'auto' ({MIN_PREC} bits, raised to {MIN_POLY_PREC}) or bits"
+    prec_help = "'auto' (256 bits) or bits"
     pz.add_argument("--prec", type=_BITS_OR_AUTO, default="auto",
                     help=prec_help)
     pz.add_argument("--delta", type=_REAL, default="0.2",

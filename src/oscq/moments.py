@@ -28,7 +28,6 @@ from mpmath import mp, mpc, mpf
 from .mpfun import man_exp, require_prec, round_to, to_fixed, workprec
 
 PREC_CAP = 1 << 20   # ceiling of the guard doubling in _certified_recurrence
-MIN_POLY_PREC = 256
 
 
 class IndeterminateHankelError(ArithmeticError):
@@ -198,12 +197,12 @@ def _solve_recurrence(n: int, nu, work: int):
 
 
 def _certified_recurrence(n: int, nu, prec: int):
-    """The recurrence to 2^-max(prec, 256) relative, its working precision
-    (max(prec, 256) + 2n + 32 bits, the guard doubling while the runs
-    disagree, up to PREC_CAP bits) and the deeper run's moments."""
+    """The recurrence to 2^-prec relative, its working precision (prec +
+    2n + 32 bits, the guard doubling while the runs disagree, up to
+    PREC_CAP bits) and the deeper run's moments."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    base, guard = max(require_prec(prec), MIN_POLY_PREC), 2 * n + 32
+    base, guard = require_prec(prec), 2 * n + 32
     while True:
         work = min(base + guard, PREC_CAP)
         try:
@@ -233,8 +232,8 @@ def hankel_det(n: int, nu, prec: int):
 
 
 def monic_op(n: int, nu, prec: int) -> MonicPolynomial:
-    """Monic orthogonal polynomial P_n (raw frame) of max(prec, 256) bits
-    from its certified recurrence.  The residual is max_j<n |L(P_n x^j)| /
+    """Monic orthogonal polynomial P_n (raw frame) of prec bits from its
+    certified recurrence.  The residual is max_j<n |L(P_n x^j)| /
     max|m_{j..j+n}| for the polynomial the stored pairs define, read off
     row n of the Chebyshev table run on those pairs and on the m_j of
     the certification's run 64 bits above the working precision."""
@@ -247,7 +246,7 @@ def monic_op(n: int, nu, prec: int) -> MonicPolynomial:
         residual = max(abs(r) / max(h, t) for r, h, t in
                        zip(row, head, accumulate(size[n:], max)))
     return MonicPolynomial(recurrence=rec, variable=Variable.RAW_X,
-                           prec=max(prec, MIN_POLY_PREC), residual=residual)
+                           prec=prec, residual=residual)
 
 
 def rescale_to_tilde(p: MonicPolynomial) -> MonicPolynomial:

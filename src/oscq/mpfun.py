@@ -6,14 +6,15 @@ Values are mpmath ``mpf`` / ``mpc``; every operation takes an explicit
 working precision in bits and evaluates internally with guard bits before
 rounding down to the requested precision.
 Relative error contract for the gamma functions: <= 2**(-prec+16).
-``besselk_real`` serves the log-weight of the D1 grid and ``besseljy_real``
-the J/Y triples of ``smallnorm``; below mpmath's asymptotic crossover both
-take their +-nu pair of power series, summed in Python ints, from one
-core, split into a per-(nu, prec) set-up (_pm_core) and a per-argument
-evaluation (_pm_series).  ``besselk_map(nu, prec)`` does the set-up once
-for a whole D1 grid and returns K_nu at each of its nodes, bit-identical
-to ``besselk_real``, which is one point of that map.  The complex weight
-(``parametrix.w_weight``/``w_pm_imag``) still calls mp.besselk directly.
+``besselk_map(nu, prec)`` serves the log-weight of the D1 grid, read
+through ``parametrix._log_k_map`` and the Taylor tables it seeds, and
+``besseljy_real`` the J/Y triples of ``smallnorm``; below mpmath's
+asymptotic crossover both take their +-nu pair of power series, summed in
+Python ints, from one core, split into a per-(nu, prec) set-up (_pm_core)
+and a per-argument evaluation (_pm_series).  The map does the set-up once
+for a whole grid; ``besselk_real``, one point of it, has only the tests
+as callers.  The complex weight (``parametrix.w_weight``/``w_pm_imag``)
+still calls mp.besselk directly.
 
 mpmath rounds on every construction and operation at the ambient context,
 so all argument conversion happens inside the functions' own workprec

@@ -129,12 +129,7 @@ def n0_matrix(z, prec: int):
         a11 = (b + 1 / b) / 2
         a12 = (b - 1 / b) / (2 * mpc(0, 1))
         m = mp.matrix([[a11, a12], [-a12, a11]])
-    old = mp.prec
-    mp.prec = prec
-    try:
-        return m.apply(lambda t: +t)
-    finally:
-        mp.prec = old
+    return m.apply(lambda t: round_to(t, prec))
 
 
 def _weight_constants(n: int, nu, prec: int):

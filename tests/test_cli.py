@@ -35,9 +35,23 @@ def test_zeros_command(tmp_path):
     man = json.loads((tmp_path / "z.csv.manifest.json").read_text())
     assert man["command"] == "zeros"
     assert man["n"] == 4
-    assert man["precision_bits_used"] >= 256
+    assert man["precision_bits_used"] == 256     # auto
     assert "zero_line" in man["residual_summaries"]
     assert man["chi_profile"] == "smoothstep-exp"
+
+
+def test_zeros_runs_at_the_requested_precision(tmp_path):
+    # the polynomial and its roots carry the caller's 128 bits, with
+    # Newton corrections below 2^-(prec/2)
+    out = tmp_path / "z.csv"
+    assert main(["zeros", "--nu", "0.25", "--n", "16", "--prec", "128",
+                 "--out", str(out)]) == 0
+    man = json.loads((tmp_path / "z.csv.manifest.json").read_text())
+    assert man["precision_bits_used"] == 128
+    rows = list(csv.DictReader(out.open(newline="")))
+    assert len(rows) == 16
+    with workprec(128):
+        assert all(0 <= mpf(row["residual"]) < mpf(2) ** -64 for row in rows)
 
 
 def test_zeros_degree_one(tmp_path):

@@ -247,21 +247,23 @@ def test_solver_error_on_unreachable_residual(monkeypatch):
 
 
 def test_certification_needs_no_escalation(monkeypatch):
-    # the fixed-point table holds the 2n + 32 guard bits over a nu sweep:
-    # one run pair per polynomial, so no bits are added silently
+    # the fixed-point table holds the 2n + 32 guard bits over a nu sweep,
+    # at the lowest precision a caller may ask for too: one run pair per
+    # polynomial, so no bits are added silently
     calls = []
     solve = moments._solve_recurrence
 
     def counting(n, nu, work):
-        calls.append((n, nu))
+        calls.append((n, nu, work))
         return solve(n, nu, work)
 
     monkeypatch.setattr(moments, "_solve_recurrence", counting)
-    cases = [(n, nu) for n in (16, 64, 200)
-             for nu in ("0", "0.000001", "0.37", "0.999999")]
-    for n, nu in cases:
-        monic_op(n, nu, 256)
-    assert calls == cases
+    cases = [(n, nu, prec) for n in (16, 64, 200)
+             for nu in ("0", "0.000001", "0.37", "0.999999")
+             for prec in (64, 256)]
+    for n, nu, prec in cases:
+        monic_op(n, nu, prec)
+    assert calls == [(n, nu, prec + 2 * n + 32) for n, nu, prec in cases]
 
 
 def test_residual_reads_the_certification_moments(monkeypatch):

@@ -21,6 +21,8 @@ TOL = mpf(2) ** (-(PREC // 2))
 
 # nu on the 1e-6 grid, as decimal strings like the CLI takes them
 nus = st.floats(0, 0.999999).map(lambda x: f"{x:.6f}")
+# the caller's precision: every certificate holds at the bits it asked for
+precs = st.sampled_from([64, 96, 128, 256])
 
 
 def _vandermonde_weights(nodes, nu, prec):
@@ -59,33 +61,35 @@ def test_moment_recurrence_matches_gamma_ratio(nu):
             assert abs(got[j] - ref) <= mpf(2) ** (16 - PREC) * abs(ref), j
 
 
-def _assert_table_matches_oracles(n, nu):
+def _assert_table_matches_oracles(n, nu, prec):
     """The certified pairs agree with the mpf Chebyshev algorithm run 64
-    bits deeper, in the certification's gap norm, to 2^-PREC; monic_op's
-    residual is the power-basis one of the same pairs within a factor 2."""
-    rec, work, _ = _certified_recurrence(n, nu, PREC)
+    bits deeper, in the certification's gap norm, to 2^-prec; monic_op
+    keeps prec, and its residual is below 2^-(prec/4) and the power-basis
+    one of the same pairs within a factor 2."""
+    rec, work, _ = _certified_recurrence(n, nu, prec)
     ref = _chebyshev(n, nu, work + 64)
     with workprec(work + 64):
         gap = max(max(abs(b - b2) / abs(b2),
                       abs(a - a2) / (abs(a2) + mp.sqrt(abs(b2))))
                   for (a, b), (a2, b2) in zip(rec, ref))
-    assert gap <= mpf(2) ** -PREC
-    p = monic_op(n, nu, PREC)
-    assert p.recurrence == rec
+    assert gap <= mpf(2) ** -prec
+    p = monic_op(n, nu, prec)
+    assert p.recurrence == rec and p.prec == prec
+    assert p.residual <= mpf(2) ** -(prec // 4)
     ref_res = _power_residual(rec, nu, 2 * work)
     assert ref_res / 2 <= p.residual <= 2 * ref_res
 
 
-@given(n=st.integers(1, 64), nu=nus)
-def test_fixed_point_table_matches_mpf_oracle(n, nu):
-    _assert_table_matches_oracles(n, nu)
+@given(n=st.integers(1, 64), nu=nus, prec=precs)
+def test_fixed_point_table_matches_mpf_oracle(n, nu, prec):
+    _assert_table_matches_oracles(n, nu, prec)
 
 
 @pytest.mark.parametrize("nu", ["0", "0.000001"])
 @pytest.mark.parametrize("n", [1, 2, 3, 200])
 def test_fixed_point_table_at_small_nu(n, nu):
     # nu = 0: the odd moments vanish; the odd diagonals' scales start at 1
-    _assert_table_matches_oracles(n, nu)
+    _assert_table_matches_oracles(n, nu, PREC)
 
 
 @given(n=st.integers(1, 24), nu=nus, x=st.floats(-1.5, 1.5),
@@ -103,40 +107,46 @@ def test_eval_with_deriv_matches_horner(n, nu, x, y):
             mpf(2) ** (-pt.prec + 32) * max(1, abs(dref))
 
 
-@given(n=st.integers(1, 12), nu=nus)
-def test_christoffel_weights_match_vandermonde(n, nu):
-    r = get_rule(n, nu, PREC)
-    ref = _vandermonde_weights(r.nodes, nu, 4 * PREC)
-    with workprec(4 * PREC):
+@given(n=st.integers(1, 12), nu=nus, prec=precs)
+def test_christoffel_weights_match_vandermonde(n, nu, prec):
+    r = get_rule(n, nu, prec)
+    ref = _vandermonde_weights(r.nodes, nu, 4 * prec)
+    with workprec(4 * prec):
         scale = max(abs(w) for w in ref)
         for w, v in zip(r.weights, ref):
-            assert abs(w - v) <= TOL * scale
+            assert abs(w - v) <= mpf(2) ** -(prec // 2) * scale
 
 
-@given(n=st.integers(1, 24), nu=nus)
-def test_christoffel_darboux_weights_match_christoffel_sum(n, nu):
-    r = get_rule(n, nu, PREC)
-    ref = _christoffel_weights(r.nodes, get_poly(n, nu, PREC)[0].recurrence,
-                               2 * PREC)
-    with workprec(2 * PREC):
+@given(n=st.integers(1, 24), nu=nus, prec=precs)
+def test_christoffel_darboux_weights_match_christoffel_sum(n, nu, prec):
+    # at the rule's own precision: both exactness reports within AC-2's
+    # bound and every weight the mpc Christoffel sum's
+    r = get_rule(n, nu, prec)
+    assert r.prec == prec
+    assert max(r.exactness_report, r.exactness_per_degree) <= \
+        mpf(10) ** (-mpf("0.15") * prec)
+    ref = _christoffel_weights(r.nodes, get_poly(n, nu, prec)[0].recurrence,
+                               2 * prec)
+    with workprec(2 * prec):
         for w, v in zip(r.weights, ref):
-            assert abs(w - v) <= mpf(2) ** (16 - r.prec) * abs(v)
+            assert abs(w - v) <= mpf(2) ** (16 - prec) * abs(v)
 
 
-@given(n=st.integers(1, 12), nu=nus)
-def test_weights_sum_to_one(n, nu):
-    with workprec(2 * PREC):
-        assert abs(mp.fsum(get_rule(n, nu, PREC).weights) - 1) <= TOL
+@given(n=st.integers(1, 12), nu=nus, prec=precs)
+def test_weights_sum_to_one(n, nu, prec):
+    with workprec(2 * prec):
+        assert abs(mp.fsum(get_rule(n, nu, prec).weights) - 1) <= \
+            mpf(2) ** -(prec // 2)
 
 
-@given(n=st.integers(1, 12), nu=nus)
-def test_nodes_and_weights_close_under_conjugation(n, nu):
-    r = get_rule(n, nu, PREC)
-    with workprec(2 * PREC):
+@given(n=st.integers(1, 12), nu=nus, prec=precs)
+def test_nodes_and_weights_close_under_conjugation(n, nu, prec):
+    r, tol = get_rule(n, nu, prec), mpf(2) ** -(prec // 2)
+    with workprec(2 * prec):
         for x, w in zip(r.nodes, r.weights):
             k = min(range(n), key=lambda j: abs(mp.conj(x) - r.nodes[j]))
-            assert abs(mp.conj(x) - r.nodes[k]) <= TOL * max(1, abs(x))
-            assert abs(mp.conj(w) - r.weights[k]) <= TOL * max(1, abs(w))
+            assert abs(mp.conj(x) - r.nodes[k]) <= tol * max(1, abs(x))
+            assert abs(mp.conj(w) - r.weights[k]) <= tol * max(1, abs(w))
 
 
 @given(n=st.integers(1, 8), nu=nus)

@@ -13,7 +13,7 @@ from oscq.zeros import (ZeroSet, ecdf_vs_psi, find_zeros,
                         zero_line_stats)
 
 from conftest import get_poly, get_tilde, get_zeros
-from test_recurrence_props import nus
+from test_recurrence_props import nus, precs
 
 PREC = 256
 SCALE = root_scale(PREC)     # find_zeros' fixed-point scale at PREC
@@ -210,10 +210,10 @@ def test_fixed_eval_exponent_follows_shifts_both_ways():
     assert _assert_fixed_matches_mpc(get_tilde(64, "0.25"), root) < 0
 
 
-# solve precisions of gauss_rule at prec 64 (128 bits), of gauss_rule and
-# `oscq zeros` from 128 to 256 (256) and of both at 512 (512)
-@pytest.mark.parametrize("prec, solve_prec", [(256, 128), (256, 256),
-                                              (512, 512)])
+# roots at the polynomial's precision, as gauss_rule and `oscq zeros` solve
+# (64, 256 and 512 bits), and below it (128 bits of a 256-bit polynomial)
+@pytest.mark.parametrize("prec, solve_prec", [(64, 64), (256, 128),
+                                              (256, 256), (512, 512)])
 @pytest.mark.parametrize("nu", ["0", "0.25", "0.999"])
 @pytest.mark.parametrize("n", [1, 2, 16, 64])
 def test_roots_are_exact_at_the_root_scale(n, nu, prec, solve_prec):
@@ -272,9 +272,11 @@ def _assert_mirror_closed(poly, zs, signs):
             assert all(abs(w - v) > tol for v in zs.roots[i + 1:])
 
 
-@given(n=st.integers(1, 64), nu=nus)
-def test_mirrored_roots_are_exact_and_certified(n, nu):
-    _assert_mirror_closed(get_tilde(n, nu), get_zeros(n, nu), (-1, 1))
+@given(n=st.integers(1, 64), nu=nus, prec=precs)
+def test_mirrored_roots_are_exact_and_certified(n, nu, prec):
+    zs = get_zeros(n, nu, prec)
+    assert zs.prec == prec
+    _assert_mirror_closed(get_tilde(n, nu, prec), zs, (-1, 1))
 
 
 @pytest.mark.parametrize("n, nu, mirrored, on_axis", [
