@@ -15,7 +15,8 @@ public functions take their working precision in bits and round once;
 the cores pi_psi, phase_terms, theta_terms and g_at evaluate at the
 ambient precision from a branch root the caller already holds, so the
 asymptotic evaluators of parametrix form each root once per point and
-run the same closed forms.
+run the same closed forms; imag_axis_terms does the same for the
+small-norm kernels on the imaginary axis.
 """
 
 from __future__ import annotations
@@ -207,18 +208,26 @@ def phi_imag_side(y, side: str, prec: int):
     return round_to(v, prec)
 
 
+def imag_axis_terms(s):
+    """(r, L, Re phi) at z = is, s > 0 an mpf, at the ambient precision:
+    r = sqrt(1+s^2), L = log((1+r)/s) and Re phi = s L + asinh s."""
+    r = mp.sqrt(1 + s * s)
+    big_l = mp.log((1 + r) / s)
+    return r, big_l, s * big_l + mp.asinh(s)
+
+
 def re_phi_imag_axis(s, prec: int):
     """Re phi on the imaginary axis at distance s>0 from 0: pi Im F(is).
 
     Evaluated as the real closed form -s log s + s log(1+sqrt(1+s^2)) +
-    log(s+sqrt(1+s^2)), the last term as asinh s; bounded below by
-    s log(1/s).
+    log(s+sqrt(1+s^2)), the last term as asinh s (imag_axis_terms);
+    bounded below by s log(1/s).
     """
     with workprec(prec):
         s = mpf(s)
         if s <= 0:
             raise DomainError("s must be positive")
-        v = s * mp.log((1 + mp.sqrt(1 + s * s)) / s) + mp.asinh(s)
+        v = imag_axis_terms(s)[2]
     return round_to(v, prec)
 
 

@@ -537,7 +537,7 @@ def build_d1_grid(n: int, nu, prec: int) -> D1Grid:
                   wk=tuple(to_fixed(*man_exp(v), scale) for v in wk))
 
 
-def _get_grid(n: int, nu, prec: int) -> D1Grid:
+def d1_grid(n: int, nu, prec: int) -> D1Grid:
     """The grid for (n, nu, prec), cached on nu as build_d1_grid reads it."""
     with workprec(prec, guard=64):
         nu = mpf(nu)
@@ -575,7 +575,7 @@ def d1n(z, n: int, nu, prec: int, adaptive: bool = False):
 
             integral, _ = quad_ts(f, points, prec)
         else:   # the caller's nu, so every caller shares the cached grid
-            integral = _get_grid(n, nu, prec).cauchy(z)
+            integral = d1_grid(n, nu, prec).cauchy(z)
         v = mp.exp(sqrt_offcut(z) / (2 * mp.pi) * integral)
     return round_to(v, prec)
 
@@ -584,7 +584,7 @@ def d_infty_n(n: int, nu, prec: int):
     """Limit of the first Szego factor at infinity (tends to 2^(1/4)):
     exp(sum wk / pi) over the cached grid, the weight sum taken exactly
     in ints (1/(2 pi) times the folded even integral of k)."""
-    grid = _get_grid(n, nu, prec)
+    grid = d1_grid(n, nu, prec)
     with workprec(prec, guard=32):
         v = mp.exp(mpf((sum(grid.wk), -grid.scale)) / mp.pi)
     return round_to(v, prec)

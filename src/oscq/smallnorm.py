@@ -4,12 +4,13 @@ the kernel functions eta1/eta2 with their cutoff, and the operator-norm
 integrals whose decay certifies the local analysis.
 
 The kernels are evaluated in mirrored pairs, |j1(iy)| with |j2(-iy)| and
-|eta1(iy)| with |eta2(-iy)|: one Bessel triple (mpfun.besseljy_real), one
-cutoff value, one D1 read and one D2 value per axis point y > 0, D1 at -iy
-being conj D1(iy) by Schwarz reflection and D2(-iy) = 1/D2(iy).  A point
-where the cutoff is 0, which includes its tail below 2^-(prec+1), costs
-the cutoff value alone.  The public single-kernel functions select from
-the pair.
+|eta1(iy)| with |eta2(-iy)|, in one real pass per axis point y > 0: one
+Bessel triple (mpfun.besseljy_real), one cutoff value and one D1 grid
+read, real on the axis, where D1 and D2 have closed forms, so each kernel
+modulus is one exponential, rounded once (_eta_moduli).  A point where
+the cutoff is 0, which includes its tail below 2^-(prec+1), costs the
+cutoff value alone.  The public single-kernel functions select from the
+pair.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
-from .equilibrium import phi_imag_side, re_phi_imag_axis
+from .equilibrium import imag_axis_terms, phi_imag_side, re_phi_imag_axis
 from .mpfun import (DomainError, besseljy_real, require_prec, round_to,
                     workprec)
-from .parametrix import d1n, d2, w_pm_imag
+from .parametrix import d1_grid, w_pm_imag
 from .quadrature import quad_ts
 
 
@@ -67,23 +68,22 @@ def _axis_y(y):
     return y
 
 
+def _axis_parts(y, n: int, nu, prec: int):
+    """(a1, a2, r, L, Re phi) at z = iy, inside workprec(prec): a1 = A
+    |J_-nu| and a2 = A |J_nu| at n pi y, A = 4 / (sqrt(2n) pi (J_nu^2 +
+    Y_nu^2)) (|J_-nu| = |J_nu cos nu pi - Y_nu sin nu pi|, and the 4 fits
+    j1_direct's assembly), and r, L, Re phi from imag_axis_terms."""
+    j_plus, j_minus, y_nu = besseljy_real(nu, n * mp.pi * y, prec + 16)
+    amp = 4 / (mp.sqrt(2 * n) * mp.pi * (j_plus * j_plus + y_nu * y_nu))
+    return (amp * abs(j_minus), amp * abs(j_plus), *imag_axis_terms(y))
+
+
 def _j_moduli(y, n: int, nu, prec: int):
-    """(|j1(iy)|, |j2(-iy)|) via the Hankel reduction: one Bessel triple
-    J_nu, J_-nu, Y_nu at n pi y, the closed form for Re phi on the axis,
-    and the numerators |J_nu cos(nu pi) - Y_nu sin(nu pi)| = |J_-nu|
-    and |J_nu|."""
+    """(|j1(iy)|, |j2(-iy)|) = (a1, a2) e^(-2n Re phi), see _axis_parts."""
     with workprec(prec):
-        y = _axis_y(y)
-        nu = mpf(nu)
-        s = n * mp.pi * y
-        j_plus, j_minus, y_nu = besseljy_real(nu, s, prec + 16)
-        den = j_plus * j_plus + y_nu * y_nu
-        # prefactor 4 (not 2) matches the defining jump-entry structure;
-        # verified against the direct assembly in j1_direct
-        amp = 4 * mp.exp(-2 * n * re_phi_imag_axis(y, prec + 16)) \
-            / (mp.sqrt(2 * n) * mp.pi)
-        v1 = amp * abs(j_minus) / den
-        v2 = amp * abs(j_plus) / den
+        a1, a2, _, _, re_phi = _axis_parts(_axis_y(y), n, mpf(nu), prec)
+        decay = mp.exp(-2 * n * re_phi)
+        v1, v2 = a1 * decay, a2 * decay
     return round_to(v1, prec), round_to(v2, prec)
 
 
@@ -146,33 +146,33 @@ def bessel_ratio_bounds_check(s, nu, prec: int):
             "lhs2": round_to(lhs2, prec), "rhs2": round_to(rhs2, prec)}
 
 
-def _eta_moduli(y, n: int, nu, chi: CutoffChi, prec: int):
-    """(|eta1(iy)|, |eta2(-iy)|) = (|j1| |D1 D2|^2 chi at iy, |j2| |D1 D2|^2
-    chi at -iy).  One cutoff value, one D1 read and one D2 value: by
-    Schwarz reflection |D1(-iy)| = |D1(iy)|, and on the axis D2(iy) is a
-    positive real with D2(-iy) = 1/D2(iy)."""
+def _eta_moduli(y, nu, chi: CutoffChi, grid):
+    """(|eta1(iy)|, |eta2(-iy)|) = |j| chi |D1 D2|^2 at iy and -iy, grid
+    being d1_grid(n, nu, prec).  Its read is cauchy(iy) = 2iy S, S real,
+    so |D1(+-iy)|^2 = e^(-r Im cauchy/pi); D2(iy) = (y/(1+r))^(nu/2), so
+    |D2(+-iy)|^2 = e^(-+nu L).  Each modulus is a chi e^(E -+ nu L), with
+    E = -2n Re phi - r Im cauchy/pi (_axis_parts)."""
+    n, prec = grid.n, grid.prec
     c = chi(y, prec)
     if c == 0:
         return mpf(0), mpf(0)
     with workprec(prec):
-        y = mpf(y)
-        j1, j2 = _j_moduli(y, n, nu, prec)
-        up = mpc(0, y)
-        d1sq = abs(d1n(up, n, nu, prec)) ** 2
-        d2sq = abs(d2(up, nu, prec)) ** 2
-        v1 = j1 * d1sq * d2sq * c
-        v2 = j2 * d1sq / d2sq * c
+        y, nu = _axis_y(y), mpf(nu)
+        a1, a2, r, big_l, re_phi = _axis_parts(y, n, nu, prec)
+        e = -2 * n * re_phi - r * grid.cauchy(mpc(0, y)).imag / mp.pi
+        v1 = a1 * c * mp.exp(e - nu * big_l)
+        v2 = a2 * c * mp.exp(e + nu * big_l)
     return round_to(v1, prec), round_to(v2, prec)
 
 
 def eta1_modulus(y, n: int, nu, chi: CutoffChi, prec: int):
     """|eta1(iy)| on the positive imaginary axis, see _eta_moduli."""
-    return _eta_moduli(y, n, nu, chi, prec)[0]
+    return _eta_moduli(y, nu, chi, d1_grid(n, nu, prec))[0]
 
 
 def eta2_modulus(y, n: int, nu, chi: CutoffChi, prec: int):
     """|eta2(-iy)| on the negative imaginary axis (y > 0)."""
-    return _eta_moduli(y, n, nu, chi, prec)[1]
+    return _eta_moduli(y, nu, chi, d1_grid(n, nu, prec))[1]
 
 
 def eta_bound_check(y, n: int, nu, chi: CutoffChi, prec: int):
@@ -184,7 +184,7 @@ def eta_bound_check(y, n: int, nu, chi: CutoffChi, prec: int):
         if not 0 < y <= RHO_DEFAULT:
             raise DomainError("y must lie in (0, rho]")
         # the caller's nu, so D1 reads the grid cached under its key
-        e1, e2 = _eta_moduli(y, n, nu, chi, prec)
+        e1, e2 = _eta_moduli(y, nu, chi, d1_grid(n, nu, prec))
         nu = mpf(nu)
         decay = mp.exp(-2 * n * re_phi_imag_axis(y, prec + 16))
         b1 = y ** nu * decay
@@ -211,13 +211,13 @@ def k_norm_bounds(n: int, nu, chi: CutoffChi | None = None,
         # integrand peaks near 1/(n log n); give the quadrature that split
         peak = mpf(1) / (n * max(1, mp.log(n)))
         points = sorted({mpf(0), +peak, +min(4 * peak, hi), hi})
-        # node y -> both moduli; the two integrals share nodes.  nu stays
-        # the caller's, so D1 reads the grid cached under its key
-        pairs = {}
+        # node y -> both moduli; the two integrals share nodes and one
+        # grid, fetched for the caller's nu, the key it is cached under
+        grid, pairs = d1_grid(n, nu, prec), {}
         for key, side in (("k1_bound", 0), ("k2_bound", 1)):
             def f(y):
                 if y not in pairs:
-                    pairs[y] = _eta_moduli(y, n, nu, chi, prec)
+                    pairs[y] = _eta_moduli(y, nu, chi, grid)
                 e = pairs[y][side]
                 return e * e / y
 

@@ -202,6 +202,22 @@ def zero_condition_defect(z, n: int, nu, prec: int):
     return round_to(v, prec)
 
 
+def eta_moduli_by_parts(y, n: int, nu, chi, prec: int):
+    """(|eta1(iy)|, |eta2(-iy)|) composed from the general routes, the
+    oracle of smallnorm's one-pass kernels: |j| chi |d1n(z) d2(z)|^2 at
+    z = iy and -iy, through d1n's complex exponential of the grid read and
+    d2's complex power, each factor rounded at prec."""
+    with workprec(prec):
+        y = mpf(y)
+        c = chi(y, prec)
+        out = []
+        for j, z in zip(sn._j_moduli(y, n, nu, prec),
+                        (mpc(0, y), mpc(0, -y))):
+            v = j * c * abs(px.d1n(z, n, nu, prec) * px.d2(z, nu, prec)) ** 2
+            out.append(round_to(v, prec))
+    return tuple(out)
+
+
 def decay_integral(alpha, n: int, prec: int):
     """integral_0^(1/e) y^alpha exp(-4 n y log(1/y)) dy (trend checks)."""
     with workprec(prec):
@@ -516,6 +532,16 @@ def suite_smallnorm(prec: int = 128, nu="0.25", n_list=None,
                 ok = ok and q1 <= 1 and q2 <= 1
         out.append(_rec("eta bounds fit-then-test (slack 3)", worst,
                         "<= 1", ok))
+        worst = mpf(0)
+        for m in n_list:
+            for y in ("0.01", "0.05", "0.15"):
+                got = (sn.eta1_modulus(y, m, nu, chi, prec),
+                       sn.eta2_modulus(y, m, nu, chi, prec))
+                ref = eta_moduli_by_parts(y, m, nu, chi, prec)
+                worst = max([worst] + [abs(g - r) / r
+                                       for g, r in zip(got, ref)])
+        out.append(_le("eta kernels vs D1*D2 by parts", worst,
+                       mpf(2) ** -(prec - 4)))
         # first-Szego on-axis size bound, same protocol
         cfit = mpf(0)
         for y in ys:

@@ -1,8 +1,8 @@
 """Shared fixtures: session-wide polynomial/zero/rule/operator-norm caches
 so the expensive recurrence solves, Aberth runs, Gauss rules and
-small-norm integrals happen once per (n, nu), and the one hypothesis
-profile every property test runs under (25 derandomized examples, no
-deadline, no database)."""
+small-norm integrals (with the D1 grids they read) happen once per
+(n, nu), and the one hypothesis profile every property test runs under
+(25 derandomized examples, no deadline, no database)."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from mpmath import mp, mpf
 from oscq import smallnorm
 from oscq.moments import monic_op, rescale_to_tilde
 from oscq.mpfun import workprec
-from oscq.parametrix import D1Grid
+from oscq.parametrix import D1Grid, d1_grid
 from oscq.quadrule import gauss_rule
 from oscq.zeros import find_zeros
 
@@ -66,7 +66,7 @@ def get_k_norms(n: int, nu, prec: int = 128):
 def get_k_norm_reads(n: int, nu, prec: int = 128):
     """(D1 grid reads, distinct integrand nodes with chi(y) != 0) counted
     during the cached k_norm_bounds run."""
-    _, reads, live = _k_norm_run(n, nu, prec)
+    _, reads, live, _ = _k_norm_run(n, nu, prec)
     return reads, len(live)
 
 
@@ -74,6 +74,12 @@ def get_k_norm_nodes(n: int, nu, prec: int = 128):
     """The distinct integrand nodes y with chi(y) != 0 of the cached
     k_norm_bounds run, sorted."""
     return _k_norm_run(n, nu, prec)[2]
+
+
+def get_k_norm_grid(n: int, nu, prec: int = 128):
+    """The D1 grid the cached k_norm_bounds run read, held here so that a
+    test can read it again without a rebuild."""
+    return _k_norm_run(n, nu, prec)[3]
 
 
 def _k_norm_run(n: int, nu, prec: int):
@@ -97,7 +103,7 @@ def _k_norm_run(n: int, nu, prec: int):
             res = _k_norm_bounds(n, nu, prec=prec)
         chi = smallnorm.CutoffChi()
         live = tuple(sorted(y for y in nodes if chi(y, prec) != 0))
-        _K_NORMS[key] = (res, reads[0], live)
+        _K_NORMS[key] = (res, reads[0], live, d1_grid(n, nu, prec))
     return _K_NORMS[key]
 
 

@@ -8,11 +8,13 @@ engine, directly or through another oscq module.  The mpc recurrence of
 `verify`, no library module evaluates by it, and polynomial values come
 from the root finder's fixed-point recurrence.  Likewise mpmath's J and Y are
 oracles for `mpfun.besseljy_real`, the one route of the small-norm kernels
-to them.  The root finder's fixed-point frame is `zeros`' own: every
-other reader takes its scale from `zeros.root_scale`.  Every library
-definition is used somewhere in the source, the tests or the benchmark,
-no library module reads the environment, and a numerical operation takes
-its working precision from the caller or from its own object.
+to them, and the general complex routes `parametrix.d1n` and `d2` are
+oracles for the kernels' one real pass on the imaginary axis.  The root
+finder's fixed-point frame is `zeros`' own: every other reader takes its
+scale from `zeros.root_scale`.  Every library definition is used
+somewhere in the source, the tests or the benchmark, no library module
+reads the environment, and a numerical operation takes its working
+precision from the caller or from its own object.
 """
 
 import ast
@@ -35,6 +37,7 @@ NO_QUADRATURE = ("moments", "equilibrium", "zeros", "quadrule")
 MPC_EVALUATORS = ("eval", "eval_with_deriv", "deriv_eval")
 MPC_OWNERS = ("moments", "verify")   # the definitions and the oracles
 MPMATH_JY = ("besselj", "bessely")
+SZEGO_COMPLEX = ("d1n", "d2")     # the general mpc routes of D1 and D2
 ENVIRONMENT = ("environ", "getenv", "putenv")
 # the suites' and commands' precision defaults are documented CLI behaviour
 NUMERICAL = [m for m in MODULES if m not in ("verify", "cli")]
@@ -98,15 +101,28 @@ def test_library_never_evaluates_by_the_mpc_recurrence():
     assert not reaching, f"{reaching} reach MonicPolynomial's mpc methods"
 
 
-def test_small_norm_kernels_never_call_mpmath_j_or_y():
-    tree = ast.parse((SRC / "smallnorm.py").read_text())
-    used = sorted({node.attr for node in ast.walk(tree)
-                   if isinstance(node, ast.Attribute)
-                   and node.attr in MPMATH_JY}
+def _named(module: str, names):
+    """The names among `names` that the module uses as a name, as an
+    attribute or in an import."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return sorted({node.id for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and node.id in names}
+                  | {node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and node.attr in names}
                   | {a.name for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom)
-                     for a in node.names if a.name in MPMATH_JY})
+                     for a in node.names if a.name in names})
+
+
+def test_small_norm_kernels_never_call_mpmath_j_or_y():
+    used = _named("smallnorm", MPMATH_JY)
     assert not used, f"smallnorm reaches mpmath's {used}"
+
+
+def test_small_norm_kernels_never_name_the_complex_szego_routes():
+    named = _named("smallnorm", SZEGO_COMPLEX)
+    assert not named, f"smallnorm names parametrix's {named}"
 
 
 def _top_level_names(module: str):

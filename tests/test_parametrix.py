@@ -71,14 +71,14 @@ def test_d1n_grid_and_adaptive_agree():
 def test_d1_grid_cache_bit_identical():
     # the module cache serves a grid equal to a fresh build, field by
     # field (int payload and mpf nu, so the comparison is exact)
-    assert px.build_d1_grid(9, NU, 128) == px._get_grid(9, NU, 128)
+    assert px.build_d1_grid(9, NU, 128) == px.d1_grid(9, NU, 128)
 
 
 def test_d1_grid_cache_keys_on_exact_nu():
     # nu values that agree to 40 digits but differ at 128 bits get two grids
     near = NU + "0" * 40 + "1"
-    px._get_grid(9, NU, 128)
-    grid = px._get_grid(9, near, 128)
+    px.d1_grid(9, NU, 128)
+    grid = px.d1_grid(9, near, 128)
     fresh = px.build_d1_grid(9, near, 128)
     assert grid.nu == fresh.nu and grid.wk == fresh.wk
     # and d1n reads that grid rather than building one for a rounded nu
@@ -268,7 +268,7 @@ far_points = st.tuples(st.floats(0.1, 20), st.floats(-math.pi, math.pi)).map(
 @given(xy=st.one_of(axis_points, near_cut, far_points),
        sign=st.sampled_from((1, -1)))
 def test_d1_grid_read_matches_mpc_sum(xy, sign):
-    grid = px._get_grid(16, NU, 128)
+    grid = px.d1_grid(16, NU, 128)
     z = mpc(xy[0], sign * xy[1])
     assert _rel_err(grid.cauchy(z), _cauchy_by_mpc(grid, z)) \
         <= mpf(2) ** -grid.prec
@@ -282,7 +282,7 @@ def test_d1_grid_axis_read_property(n, nu, prec, e):
     # mpc sum over every node (cauchy rounds it to prec + 32 bits) at a
     # grid's first read, with the node clusters summed from their
     # moments; and D1(-iy) is conj D1(iy) bit for bit
-    grid = px._get_grid(n, nu, prec)
+    grid = px.d1_grid(n, nu, prec)
     z = mpc(0, 2.0 ** e)
     with workprec(prec):
         w = grid.read_scale(z)
@@ -302,7 +302,7 @@ def test_d1_grid_axis_read_property(n, nu, prec, e):
 def test_d1_grid_read_scale_follows_z(monkeypatch):
     # the quad_ts nodes of k_norm_bounds reach y ~ 2^-182; the read scale
     # grows with 1/dist(z, [-1,1]) and with |z|, where a fixed one fails
-    grid = px._get_grid(16, NU, 128)
+    grid = px.d1_grid(16, NU, 128)
     with workprec(128):
         tiny, huge = mpc(0, mpf(2) ** -182), mpc(mpf(10) ** 20)
     ref = _cauchy_by_mpc(grid, huge)
@@ -325,7 +325,7 @@ small_axis = st.floats(-182, math.log2(0.24)).map(lambda e: 2.0 ** e)
 def test_d1_grid_axis_read(y):
     # the real sum of the axis branch against the mpc oracle, and
     # Schwarz reflection bit for bit
-    grid = px._get_grid(16, NU, 128)
+    grid = px.d1_grid(16, NU, 128)
     up = grid.cauchy(mpc(0, y))
     assert _rel_err(up, _cauchy_by_mpc(grid, mpc(0, y))) \
         <= mpf(2) ** -grid.prec
@@ -347,7 +347,7 @@ def test_d1_grid_axis_read_is_the_complex_read():
     # what the general branch's complex sum gives with b = 0, and its sum
     # (from the held arrays at the bulk scale) is the per-node integer sum
     for n in (16, 32):
-        grid = px._get_grid(n, NU, 128)
+        grid = px.d1_grid(n, NU, 128)
         nodes = get_k_norm_nodes(n, NU, 128)
         at_bulk = 0
         for y in nodes:
@@ -367,7 +367,7 @@ def test_d1_grid_axis_read_is_the_complex_read():
 def test_d1_grid_holds_bulk_arrays_for_one_grid():
     # the axis read's integer arrays are derived per grid and held only
     # for the grid read last
-    a, b = px._get_grid(9, NU, 128), px._get_grid(16, NU, 128)
+    a, b = px.d1_grid(9, NU, 128), px.d1_grid(16, NU, 128)
     z = mpc(0, "0.1")
     assert a.read_scale(z) == a.bulk_scale
     first = a.cauchy(z)

@@ -1,6 +1,8 @@
 from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from oscq import parametrix as px
@@ -8,7 +10,7 @@ from oscq import smallnorm as sn
 from oscq import verify
 from oscq.mpfun import round_to, workprec
 
-from conftest import get_k_norm_reads, get_k_norms
+from conftest import get_k_norm_grid, get_k_norm_reads, get_k_norms
 
 NU = "0.25"
 PREC = 128
@@ -192,3 +194,50 @@ def test_suite_smallnorm_all_pass(monkeypatch):
     records = verify.suite_smallnorm(prec=128)
     failures = [r for r in records if not r.passed]
     assert not failures, failures
+
+
+def _log_uniform_y(lo, u):
+    """y = lo (2 eps / lo)^u: log-uniform in [lo, 2 eps) for u in [0, 1)."""
+    return lo * (2 * sn.EPS_DEFAULT / lo) ** mpf(u)
+
+
+@given(prec=st.sampled_from((96, 128, 192)),
+       nu=st.integers(0, 999999).map(lambda k: f"{k / 1e6:.6f}"),
+       n=st.integers(2, 64), u=st.floats(0, 1, exclude_max=True))
+def test_eta_moduli_match_the_composition_by_parts(prec, nu, n, u):
+    # the one real pass against |j| chi |d1n d2|^2 at +-iy through the
+    # general mpc routes, on the same grid
+    chi = sn.CutoffChi()
+    with workprec(prec):
+        y = _log_uniform_y(mpf(2) ** -(prec // 8), u)
+    got = (sn.eta1_modulus(y, n, nu, chi, prec),
+           sn.eta2_modulus(y, n, nu, chi, prec))
+    ref = verify.eta_moduli_by_parts(y, n, nu, chi, prec)
+    with workprec(prec):
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= mpf(2) ** -(prec - 4) * r, (y, g, r)
+
+
+@given(n=st.sampled_from((16, 32, 64, 128)),
+       u=st.floats(0, 1, exclude_max=True))
+def test_eta_moduli_elementary_case_nu_half(n, u):
+    # nu = 1/2: W_n = |t|^(-1/2), so |D1(iy)|^2 = ((y+r)/y)^(1/2), and
+    # J_(+-1/2), Y_(1/2) are sines and cosines; r = sqrt(1+y^2).  The
+    # grids are AC-8's at nu = 1/2, read again from the conftest cache
+    chi, prec = sn.CutoffChi(), PREC
+    with workprec(prec):
+        y = _log_uniform_y(mpf(2) ** -8, u)
+    got = sn._eta_moduli(y, "0.5", chi, get_k_norm_grid(n, "0.5", prec))
+    with workprec(2 * prec):
+        r = mp.sqrt(1 + y * y)
+        s = n * mp.pi * y
+        re_phi = y * mp.log((1 + r) / y) + mp.asinh(y)
+        amp = (4 * chi(y, prec) / (mp.sqrt(2 * n) * mp.pi)
+               * mp.sqrt(mp.pi * s / 2) * mp.exp(-2 * n * re_phi))
+        env = (amp * mp.sqrt((y + r) / (1 + r)),
+               amp * mp.sqrt((y + r) * (1 + r)) / y)
+        # J_-+nu are held relative to (J^2 + Y^2)^(1/2), so the bound is
+        # relative to the envelope, which also holds at zeros of cos, sin
+        for g, e, m in zip(got, (abs(mp.cos(s)) * env[0],
+                                 abs(mp.sin(s)) * env[1]), env):
+            assert abs(g - e) <= mpf(2) ** -(prec - 4) * m, (y, g, e)
