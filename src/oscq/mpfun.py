@@ -6,15 +6,13 @@ Values are mpmath ``mpf`` / ``mpc``; every operation takes an explicit
 working precision in bits and evaluates internally with guard bits before
 rounding down to the requested precision.
 Relative error contract for the gamma functions: <= 2**(-prec+16).
-``besselk_map(nu, prec)`` serves the log-weight of the D1 grid, read
-through ``parametrix._log_k_map`` and the Taylor tables it seeds, and
-``besseljy_real`` the J/Y triples of ``smallnorm``; below mpmath's
-asymptotic crossover both take their +-nu pair of power series, summed in
-Python ints, from one core, split into a per-(nu, prec) set-up (_pm_core)
-and a per-argument evaluation (_pm_series).  The map does the set-up once
-for a whole grid; ``besselk_real``, one point of it, has only the tests
-as callers.  The complex weight (``parametrix.w_weight``/``w_pm_imag``)
-still calls mp.besselk directly.
+``besselk_map(nu, prec)`` gives K_nu, relative to K_nu, and
+``besseljy_real`` the triple (J_nu, J_-nu, Y_nu), relative to
+sqrt(J_nu^2 + Y_nu^2), each within 16 units of 2^-prec of mpmath at
+prec + 64 bits over the tested range (prec 64..448, 0 <= nu < 1).
+Below mpmath's asymptotic crossover both sum their +-nu pair of power
+series in Python ints, from one per-(nu, prec) set-up (_pm_core) and one
+per-argument evaluation (_pm_series); above it they call mpmath.
 
 mpmath rounds on every construction and operation at the ambient context,
 so all argument conversion happens inside the functions' own workprec
@@ -201,10 +199,17 @@ def _jy_reflect(j_minus, j_plus, c, nu):     # Y_nu at W, before rounding
 
 
 def besselk_map(nu, prec: int):
-    """The map x -> besselk_real(nu, x, prec) for mpf x > 0, read exactly
-    as given, with what depends only on (nu, prec) done once: nu's
-    conversion, the mpmath fallback for nu >= 1 and the series set-up.
-    Every value is bit-identical to besselk_real's."""
+    """The map x -> K_nu(x) for mpf x > 0, read exactly as given, to
+    relative accuracy about 2^-prec, with what depends only on (nu, prec)
+    done once: nu's conversion, the mpmath fallback for |nu| >= 1 and the
+    series set-up.
+
+    For |nu| < 1 and x below the point where mpmath's asymptotic series
+    converges (2x log2(e) < prec + ASYMPTOTIC_BITS), K_nu =
+    pi/(2 sin nu pi) (I_-nu - I_nu) (DLMF 10.27.4), with the power series
+    of both I summed in Python ints at the scale of _series_scale;
+    nu = 0 is evaluated at nu = 2^-(prec+32), K being even in nu.  Other
+    arguments go to mp.besselk at prec."""
     require_prec(prec)
     with workprec(prec):
         nu = abs(mpf(nu))
@@ -222,26 +227,6 @@ def besselk_map(nu, prec: int):
     return k
 
 
-def besselk_real(nu, x, prec: int):
-    """Modified Bessel function K_nu(x) for real x > 0, to relative
-    accuracy about 2^-prec.
-
-    For |nu| < 1 and x below the point where mpmath's asymptotic series
-    converges (2x log2(e) < prec + ASYMPTOTIC_BITS), K_nu =
-    pi/(2 sin nu pi) (I_-nu - I_nu) (DLMF 10.27.4), with the power series
-    of both I summed in Python ints at the scale of _series_scale;
-    nu = 0 is evaluated at nu = 2^-(prec+32), K being even in nu.  Other
-    arguments go to mp.besselk at prec.  One call is one point of
-    besselk_map(nu, prec).
-    """
-    require_prec(prec)
-    with workprec(prec):
-        x = mpf(x)
-    if x <= 0:
-        raise DomainError("besselk_real needs x > 0")
-    return besselk_map(nu, prec)(x)
-
-
 def besseljy_real(nu, s, prec: int):
     """(J_nu(s), J_-nu(s), Y_nu(s)) for real s > 0, each to about 2^-prec
     relative to sqrt(J_nu^2 + Y_nu^2) (J has zeros).
@@ -251,7 +236,7 @@ def besseljy_real(nu, s, prec: int):
     alternating power series (DLMF 10.2.2) summed in Python ints at the
     scale W = prec + sin_bits + SERIES_GUARD, and Y_nu = (J_nu cos nu pi -
     J_-nu) / sin nu pi (DLMF 10.2.3) is formed at W, before any rounding;
-    nu = 0 is evaluated at nu = 2^-(prec+32), as in besselk_real.  Other
+    nu = 0 is evaluated at nu = 2^-(prec+32), as in besselk_map.  Other
     arguments take J_nu and Y_nu from mp.besselj/mp.bessely at prec and
     J_-nu = J_nu cos nu pi - Y_nu sin nu pi.
 
@@ -259,7 +244,7 @@ def besseljy_real(nu, s, prec: int):
     from its truncated predecessor, so an error made at term k reaches
     the sum through the tail of the alternating series from k, which is
     no larger than term k, and the sum stays within a few units of 2^-W
-    per term.  (besselk_real's scale does need 2x log2(e) bits, for the
+    per term.  (besselk_map's scale does need 2x log2(e) bits, for the
     cancellation in I_-nu - I_nu.)
     """
     require_prec(prec)

@@ -193,13 +193,13 @@ def eta_bound_check(y, n: int, nu, chi: CutoffChi, prec: int):
             "eta2_mod": e2, "bound2": round_to(b2, prec)}
 
 
-def k_norm_bounds(n: int, nu, chi: CutoffChi | None = None,
-                  prec: int = 128):
+def k_norm_bounds(n: int, nu, prec: int, chi: CutoffChi | None = None):
     """Hilbert-Schmidt style operator-norm bounds
 
     k1 = (integral_0^(2 eps) |eta1(iy)|^2 / y dy)^(1/2), same for k2, and
     their product, which must decay like a power of 1/log n.  The
-    integrals run to 2^-(prec/8).
+    integrals run to 2^-(prec/8).  chi is the cutoff, CutoffChi() unless
+    given.
     """
     if n < 2:
         raise ValueError("n must be >= 2")

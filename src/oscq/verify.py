@@ -48,17 +48,6 @@ def _le(name, measured, bound) -> CheckRecord:
                 mpf(measured) <= mpf(bound))
 
 
-def dist_to_interval(z, prec: int):
-    """Distance from z to [-1,1]."""
-    with workprec(prec):
-        z = mpc(z)
-        if -1 <= z.real <= 1:
-            v = abs(z.imag)
-        else:
-            v = min(abs(z - 1), abs(z + 1))
-    return round_to(v, prec)
-
-
 def psi_quantile(q, prec: int):
     """Oracle for the equilibrium quantiles (eq.psi_quantiles, in floats):
     the inverse CDF in mpf by bisection (the CDF is strictly increasing
@@ -227,7 +216,7 @@ def decay_integral(alpha, n: int, prec: int):
     return v
 
 
-def suite_equilibrium(prec: int = 256, **_) -> list[CheckRecord]:
+def suite_equilibrium(prec: int = 256) -> list[CheckRecord]:
     out = []
     with workprec(prec):
         tol = mpf(2) ** (-(prec // 4)) * 64
@@ -309,7 +298,7 @@ def suite_equilibrium(prec: int = 256, **_) -> list[CheckRecord]:
     return out
 
 
-def suite_parametrix(prec: int = 192, nu="0.25", **_) -> list[CheckRecord]:
+def suite_parametrix(prec: int = 192, nu="0.25") -> list[CheckRecord]:
     out = []
     rng = random.Random(20240817)
     with workprec(prec):
@@ -318,7 +307,8 @@ def suite_parametrix(prec: int = 192, nu="0.25", **_) -> list[CheckRecord]:
         worst = mpf(0)
         for _i in range(100):
             z = mpc(4 * rng.random() - 2, 4 * rng.random() - 2)
-            if dist_to_interval(z, prec) < mpf("0.05"):
+            gap = max(abs(z.real) - 1, 0)     # dist(z, [-1,1])^2 < 0.05^2
+            if gap * gap + z.imag * z.imag < mpf("0.05") ** 2:
                 continue
             m = px.n0_matrix(z, prec)
             worst = max(worst, abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1))
@@ -447,8 +437,8 @@ def suite_parametrix(prec: int = 192, nu="0.25", **_) -> list[CheckRecord]:
     return out
 
 
-def suite_smallnorm(prec: int = 128, nu="0.25", n_list=None,
-                    **_) -> list[CheckRecord]:
+def suite_smallnorm(prec: int = 128, nu="0.25",
+                    n_list=None) -> list[CheckRecord]:
     out = []
     n_list = n_list or [16, 32]
     chi = sn.CutoffChi()
@@ -559,7 +549,7 @@ def suite_smallnorm(prec: int = 128, nu="0.25", n_list=None,
         out.append(_rec("first-Szego axis bound fit-then-test", cfit,
                         "slack 3 over n", ok))
         # operator-norm decay trend over the run's n list
-        res = {m: sn.k_norm_bounds(m, nu, chi, prec) for m in n_list}
+        res = {m: sn.k_norm_bounds(m, nu, prec, chi) for m in n_list}
         b1 = {m: res[m]["k1_bound"] * m ** nu * mp.log(m) ** nu
               for m in n_list}
         b2 = {m: res[m]["k2_bound"] * m ** (-nu) * mp.log(m) ** nu
@@ -577,8 +567,8 @@ def suite_smallnorm(prec: int = 128, nu="0.25", n_list=None,
     return out
 
 
-def suite_quadrature(prec: int = 256, nu=None, n_list=None,
-                     **_) -> list[CheckRecord]:
+def suite_quadrature(prec: int = 256, nu=None,
+                     n_list=None) -> list[CheckRecord]:
     out = []
     n_list = n_list or list(range(1, 7))
     nus = [nu] if nu is not None else ["0", "0.25", "0.5"]
@@ -623,7 +613,7 @@ def suite_quadrature(prec: int = 256, nu=None, n_list=None,
     return out
 
 
-def suite_zeros(prec: int = 256, nu="0", n_list=None, **_) -> list[CheckRecord]:
+def suite_zeros(prec: int = 256, nu="0", n_list=None) -> list[CheckRecord]:
     out = []
     n_list = n_list or [2, 4, 8]
     rng = random.Random(73)
@@ -713,4 +703,4 @@ def run_suite(name: str, **kwargs) -> list[CheckRecord]:
     if fn is None:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{tuple(SUITES)}")
-    return fn(**{k: v for k, v in kwargs.items() if v is not None})
+    return fn(**kwargs)

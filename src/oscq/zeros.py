@@ -3,7 +3,7 @@ zero-distribution statistics against the limiting laws.
 
 Aberth-Ehrlich iteration, no deflation: all n roots are refined together,
 which is robust for the clustered complex roots these polynomials produce.
-Runs are deterministic for a given (polynomial, precision).
+Runs are deterministic for a given polynomial, at its precision.
 
 Two stages share one sweep loop, `_aberth`, which owns the sweep cap,
 the active list, freezing below tol and mirror holding; each stage gives
@@ -289,19 +289,18 @@ def _fixed_step(recurrence, tol: int, scale: int):
     return step
 
 
-def find_zeros(p: MonicPolynomial, prec: int | None = None) -> ZeroSet:
-    """All roots of p with Newton corrections below 2^(-prec/2): Aberth
-    in floats from the seeds, then in fixed point at 2^-root_scale(prec)
-    from the float roots, both stages in `_aberth`'s loop.  When the
-    recurrence maps the zero set to itself by a mirror (`_mirrors`), the
-    fixed stage iterates one root of each float pair that `_mirror_pairs`
-    matches and holds the other as its exact mirror image; of two mirrors,
-    the one that pairs more roots.  Roots are sorted by real part on the
-    2^-(prec/2) grid, then by imaginary part."""
+def find_zeros(p: MonicPolynomial) -> ZeroSet:
+    """All roots of p with Newton corrections below 2^(-prec/2), at prec =
+    p.prec: Aberth in floats from the seeds, then in fixed point at
+    2^-root_scale(prec) from the float roots, both stages in `_aberth`'s
+    loop.  When the recurrence maps the zero set to itself by a mirror
+    (`_mirrors`), the fixed stage iterates one root of each float pair
+    that `_mirror_pairs` matches and holds the other as its exact mirror
+    image; of two mirrors, the one that pairs more roots.  Roots are
+    sorted by real part on the 2^-(prec/2) grid, then by imaginary part."""
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
-    prec = prec or p.prec
-    n = p.degree
+    prec, n = p.prec, p.degree
     scale = root_scale(prec)
     half = prec // 2
     with workprec(prec, guard=64):

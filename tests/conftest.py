@@ -43,12 +43,10 @@ def get_tilde(n: int, nu, prec: int = 256):
     return get_poly(n, nu, prec)[1]
 
 
-def get_zeros(n: int, nu, prec: int = 256, solve_prec: int | None = None):
-    key = (n, str(nu), prec, solve_prec)
+def get_zeros(n: int, nu, prec: int = 256):
+    key = (n, str(nu), prec)
     if key not in _ZEROS:
-        tilde = get_tilde(n, nu, prec)
-        _ZEROS[key] = find_zeros(
-            tilde, prec=solve_prec or min(tilde.prec, 512))
+        _ZEROS[key] = find_zeros(get_tilde(n, nu, prec))
     return _ZEROS[key]
 
 

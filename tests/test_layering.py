@@ -12,8 +12,10 @@ to them, and the general complex routes `parametrix.d1n` and `d2` are
 oracles for the kernels' one real pass on the imaginary axis.  The root
 finder's fixed-point frame is `zeros`' own: every other reader takes its
 scale from `zeros.root_scale`.  Every library definition is used
-somewhere in the source, the tests or the benchmark, no library module
-reads the environment, and a numerical operation takes its working
+somewhere in the source, the tests or the benchmark, and outside `verify`
+somewhere in the source or the benchmark; every optional parameter of a
+numerical operation is set by some library or benchmark call.  No library
+module reads the environment, and a numerical operation takes its working
 precision from the caller or from its own object.
 """
 
@@ -32,6 +34,8 @@ SRC = ROOT / "src" / "oscq"
 USERS = sorted(p for d in ("src", "tests", "oscbench")
                for p in (ROOT / d).rglob("*.py")
                if p not in (SRC / "__init__.py", HERE))
+# the users that are not tests: the library and the benchmark
+CALLERS = [p for p in USERS if ROOT / "tests" not in p.parents]
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 NO_QUADRATURE = ("moments", "equilibrium", "zeros", "quadrule")
 MPC_EVALUATORS = ("eval", "eval_with_deriv", "deriv_eval")
@@ -41,8 +45,8 @@ SZEGO_COMPLEX = ("d1n", "d2")     # the general mpc routes of D1 and D2
 ENVIRONMENT = ("environ", "getenv", "putenv")
 # the suites' and commands' precision defaults are documented CLI behaviour
 NUMERICAL = [m for m in MODULES if m not in ("verify", "cli")]
-# its optional chi comes before prec, and the benchmark passes prec= only
-PREC_DEFAULT_EXEMPT = {"smallnorm.k_norm_bounds"}
+# no numerical operation defaults its precision
+PREC_DEFAULT_EXEMPT = set()
 
 
 def _imports(module: str):
@@ -165,6 +169,90 @@ def test_every_library_definition_is_used():
     assert not unused, f"defined but never used: {unused}"
 
 
+def test_every_library_definition_has_a_non_test_user():
+    # verify's definitions are the tests' oracles
+    used = set().union(*(_uses(p) for p in CALLERS))
+    unused = sorted(f"{m}.{name}" for m in MODULES if m != "verify"
+                    for name in _top_level_names(m) - used)
+    assert not unused, f"used by the tests alone: {unused}"
+
+
+def _defaulted(module: str):
+    """(qualified name, called name, positional index at a call, parameter)
+    for every parameter with a default in the module: those of its
+    functions and methods, and the fields of its dataclasses, which are
+    parameters of the class's __init__; a method's self and an __init__'s
+    class name are read off the call."""
+    out = []
+
+    def visit(node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", child)
+                if any("dataclass" in ast.unparse(d)
+                       for d in child.decorator_list):
+                    fields = [f for f in child.body
+                              if isinstance(f, ast.AnnAssign)]
+                    out.extend((f"{prefix}{child.name}", child.name, i,
+                                f.target.id) for i, f in enumerate(fields)
+                               if f.value is not None)
+            elif isinstance(child, ast.FunctionDef):
+                name = f"{prefix}{child.name}"
+                called = cls.name if cls and child.name == "__init__" \
+                    else child.name
+                a = child.args
+                pos = a.posonlyargs + a.args
+                skip = 1 if cls is not None else 0
+                first = len(pos) - len(a.defaults)
+                out.extend((name, called, i - skip, pos[i].arg)
+                           for i in range(first, len(pos)))
+                out.extend((name, called, None, k.arg) for k, d
+                           in zip(a.kwonlyargs, a.kw_defaults)
+                           if d is not None)
+                visit(child, f"{name}.", None)
+            else:
+                visit(child, prefix, cls)
+
+    visit(ast.parse((SRC / f"{module}.py").read_text()), f"{module}.", None)
+    return out
+
+
+def _calls(path):
+    """called name -> [(positional count, keyword names)] for every call in
+    the file, by name or attribute; a *args or **kwargs call reads as one
+    that passes every parameter (count and keywords None)."""
+    out = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        star = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = {k.arg for k in node.keywords}
+        out.setdefault(name, []).append(
+            (None if star else len(node.args),
+             None if None in keywords else keywords))
+    return out
+
+
+def test_every_optional_parameter_is_set_by_a_non_test_call():
+    # verify and cli are the oracles and the commands; the mpc evaluators
+    # of MonicPolynomial are oracles too
+    calls = {}
+    for path in CALLERS:
+        for name, sites in _calls(path).items():
+            calls.setdefault(name, []).extend(sites)
+    unset = sorted(
+        f"{qual}({param})" for m in NUMERICAL
+        for qual, called, index, param in _defaulted(m)
+        if called not in MPC_EVALUATORS
+        and not any(count is None or keywords is None or param in keywords
+                    or index is not None and count > index
+                    for count, keywords in calls.get(called, ())))
+    assert not unset, f"set by no library or benchmark call: {unset}"
+
+
 def _prec_defaults(module: str):
     """The qualified names of the functions in the module whose parameter
     prec has a default other than None."""
@@ -193,8 +281,8 @@ def _prec_defaults(module: str):
 
 
 def test_numerical_modules_default_no_precision():
-    # None stands for the object's own precision (MonicPolynomial.eval,
-    # find_zeros); any other default is a precision no caller chose
+    # None stands for the object's own precision (MonicPolynomial.eval);
+    # any other default is a precision no caller chose
     defaulted = set().union(*(_prec_defaults(m) for m in NUMERICAL))
     assert defaulted == PREC_DEFAULT_EXEMPT, \
         f"precision defaults: {sorted(defaulted - PREC_DEFAULT_EXEMPT)}, " \

@@ -71,7 +71,7 @@ def test_cutoff_absolute_accuracy(prec):
 def test_k_norm_bounds_chi_tail_is_bit_identical(n, nu):
     # the nodes where chi is cut to 0 add nothing the integrals can see
     lib = sn.k_norm_bounds(n, nu, prec=PREC)
-    raw = sn.k_norm_bounds(n, nu, _UnroundedTailChi(), PREC)
+    raw = sn.k_norm_bounds(n, nu, PREC, _UnroundedTailChi())
     for key in ("k1_bound", "k2_bound", "product"):
         assert lib[key]._mpf_ == raw[key]._mpf_, key
 
@@ -165,10 +165,18 @@ def test_one_d1_grid_per_n_nu_prec():
     chi = sn.CutoffChi()
     with mock.patch.object(px, "build_d1_grid",
                            wraps=px.build_d1_grid) as build:
-        sn.k_norm_bounds(5, "0.3", chi, PREC)
+        sn.k_norm_bounds(5, "0.3", PREC, chi)
         sn.eta_bound_check(mpf("0.1"), 5, "0.3", chi, PREC)
         px.d1n(mpc(0, "0.1"), 5, "0.3", PREC)
     assert build.call_count == 1
+
+
+def test_k_norm_bounds_takes_prec_third():
+    # the positional call the README quotes is the keyword call
+    pos = sn.k_norm_bounds(16, "0.25", 128)
+    kw = get_k_norms(16, "0.25", 128)
+    assert {k: v._mpf_ for k, v in pos.items()} == \
+        {k: v._mpf_ for k, v in kw.items()}
 
 
 def test_k_norm_bounds_regression_pin():
@@ -186,7 +194,7 @@ def test_k_norm_bounds_regression_pin():
 
 def test_suite_smallnorm_all_pass(monkeypatch):
     # the suite's k_norm_bounds runs are AC-8's; read them from the cache
-    def cached(n, nu, chi, prec):
+    def cached(n, nu, prec, chi):
         assert chi == sn.CutoffChi()
         return get_k_norms(n, nu, prec)
 

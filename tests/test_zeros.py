@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -68,8 +69,8 @@ def test_vieta_sum():
 
 def test_determinism_bitwise():
     tilde = get_tilde(4, "0.25")
-    a = find_zeros(tilde, prec=256)
-    b = find_zeros(tilde, prec=256)
+    a = find_zeros(tilde)
+    b = find_zeros(tilde)
     assert a.roots == b.roots
     assert a.residuals == b.residuals
 
@@ -211,14 +212,20 @@ def test_fixed_eval_exponent_follows_shifts_both_ways():
 
 
 # roots at the polynomial's precision, as gauss_rule and `oscq zeros` solve
-# (64, 256 and 512 bits), and below it (128 bits of a 256-bit polynomial)
-@pytest.mark.parametrize("prec, solve_prec", [(64, 64), (256, 128),
-                                              (256, 256), (512, 512)])
+# (64, 128, 256 and 512 bits), and at a precision below its recurrence's
+# (a 256-bit recurrence carried at 128 bits): the scale follows p.prec
+@pytest.mark.parametrize("prec, solve_prec", [(64, 64), (128, 128),
+                                              (256, 128), (256, 256),
+                                              (512, 512)])
 @pytest.mark.parametrize("nu", ["0", "0.25", "0.999"])
 @pytest.mark.parametrize("n", [1, 2, 16, 64])
 def test_roots_are_exact_at_the_root_scale(n, nu, prec, solve_prec):
     # quadrule re-reads the roots as Gaussian ints at root_scale(zs.prec)
-    zs = get_zeros(n, nu, prec, solve_prec)
+    if solve_prec == prec:
+        zs = get_zeros(n, nu, prec)
+    else:
+        zs = find_zeros(replace(get_tilde(n, nu, prec), prec=solve_prec))
+    assert zs.prec == solve_prec
     scale = root_scale(zs.prec)
     with workprec(2 * scale):
         for w in zs.roots:
@@ -308,7 +315,7 @@ def test_mirrored_roots_match_the_unpaired_route(monkeypatch, n, nu):
     # 2^-prec, the corrections do not (the update order differs)
     zs = get_zeros(n, nu)
     monkeypatch.setattr(zeros, "_mirrors", lambda recurrence: [])
-    alone = find_zeros(get_tilde(n, nu), prec=zs.prec)
+    alone = find_zeros(get_tilde(n, nu))
     assert alone.mirrored == 0
     with workprec(2 * zs.prec):
         for w, v in zip(zs.roots, alone.roots):
