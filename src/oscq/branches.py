@@ -3,9 +3,10 @@ parametrix layers.
 
 Conventions: (z^2-1)^(1/2) is analytic off [-1,1], behaves like z at
 infinity and is positive for real z > 1; (1-z^2)^(1/2) is the principal
-branch, positive on (-1,1); ((z-1)/(z+1))^(1/4) is positive for z > 1.
-The inverse cosine, fixed by exp(i*arccos z) = z + i (1-z^2)^(1/2), is
-formed from a root the caller holds (equilibrium.phase_terms).
+branch, positive on (-1,1); ((z-1)/(z+1))^(1/4), analytic off [-1,1], is
+positive for z > 1 (exterior_beta).  The inverse cosine, fixed by
+exp(i*arccos z) = z + i (1-z^2)^(1/2), is formed from a root the caller
+holds (equilibrium.phase_terms).
 """
 
 from __future__ import annotations
@@ -25,18 +26,8 @@ def sqrt_onecut(z):
     return mp.sqrt(1 - z * z)
 
 
-def f_exterior(z):
-    """Conformal map z + (z^2-1)^(1/2) onto the exterior of the unit disk."""
-    return z + sqrt_offcut(z)
-
-
-def beta_quartic(z):
-    """((z-1)/(z+1))^(1/4), analytic off [-1,1], positive for z > 1."""
-    return exterior_beta(f_exterior(z))
-
-
 def exterior_beta(phi):
-    """beta_quartic at the z with f_exterior(z) = phi, |phi| > 1: the
-    principal ((phi-1)/(phi+1))^(1/2).  (z-1)/(z+1) is its square, and
+    """((z-1)/(z+1))^(1/4) at the z with z + (z^2-1)^(1/2) = phi, |phi| > 1:
+    the principal ((phi-1)/(phi+1))^(1/2).  (z-1)/(z+1) is its square, and
     Re (phi-1)/(phi+1) > 0, so the two principal roots agree."""
     return mp.sqrt((phi - 1) / (phi + 1))

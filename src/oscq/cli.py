@@ -21,6 +21,7 @@ import time
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_str, round_floor
 
 from . import parametrix as px
 from .moments import (IndeterminateHankelError, SolverError, monic_op,
@@ -110,9 +111,22 @@ def _parse_n_list(text: str):
 _BITS = _int_from(MIN_PREC)
 _BITS_OR_AUTO = _arg(f"'auto' or an integer >= {MIN_PREC}",
                      lambda t: 256 if t == "auto" else _BITS(t))
-# kept as the caller's string: manifests record it and the layers read it
-_REAL = _arg("a finite real number",
-             lambda t: t if mp.isfinite(mpf(t)) else None)
+
+
+def _real(ok):
+    """Parse a finite real number t where ok(t rounded toward -oo to 53
+    bits) holds, which keeps t's side of 0 and 1, so the checks below are
+    exact.  t stays the caller's string: manifests record it and the
+    layers read it."""
+    def parse(t: str):
+        v = mpf(from_str(t, 53, round_floor))
+        return t if mp.isfinite(v) and ok(v) else None
+    return parse
+
+
+# 0 <= nu < 1 is the weight's contract
+_NU = _arg("a real number nu with 0 <= nu < 1", _real(lambda v: 0 <= v < 1))
+_RADIUS = _arg("a real number >= 0", _real(lambda v: v >= 0))
 _N_LIST = _arg("'lo..hi' or 'n1,n2,...' naming a degree", _parse_n_list)
 
 
@@ -290,12 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pz = sub.add_parser("zeros", help="compute polynomial zeros (both "
                                       "frames) to CSV + manifest")
-    pz.add_argument("--nu", type=_REAL, required=True)
+    pz.add_argument("--nu", type=_NU, required=True)
     pz.add_argument("--n", type=_int_from(1), required=True)
     prec_help = "'auto' (256 bits) or bits"
     pz.add_argument("--prec", type=_BITS_OR_AUTO, default="auto",
                     help=prec_help)
-    pz.add_argument("--delta", type=_REAL, default="0.2",
+    pz.add_argument("--delta", type=_RADIUS, default="0.2",
                     help="disk-exclusion radius for zero-line stats")
     pz.add_argument("--allow-long", action="store_true",
                     help=f"permit n beyond the desk ceiling "
@@ -304,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a named invariant suite")
     pv.add_argument("--suite", required=True, choices=list(SUITES))
-    pv.add_argument("--nu", type=_REAL)
+    pv.add_argument("--nu", type=_NU)
     pv.add_argument("--n-list", dest="n_list", type=_N_LIST,
                     help="e.g. '1..10' or '16,32,64'")
     pv.add_argument("--prec", type=_BITS)
@@ -313,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("asymptotics",
                         help="compare polynomial values against the "
                              "asymptotic formulas")
-    pa.add_argument("--nu", type=_REAL, required=True)
+    pa.add_argument("--nu", type=_NU, required=True)
     # the error scale epsilon_n needs n >= 2
     pa.add_argument("--n", type=_int_from(2), required=True)
     pa.add_argument("--points", default="grid",

@@ -1,22 +1,15 @@
 """Equilibrium measure for the external field pi*|x| and its derived
-objects: the log-potential g, the Lagrange constant, the phase function
-phi, and the oscillation phase theta_n.
+objects: the density psi, its CDF, the log-potential g, the Lagrange
+constant, the phase function phi and the oscillation phase theta_n.
 
-The measure has density psi(x) = log((1+sqrt(1-x^2))/|x|)/pi on [-1,1];
-it is even, integrates to one, diverges logarithmically at the origin and
-vanishes like a square root at the edges.  Everything derived from it
-goes through one closed antiderivative F of psi (Saff & Totik,
-Logarithmic Potentials with External Fields, ch. IV), taken from
-s = (1-z^2)^(1/2) by phase_terms: pi psi = log((1+s)/z), arccos z =
--i log(z + i s) and pi (1/2 - F) = arccos z - z pi psi.  The CDF is
-1/2 +- F(|x|), phi = i pi (1/2 - F) in the first quadrant, g follows by
-reflection, and theta_n = n pi (1/2 - F) + arccos(z)/4 - pi/4.  The
-public functions take their working precision in bits and round once;
-the cores pi_psi, phase_terms, theta_terms and g_at evaluate at the
-ambient precision from a branch root the caller already holds, so the
-asymptotic evaluators of parametrix form each root once per point and
-run the same closed forms; imag_axis_terms does the same for the
-small-norm kernels on the imaginary axis.
+psi(x) = log((1+sqrt(1-x^2))/|x|)/pi on [-1,1]; every derived object is a
+closed form of its antiderivative F (Saff & Totik, Logarithmic Potentials
+with External Fields, ch. IV; phase_terms), so this layer runs no
+quadrature.  The public functions take their working precision in bits
+and round once.  The cores pi_psi, phase_terms, theta_terms, g_at and
+imag_axis_terms run at the ambient precision from a branch root the
+caller holds, so the evaluators of parametrix and smallnorm form each
+root once per point.
 """
 
 from __future__ import annotations
@@ -37,7 +30,7 @@ def psi_real(x, prec: int):
             raise DomainError("psi has a logarithmic singularity at x = 0")
         if abs(x) > 1:
             raise DomainError("psi is supported on [-1,1]")
-        v = mp.log((1 + mp.sqrt(1 - x * x)) / abs(x)) / mp.pi
+        v = pi_psi(abs(x), mp.sqrt(1 - x * x)) / mp.pi
     return round_to(v, prec)
 
 
@@ -166,31 +159,8 @@ def g_fn(z, prec: int):
         z = mpc(z)
         if z.imag == 0 and z.real <= 1:
             raise DomainError("g is cut along (-oo, 1]; "
-                              "use g_boundary for limits")
+                              "use verify.g_boundary for limits")
     return _g(z, prec)
-
-
-def g_boundary(x, side: int, prec: int):
-    """One-sided boundary value of g on the real axis.
-
-    side=+1 approaches from the upper half plane, side=-1 from below.
-    For x < 1 the imaginary part is +- pi (1 - cdf(x)) with cdf clamped
-    outside [-1,1]; for x >= 1 both sides coincide.
-    """
-    if side not in (1, -1):
-        raise ValueError("side must be +1 or -1")
-    with workprec(prec):
-        v = _g(mpc(mpf(x)), prec)
-        return v if side > 0 else mp.conj(v)
-
-
-def phi_boundary(x, side: int, prec: int):
-    """One-sided value of phi on (-1,1); purely imaginary up to rounding."""
-    with workprec(prec):
-        x = mpf(x)
-        v = (g_boundary(x, side, prec) - mp.pi * abs(x) / 2
-             - ell_const(prec) / 2)
-    return round_to(v, prec)
 
 
 def phi_imag_side(y, side: str, prec: int):

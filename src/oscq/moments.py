@@ -1,20 +1,14 @@
 """Exact Bessel-weight moments, the three-term recurrence they determine,
 and the monic orthogonal polynomials it generates.
 
-The gamma-ratio moments m_j = 2^j G((1+nu+j)/2) / G((1+nu-j)/2) obey
-m_0 = 1, m_1 = nu, m_{j+2} = (1+nu+j)(nu-1-j) m_j.  Gautschi's Chebyshev
-algorithm (Orthogonal Polynomials: Computation and Approximation, 2004,
-sec. 2.1.7) maps m_0..m_{2n-1} in O(n^2) to the coefficients of
-P_{k+1} = (x - a_k) P_k - b_k P_{k-1} (b_0 = m_0); b_k != 0 for all k < n
-certifies that P_n exists.  Its table sig_k(l) = L(P_k x^l) is held in
-Python-int fixed point, in the idiom of mpmath's own series summers, with
-one power-of-two scale per anti-diagonal k + l taken from the moment
-recurrence, so an entry costs two integer products and two shifts.
-Measured at nu = 0.25, the entries fall at most 43 bits (n = 64) and
-137 bits (n = 200) below their diagonal's scale, and the pairs lose
-about 1.2 n bits against a run 200 bits deeper: 79 at n = 64, 245 at
-n = 200, inside the 2n + 32 guard bits.  The same table, run on the
-stored pairs from the deeper run's moments, gives the residual.
+The moments obey m_0 = 1, m_1 = nu, m_{j+2} = (1+nu+j)(nu-1-j) m_j.
+Gautschi's Chebyshev algorithm (Orthogonal Polynomials: Computation and
+Approximation, 2004, sec. 2.1.7; _table) maps m_0..m_{2n-1} to the pairs
+of P_{k+1} = (x - a_k) P_k - b_k P_{k-1}; b_k != 0 for every k < n
+certifies that P_n exists.  Measured at nu = 0.25, the pairs lose about
+1.2 n bits against a run 200 bits deeper (79 at n = 64, 245 at n = 200),
+inside the 2n + 32 guard bits; the same table, run on the stored pairs
+from the deeper run's moments, gives the residual.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Szego functions, the cut-normalized matrix model, and the outer/inner
-asymptotic evaluators for the rescaled polynomials.
+"""Szego functions and the outer/inner asymptotic evaluators for the
+rescaled polynomials.
 
 The first Szego factor d1n is a Cauchy-type integral of log W_n against
 the Chebyshev kernel, read from a frozen tanh-sinh grid per (n, nu, prec)
@@ -8,7 +8,7 @@ sum at a scale chosen from z.  On the imaginary axis that sum is within
 2^-(prec+64) relative of the mpc sum over the grid's nodes, and D1(-iy) =
 conj D1(iy) bit for bit.  The grid's log-weight is within 2^-(prec+16) in
 log W_n of log K_nu by its series at prec + 96 bits.  The second factor
-and the matrix model are closed forms.
+d2 is a closed form.
 
 The outer and inner evaluators round once: a value is within 2^-(prec-2)
 relative of the same call at prec + 128 bits, and P~_n(-conj z) =
@@ -26,8 +26,7 @@ from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 
-from .branches import (beta_quartic, exterior_beta, f_exterior, sqrt_offcut,
-                       sqrt_onecut)
+from .branches import exterior_beta, sqrt_offcut, sqrt_onecut
 from .equilibrium import epsilon_n, g_at, theta_terms
 from .mpfun import (GUARD_BITS, DomainError, besselk_map, man_exp,
                     require_prec, round_to, to_fixed, workprec)
@@ -47,25 +46,6 @@ def _on_cut(z) -> bool:
     return z.imag == 0 and -1 <= z.real <= 1
 
 
-def w_weight(z, n: int, nu, prec: int):
-    """Normalized weight sqrt(2n) K_nu(+-n pi z) e^(+-n pi z) per half plane.
-
-    Real on the real axis (positive), tends to z^(-1/2); jumps across the
-    imaginary axis (use w_pm_imag for the one-sided limits there).
-    """
-    with workprec(prec):
-        z = mpc(z)
-        if z.real == 0:
-            raise DomainError("weight jumps across the imaginary axis")
-        nu = mpf(nu)
-        sign = 1 if z.real > 0 else -1
-        arg = sign * n * mp.pi * z
-        v = mp.sqrt(2 * n) * mp.besselk(nu, arg) * mp.exp(arg)
-        if z.imag == 0:
-            v = mpc(v).real
-    return round_to(v, prec)
-
-
 def w_pm_imag(y, side: str, n: int, nu, prec: int):
     """One-sided limits of the weight on the imaginary axis at z = iy.
 
@@ -79,17 +59,6 @@ def w_pm_imag(y, side: str, n: int, nu, prec: int):
             raise DomainError("weight is singular at the origin")
         arg = -sgn * n * mp.pi * mpc(0, 1) * y
         v = mp.sqrt(2 * n) * mp.besselk(mpf(nu), arg) * mp.exp(arg)
-    return round_to(v, prec)
-
-
-def szego_power(z, alpha, prec: int):
-    """Szego function of the pure power weight |x|^alpha off [-1,1]:
-    (z / (z + (z^2-1)^(1/2)))^(alpha/2)."""
-    with workprec(prec):
-        z = mpc(z)
-        if _on_cut(z):
-            raise DomainError("szego_power is cut along [-1,1]")
-        v = (z / f_exterior(z)) ** (mpf(alpha) / 2)
     return round_to(v, prec)
 
 
@@ -116,20 +85,6 @@ def d2(z, nu, prec: int):
             raise DomainError("d2 is cut along [-1,1]")
         v = _d2_base(z, sqrt_offcut(z)) ** (mpf(nu) / 4)
     return round_to(v, prec)
-
-
-def n0_matrix(z, prec: int):
-    """Cut-normalized 2x2 matrix model: unit determinant, identity at
-    infinity, rotation jump on (-1,1)."""
-    with workprec(prec):
-        z = mpc(z)
-        if _on_cut(z):
-            raise DomainError("matrix model is cut along [-1,1]")
-        b = beta_quartic(z)
-        a11 = (b + 1 / b) / 2
-        a12 = (b - 1 / b) / (2 * mpc(0, 1))
-        m = mp.matrix([[a11, a12], [-a12, a11]])
-    return m.apply(lambda t: round_to(t, prec))
 
 
 def _weight_constants(n: int, nu, prec: int):
@@ -578,21 +533,6 @@ def d1n(z, n: int, nu, prec: int, adaptive: bool = False):
     return round_to(v, prec)
 
 
-def d_infty_n(n: int, nu, prec: int):
-    """Limit of the first Szego factor at infinity (tends to 2^(1/4)):
-    exp(sum wk / pi) over the cached grid, the weight sum taken exactly
-    in ints (1/(2 pi) times the folded even integral of k).  The sum, as
-    an integral, is good only to about 2^-(prec/2+32) relative, because
-    the tanh-sinh nodes stop 2^-(prec+48) short of t = 1, where k ~
-    (1-t)^(-1/2): against a 384-bit grid at n = 16, nu = 0.25, the log of
-    the value is off by 1.6e-29 relative at 128 bits and 3.0e-39 at 192,
-    the value by 2.7e-30 and 5.1e-40."""
-    grid = d1_grid(n, nu, prec)
-    with workprec(prec, guard=32):
-        v = mp.exp(mpf((sum(grid.wk), -grid.scale)) / mp.pi)
-    return round_to(v, prec)
-
-
 class _FormulaConstants(NamedTuple):
     nu: mpf
     root4_2: mpf        # 2^(1/4)
@@ -630,9 +570,10 @@ def _outer_value(z, n: int, c: _FormulaConstants):
     """The outer formula at Re z >= 0 off [-1,1], at the ambient
     precision, in one pass from w = (z^2-1)^(1/2) and phi = z + w:
     2^(1/4) N0_11 e^(n g) (z/phi)^(1/4) D2^(-1), the last three as one
-    exponential.  N0_11 = (beta + 1/beta)/2 (n0_matrix), g from g_at,
-    (z/phi)^(1/4) is szego_power at alpha = 1/2 and D2 = base^(nu/4) with
-    d2's base."""
+    exponential.  N0_11 = (beta + 1/beta)/2 is the matrix model's entry,
+    beta = ((z-1)/(z+1))^(1/4) (exterior_beta), g comes from g_at,
+    (z/phi)^(1/4) is the Szego function of |x|^(1/2) and D2 = base^(nu/4)
+    with d2's base."""
     w = sqrt_offcut(z)
     phi = z + w
     b = exterior_beta(phi)

@@ -3,14 +3,13 @@ imaginary segment: the jump entries j1/j2, the Bessel-ratio shape bounds,
 the kernel functions eta1/eta2 with their cutoff, and the operator-norm
 integrals whose decay certifies the local analysis.
 
-The kernels are evaluated in mirrored pairs, |j1(iy)| with |j2(-iy)| and
-|eta1(iy)| with |eta2(-iy)|, in one real pass per axis point y > 0: one
-Bessel triple (mpfun.besseljy_real), one cutoff value and one D1 grid
-read, real on the axis, where D1 and D2 have closed forms, so each kernel
-modulus is one exponential, rounded once (_eta_moduli).  A point where
-the cutoff is 0, which includes its tail below 2^-(prec+1), costs the
-cutoff value alone.  The public single-kernel functions select from the
-pair.
+The kernels come in mirrored pairs, |j1(iy)| with |j2(-iy)| and
+|eta1(iy)| with |eta2(-iy)|, from one real pass per axis point y > 0
+(_eta_moduli): on the axis D1 and D2 have real closed forms, so each
+modulus is one exponential, rounded once, within 2^-(prec-4) relative of
+d1n and d2 composed (verify.eta_moduli_by_parts).  A point where the
+cutoff is 0, its tail below 2^-(prec+1) included, costs the cutoff value
+alone.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
-"""Named invariant suites behind the CLI verify command.
+"""Named invariant suites behind the CLI verify command, and every route
+that only they and the tests read.
 
 Each suite runs a battery of identity, oracle, and trend checks for one
 layer of the package and returns structured records (measured value vs
 threshold).  Thresholds follow the operation contracts; trend checks fit
 their unknown constant on the smallest case of a run and assert it, with
-the declared slack, on the larger ones.
+the declared slack, on the larger ones.  The routes are the general
+closed forms of objects the pipeline forms inline or not at all
+(g_boundary, phi_boundary, w_weight, szego_power, n0_matrix, d_infty_n)
+and the independent oracles of the pipeline's own routes.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from mpmath import mp, mpc, mpf
 from . import equilibrium as eq
 from . import parametrix as px
 from . import smallnorm as sn
-from .branches import f_exterior, sqrt_offcut
+from .branches import exterior_beta, sqrt_offcut
 from .moments import (MonicPolynomial, Variable, moment, monic_op,
                       rescale_to_tilde)
 from .mpfun import DomainError, round_to, workprec
@@ -46,6 +50,88 @@ def _rec(name, measured, threshold, passed) -> CheckRecord:
 def _le(name, measured, bound) -> CheckRecord:
     return _rec(name, measured, f"<= {mp.nstr(mpf(bound), 8)}",
                 mpf(measured) <= mpf(bound))
+
+
+def g_boundary(x, side: int, prec: int):
+    """One-sided boundary value of g on the real axis.
+
+    side=+1 approaches from the upper half plane, side=-1 from below.
+    For x < 1 the imaginary part is +- pi (1 - cdf(x)) with cdf clamped
+    outside [-1,1]; for x >= 1 both sides coincide.
+    """
+    if side not in (1, -1):
+        raise ValueError("side must be +1 or -1")
+    with workprec(prec):
+        v = eq._g(mpc(mpf(x)), prec)
+        return v if side > 0 else mp.conj(v)
+
+
+def phi_boundary(x, side: int, prec: int):
+    """One-sided value of phi on (-1,1); purely imaginary up to rounding."""
+    with workprec(prec):
+        x = mpf(x)
+        v = (g_boundary(x, side, prec) - mp.pi * abs(x) / 2
+             - eq.ell_const(prec) / 2)
+    return round_to(v, prec)
+
+
+def w_weight(z, n: int, nu, prec: int):
+    """Normalized weight sqrt(2n) K_nu(+-n pi z) e^(+-n pi z) per half plane.
+
+    Real on the real axis (positive), tends to z^(-1/2); jumps across the
+    imaginary axis (use px.w_pm_imag for the one-sided limits there).
+    """
+    with workprec(prec):
+        z = mpc(z)
+        if z.real == 0:
+            raise DomainError("weight jumps across the imaginary axis")
+        nu = mpf(nu)
+        sign = 1 if z.real > 0 else -1
+        arg = sign * n * mp.pi * z
+        v = mp.sqrt(2 * n) * mp.besselk(nu, arg) * mp.exp(arg)
+        if z.imag == 0:
+            v = mpc(v).real
+    return round_to(v, prec)
+
+
+def szego_power(z, alpha, prec: int):
+    """Szego function of the pure power weight |x|^alpha off [-1,1]:
+    (z / (z + (z^2-1)^(1/2)))^(alpha/2)."""
+    with workprec(prec):
+        z = mpc(z)
+        if px._on_cut(z):
+            raise DomainError("szego_power is cut along [-1,1]")
+        v = (z / (z + sqrt_offcut(z))) ** (mpf(alpha) / 2)
+    return round_to(v, prec)
+
+
+def n0_matrix(z, prec: int):
+    """Cut-normalized 2x2 matrix model: unit determinant, identity at
+    infinity, rotation jump on (-1,1)."""
+    with workprec(prec):
+        z = mpc(z)
+        if px._on_cut(z):
+            raise DomainError("matrix model is cut along [-1,1]")
+        b = exterior_beta(z + sqrt_offcut(z))
+        a11 = (b + 1 / b) / 2
+        a12 = (b - 1 / b) / (2 * mpc(0, 1))
+        m = mp.matrix([[a11, a12], [-a12, a11]])
+    return m.apply(lambda t: round_to(t, prec))
+
+
+def d_infty_n(n: int, nu, prec: int):
+    """Limit of the first Szego factor at infinity (tends to 2^(1/4)):
+    exp(sum wk / pi) over the cached grid, the weight sum taken exactly
+    in ints (1/(2 pi) times the folded even integral of k).  The sum, as
+    an integral, is good only to about 2^-(prec/2+32) relative, because
+    the tanh-sinh nodes stop 2^-(prec+48) short of t = 1, where k ~
+    (1-t)^(-1/2): against a 384-bit grid at n = 16, nu = 0.25, the log of
+    the value is off by 1.6e-29 relative at 128 bits and 3.0e-39 at 192,
+    the value by 2.7e-30 and 5.1e-40."""
+    grid = px.d1_grid(n, nu, prec)
+    with workprec(prec, guard=32):
+        v = mp.exp(mpf((sum(grid.wk), -grid.scale)) / mp.pi)
+    return round_to(v, prec)
 
 
 def psi_quantile(q, prec: int):
@@ -78,7 +164,7 @@ def g_by_quadrature(z, prec: int):
 
 
 def d_infty_by_quadrature(n: int, nu, prec: int):
-    """Oracle for px.d_infty_n: exp of (1/pi) times the folded integral of
+    """Oracle for d_infty_n: exp of (1/pi) times the folded integral of
     the log-weight kernel over (0,1), by tanh-sinh to 2^-(prec/4)."""
     with workprec(prec, guard=32):
         nu = mpf(nu)
@@ -231,22 +317,22 @@ def suite_equilibrium(prec: int = 256) -> list[CheckRecord]:
                        abs(cdf_q - eq.psi_cdf("0.37", prec)), tol))
         ell = eq.ell_const(prec)
         for x in ("-0.7", "-0.3", "0.2", "0.5", "0.7"):
-            gp = eq.g_boundary(x, 1, prec)
-            gm = eq.g_boundary(x, -1, prec)
+            gp = g_boundary(x, 1, prec)
+            gm = g_boundary(x, -1, prec)
             val = gp + gm - mp.pi * abs(mpf(x))
             out.append(_le(f"variational equality at {x}",
                            abs(val - ell), tol))
         for x in ("1.5", "-2", "3"):
-            g2 = eq.g_boundary(x, 1, prec)
+            g2 = g_boundary(x, 1, prec)
             lhs = 2 * mpc(g2).real - mp.pi * abs(mpf(x)) - ell
             out.append(_rec(f"variational strict inequality at {x}", lhs,
                             "< 0", lhs < 0))
         for x in ("-1.5", "-2", "-5"):
-            jump = eq.g_boundary(x, 1, prec) - eq.g_boundary(x, -1, prec)
+            jump = g_boundary(x, 1, prec) - g_boundary(x, -1, prec)
             out.append(_le(f"g jump 2 pi i at {x}",
                            abs(jump - 2 * mpc(0, 1) * mp.pi), tol))
         for x in ("-0.5", "0.4"):
-            jump = eq.g_boundary(x, 1, prec) - eq.g_boundary(x, -1, prec)
+            jump = g_boundary(x, 1, prec) - g_boundary(x, -1, prec)
             ref = 2 * mpc(0, 1) * mp.pi * (1 - eq.psi_cdf(x, prec))
             out.append(_le(f"g jump on the support at {x}",
                            abs(jump - ref), tol))
@@ -280,7 +366,7 @@ def suite_equilibrium(prec: int = 256) -> list[CheckRecord]:
         x, n = mpf("0.5"), 7
         th = theta_by_quadrature(x, n, prec)
         intpart = th + mp.pi / 4 - mp.acos(x) / 4
-        ref = (-mpc(0, 1) * n * eq.phi_boundary(x, 1, prec)).real
+        ref = (-mpc(0, 1) * n * phi_boundary(x, 1, prec)).real
         out.append(_le("theta integral matches -i n phi_+ at 0.5",
                        abs(intpart - ref), tol))
         # the normalized constant climbs toward its asymptotic limit
@@ -310,31 +396,31 @@ def suite_parametrix(prec: int = 192, nu="0.25") -> list[CheckRecord]:
             gap = max(abs(z.real) - 1, 0)     # dist(z, [-1,1])^2 < 0.05^2
             if gap * gap + z.imag * z.imag < mpf("0.05") ** 2:
                 continue
-            m = px.n0_matrix(z, prec)
+            m = n0_matrix(z, prec)
             worst = max(worst, abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1))
         out.append(_le("matrix model det = 1 (100 random points)",
                        worst, tol * 4))
-        m = px.n0_matrix(mpf(10) ** 6, prec)
+        m = n0_matrix(mpf(10) ** 6, prec)
         dev = max(abs(m[0, 0] - 1), abs(m[1, 1] - 1), abs(m[0, 1]),
                   abs(m[1, 0]))
         out.append(_le("matrix model -> identity at 1e6", dev, mpf(10) ** -5))
         h = mpf(2) ** (-prec // 3)
         x = mpf("0.3")
-        np_ = px.n0_matrix(x + h * mpc(0, 1), prec)
-        nm = px.n0_matrix(x - h * mpc(0, 1), prec)
+        np_ = n0_matrix(x + h * mpc(0, 1), prec)
+        nm = n0_matrix(x - h * mpc(0, 1), prec)
         jump = nm * mp.matrix([[0, 1], [-1, 0]])
         dev = max(abs(np_[i, j] - jump[i, j]) for i in range(2)
                   for j in range(2))
         out.append(_le("matrix model jump on (-1,1)", dev,
                        mpf(2) ** (-prec // 3 + 24)))
         out.append(_le("szego_power alpha=0 is 1",
-                       abs(px.szego_power(mpc(2, 1), 0, prec) - 1), tol))
+                       abs(szego_power(mpc(2, 1), 0, prec) - 1), tol))
         out.append(_le("szego_power limit (1/2)^(alpha/2) at infinity",
-                       abs(px.szego_power(mpf(10) ** 8, mpf("-0.5"), prec)
+                       abs(szego_power(mpf(10) ** 8, mpf("-0.5"), prec)
                            - mpf(2) ** mpf("0.25")), mpf(10) ** -7))
         ref = (2 / (2 + mp.sqrt(3))) ** (-mpf(1) / 4)
         out.append(_le("szego_power value at z=2, alpha=-1/2",
-                       abs(px.szego_power(2, mpf("-0.5"), prec) - ref), tol))
+                       abs(szego_power(2, mpf("-0.5"), prec) - ref), tol))
         out.append(_le("d2 -> 1 at infinity",
                        abs(px.d2(mpf(10) ** 8, nu, prec) - 1), mpf(10) ** -7))
         for sgn in (1, -1):
@@ -362,17 +448,18 @@ def suite_parametrix(prec: int = 192, nu="0.25") -> list[CheckRecord]:
                        mpf(2) ** (-prec // 2)))
         # closed-form oracle: at nu=1/2 the weight is exactly |x|^(-1/2)
         for zz in (mpc(0, "0.1"), mpc(2), mpc("0.4", "0.8")):
-            ref = (f_exterior(zz) / zz) ** (mpf(1) / 4)
+            ref = ((zz + sqrt_offcut(zz)) / zz) ** (mpf(1) / 4)
             got = px.d1n(zz, 20, "0.5", prec)
             out.append(_le(f"d1n nu=1/2 closed form at {zz}",
                            abs(got - ref) / abs(ref),
                            mpf(2) ** (-(prec // 4))))
-        got = px.d1n(mpc(0, "0.1"), 20, "0.5", prec, adaptive=True)
-        ref = (f_exterior(mpc(0, "0.1")) / mpc(0, "0.1")) ** (mpf(1) / 4)
+        zz = mpc(0, "0.1")
+        got = px.d1n(zz, 20, "0.5", prec, adaptive=True)
+        ref = ((zz + sqrt_offcut(zz)) / zz) ** (mpf(1) / 4)
         out.append(_le("d1n adaptive route same oracle",
                        abs(got - ref) / abs(ref), mpf(2) ** (-(prec // 4))))
         out.append(_le("d_infty nu=1/2 equals 2^(1/4)",
-                       abs(px.d_infty_n(20, "0.5", prec)
+                       abs(d_infty_n(20, "0.5", prec)
                            - mpf(2) ** mpf("0.25")), mpf(2) ** (-(prec // 4))))
         # boundary product D1+ D1- = W_n by shrinking-offset extrapolation,
         # with D1(x - ih) = conj D1(x + ih) by Schwarz reflection; the
@@ -393,7 +480,7 @@ def suite_parametrix(prec: int = 192, nu="0.25") -> list[CheckRecord]:
                 vals.append(abs(mp.exp(sqrt_offcut(z) / (2 * mp.pi)
                                        * integral)) ** 2)
             extrap = 2 * vals[1] - vals[0]
-            wref = px.w_weight(x, n_b, nu, prec)
+            wref = w_weight(x, n_b, nu, prec)
             worst = max(worst, abs(extrap - wref) / abs(wref))
         out.append(_le("d1 boundary product equals weight (10 points)",
                        worst, mpf(10) ** -7))
@@ -405,7 +492,7 @@ def suite_parametrix(prec: int = 192, nu="0.25") -> list[CheckRecord]:
                            - mp.conj(px.d1n(z, 12, nu, prec))), tol))
         # large-n limit of d1n with rate log n / n, fitted constant <= 5
         zz = mpc(0, 2)
-        ref = (f_exterior(zz) / zz) ** (mpf(1) / 4)
+        ref = ((zz + sqrt_offcut(zz)) / zz) ** (mpf(1) / 4)
         cfit = mpf(0)
         for m in (25, 50, 100, 200):
             dev = abs(px.d1n(zz, m, nu, prec) - ref)
@@ -414,26 +501,26 @@ def suite_parametrix(prec: int = 192, nu="0.25") -> list[CheckRecord]:
         prev = None
         ok = True
         for m in (25, 50, 100, 200):
-            diff = abs(px.d_infty_n(m, nu, prec) - mpf(2) ** mpf("0.25"))
+            diff = abs(d_infty_n(m, nu, prec) - mpf(2) ** mpf("0.25"))
             if prev is not None and diff >= prev:
                 ok = False
             prev = diff
         out.append(_rec("d_infty trend to 2^(1/4)", prev, "decreasing", ok))
         out.append(_le("d_infty grid sum vs quadrature oracle (n=25)",
-                       abs(px.d_infty_n(25, nu, prec)
+                       abs(d_infty_n(25, nu, prec)
                            - d_infty_by_quadrature(25, nu, prec)),
                        mpf(2) ** (-(prec // 4))))
         # weight facts
-        wv = px.w_weight(mpf("0.3"), 10, "0.5", prec)
+        wv = w_weight(mpf("0.3"), 10, "0.5", prec)
         out.append(_le("weight nu=1/2 closed form",
                        abs(wv - mpf("0.3") ** mpf("-0.5")), tol))
-        wv = px.w_weight(mpf("0.5"), 100, nu, prec)
+        wv = w_weight(mpf("0.5"), 100, nu, prec)
         out.append(_le("weight large-n normalization",
                        abs(wv * mp.sqrt(mpf("0.5")) - 1),
                        2 / (100 * mpf("0.5"))))
         out.append(_le("weight evenness",
-                       abs(px.w_weight(mpf("-0.4"), 12, nu, prec)
-                           - px.w_weight(mpf("0.4"), 12, nu, prec)), tol))
+                       abs(w_weight(mpf("-0.4"), 12, nu, prec)
+                           - w_weight(mpf("0.4"), 12, nu, prec)), tol))
     return out
 
 

@@ -1,45 +1,19 @@
 """Simultaneous root finding for the monic orthogonal polynomials and
 zero-distribution statistics against the limiting laws.
 
-Aberth-Ehrlich iteration, no deflation: all n roots are refined together,
-which is robust for the clustered complex roots these polynomials produce.
-Runs are deterministic for a given polynomial, at its precision.
-
-Two stages share one sweep loop, `_aberth`, which owns the sweep cap,
-the active list, freezing below tol and mirror holding; each stage gives
-only its arithmetic step.  The first runs in Python complex floats from
-the seeds to a Newton correction of 1e-12.  In the rescaled frame the
-seeds are the (k + 1/2)/n quantiles of the equilibrium law, the real
-parts the roots follow, on the line Im w = Im(sum a_k)/n through the
-roots' centroid; from there the stage takes about 4 evaluations per root
-at every n from 16 to 200.  Raw-frame seeds lie on the unit circle.  The
-second runs in block-floating fixed point, in the Python-int idiom of
-mpmath's own series summers: every root and every recurrence pair (a_k,
-b_k), complex b_k included, is a Gaussian int (re, im) at one scale S =
-root_scale(prec), where the returned roots are exact.  P and P' run
-through the recurrence as Gaussian ints sharing one exponent, and the
-block is shifted down, or up, whenever its top bit leaves S +- WINDOW:
-the values fall by hundreds of bits over the recurrence in the rescaled
-frame (n = 200), so a block that was only shifted down would underflow.
-The Newton step P/P', the sum of 1/(z_k - z_j) and the Aberth update are
-integer divisions at S; the evaluator also gives P_{n-1} and the block
-exponent, for `quadrule`.  `MonicPolynomial`'s mpc recurrence is never
-used here: it is the tests' oracle.
-
-Mirror pairs.  The raw recurrence of P_n is real, so its complex zeros
-come in pairs x and conj(x), and in the rescaled frame (real b_k,
-imaginary a_k) in pairs w and -conj(w).  `_mirrors` reads which mirror
-holds from the recurrence itself; a complex recurrence has none.  After
-the float stage, which holds no pairs, `_mirror_pairs` matches each float
-root off the mirror's axis with the float root nearest its image: a pair
-needs a mutual match, an image missed by at most 1e-9 and a distance to
-the axis of at least 1e-6, both relative to max(1, |z|).  The fixed stage
-then iterates one root of each pair and holds the other as its exact
-mirror image, with the same correction, so a pair costs one evaluation
-per sweep.  Every other root iterates on its own: the axis roots (real
-roots of P_n; two of them at nu near 1 and even n) and pairs still close
-to the axis, so two axis roots are never forced into one pair.
-`ZeroSet.mirror_of` records the pairing and `quadrule` reuses it.
+find_zeros refines all n roots together by Aberth-Ehrlich iteration,
+without deflation, which is robust for the clustered complex roots of
+these polynomials: first in complex floats to a Newton correction of
+1e-12, then in block-floating fixed point at root_scale(prec), where the
+returned roots are exact.  The block floats because the values fall by
+hundreds of bits over the recurrence in the rescaled frame (n = 200).
+Seeded in the rescaled frame at the equilibrium law's (k + 1/2)/n
+quantiles, the float stage takes about 4 evaluations per root at every n
+from 16 to 200.  Where the
+recurrence has a mirror symmetry, the fixed stage iterates one root of
+each mirror pair and holds the other as its exact image
+(ZeroSet.mirror_of, which quadrule reuses).  Runs are deterministic for a
+given polynomial, at its precision.
 """
 
 from __future__ import annotations

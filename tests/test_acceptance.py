@@ -11,6 +11,7 @@ from mpmath import mp, mpc, mpf
 from oscq import equilibrium as eq
 from oscq import parametrix as px
 from oscq import smallnorm as sn
+from oscq import verify
 from oscq.mpfun import workprec
 from oscq.quadrature import quad_ts
 from oscq.quadrule import gauss_rule
@@ -111,11 +112,11 @@ def test_ac6_equilibrium_identities():
         ell = eq.ell_const(prec)
         var_def = mpf(0)
         for x in ("-0.7", "-0.3", "0.3", "0.7"):
-            gp = eq.g_boundary(x, 1, prec)
-            gm = eq.g_boundary(x, -1, prec)
+            gp = verify.g_boundary(x, 1, prec)
+            gm = verify.g_boundary(x, -1, prec)
             var_def = max(var_def,
                           abs(gp + gm - mp.pi * abs(mpf(x)) - ell))
-        jump = eq.g_boundary(-2, 1, prec) - eq.g_boundary(-2, -1, prec)
+        jump = verify.g_boundary(-2, 1, prec) - verify.g_boundary(-2, -1, prec)
         jump_def = abs(jump - 2 * mpc(0, 1) * mp.pi)
         ok = (mass_def <= mpf(10) ** -30 and var_def <= mpf(10) ** -25
               and jump_def <= mpf(10) ** -25)
@@ -129,7 +130,7 @@ def test_ac7_szego_limit_trend():
     prec = 128
     with workprec(prec):
         ref = mpf(2) ** mpf("0.25")
-        diffs = {n: abs(px.d_infty_n(n, "0.25", prec) - ref)
+        diffs = {n: abs(verify.d_infty_n(n, "0.25", prec) - ref)
                  for n in (25, 50, 100, 200)}
         decreasing = all(diffs[a] > diffs[b]
                          for a, b in ((25, 50), (50, 100), (100, 200)))

@@ -170,6 +170,45 @@ def test_malformed_input_is_a_usage_error(tmp_path, args):
     assert "error: argument" in r.stderr
 
 
+# one value on each side of each boundary: the weight's 0 <= nu < 1, on
+# every command that reads nu, and the disk radius delta >= 0
+BELOW_ZERO, BELOW_ONE = "-0." + "0" * 29 + "1", "0." + "9" * 30
+NU_COMMANDS = (("zeros", "--n", "2"),
+               ("asymptotics", "--n", "2", "--regime", "outer"),
+               ("verify", "--suite", "quadrature", "--n-list", "1"))
+
+
+def _in_process(args, capsys):
+    """(exit code, stderr) of main(args), a usage error's included."""
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", NU_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("nu, code", [(BELOW_ZERO, 2), ("0", 0),
+                                      (BELOW_ONE, 0), ("1", 2)])
+def test_nu_outside_the_unit_interval_is_a_usage_error(tmp_path, capsys,
+                                                       command, nu, code):
+    got, err = _in_process([*command, "--nu", nu,
+                            "--out", str(tmp_path / "x")], capsys)
+    assert got == code, err
+    if code == 2:
+        assert "argument --nu: expected a real number nu with 0 <= nu < 1" \
+            in err
+
+
+@pytest.mark.parametrize("delta, code", [(BELOW_ZERO, 2), ("0", 0)])
+def test_negative_delta_is_a_usage_error(tmp_path, capsys, delta, code):
+    got, err = _in_process(["zeros", "--nu", "0.25", "--n", "4", "--delta",
+                            delta, "--out", str(tmp_path / "x.csv")], capsys)
+    assert got == code, err
+    if code == 2:
+        assert "argument --delta: expected a real number >= 0" in err
+
+
 def test_asymptotics_outer(tmp_path):
     out = tmp_path / "outer.csv"
     r = run_cli("asymptotics", "--nu", "0.25", "--n", "8",

@@ -123,21 +123,21 @@ def test_g_near_the_cut_matches_boundary_values():
         with workprec(PREC):
             z = mpc(mpf(x), side * mpf(10) ** -8)
         got = eq.g_fn(z, PREC)
-        ref = eq.g_boundary(x, side, PREC)
+        ref = verify.g_boundary(x, side, PREC)
         with workprec(PREC):
             assert abs(got - ref) <= mpf(10) ** -6
 
 
 def test_g_jump_across_negative_axis():
     with workprec(256):
-        jump = eq.g_boundary(-2, 1, 256) - eq.g_boundary(-2, -1, 256)
+        jump = verify.g_boundary(-2, 1, 256) - verify.g_boundary(-2, -1, 256)
         assert abs(jump - 2 * mpc(0, 1) * mp.pi) <= mpf(2) ** -60
 
 
 def test_phi_purely_imaginary_on_support():
     with workprec(256):
         x = mpf(1) / 2
-        ph = eq.phi_boundary(x, 1, 256)
+        ph = verify.phi_boundary(x, 1, 256)
         assert abs(mpc(ph).real) <= mpf(2) ** -60
         ref = mp.pi * (1 - eq.psi_cdf(x, 256))
         assert abs(mpc(ph).imag - ref) <= mpf(2) ** -60
@@ -197,7 +197,7 @@ def test_theta_matches_phi_route():
         x, n = mpf(1) / 2, 7
         th = verify.theta_by_quadrature(x, n, 256)
         intpart = th + mp.pi / 4 - mp.acos(x) / 4
-        ref = (-mpc(0, 1) * n * eq.phi_boundary(x, 1, 256)).real
+        ref = (-mpc(0, 1) * n * verify.phi_boundary(x, 1, 256)).real
         assert abs(intpart - ref) <= mpf(2) ** -60
 
 

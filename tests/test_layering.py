@@ -12,11 +12,13 @@ to them, and the general complex routes `parametrix.d1n` and `d2` are
 oracles for the kernels' one real pass on the imaginary axis.  The root
 finder's fixed-point frame is `zeros`' own: every other reader takes its
 scale from `zeros.root_scale`.  Every library definition is used
-somewhere in the source, the tests or the benchmark, and outside `verify`
-somewhere in the source or the benchmark; every optional parameter of a
-numerical operation is set by some library or benchmark call.  No library
-module reads the environment, and a numerical operation takes its working
-precision from the caller or from its own object.
+somewhere in the source, the tests or the benchmark, and one outside
+`verify` also in the library outside `verify`, in the benchmark or in
+`oscq.__all__`: a route that only `verify` and the tests read belongs in
+`verify`.  Every optional parameter of a numerical operation is set by
+some library or benchmark call.  No library module reads the environment,
+and a numerical operation takes its working precision from the caller or
+from its own object.
 """
 
 import ast
@@ -169,12 +171,23 @@ def test_every_library_definition_is_used():
     assert not unused, f"defined but never used: {unused}"
 
 
-def test_every_library_definition_has_a_non_test_user():
-    # verify's definitions are the tests' oracles
-    used = set().union(*(_uses(p) for p in CALLERS))
+def _exported():
+    """The names of oscq.__all__, the package's public API."""
+    for node in ast.parse((SRC / "__init__.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_library_definition_outside_verify_has_a_library_user():
+    # verify's routes are the tests' oracles, so a use there keeps nothing
+    used = set().union(*(_uses(p) for p in CALLERS
+                         if p != SRC / "verify.py")) | _exported()
     unused = sorted(f"{m}.{name}" for m in MODULES if m != "verify"
                     for name in _top_level_names(m) - used)
-    assert not unused, f"used by the tests alone: {unused}"
+    assert not unused, f"used by verify and the tests alone: {unused}"
 
 
 def _defaulted(module: str):

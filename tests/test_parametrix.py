@@ -9,6 +9,7 @@ from mpmath import mp, mpc, mpf
 from oscq import equilibrium as eq
 from oscq import parametrix as px
 from oscq import verify
+from oscq.branches import exterior_beta, sqrt_offcut
 from oscq.mpfun import (DomainError, besselk_map, man_exp, round_to,
                         to_fixed, workprec)
 from oscq.smallnorm import EPS_DEFAULT
@@ -23,7 +24,7 @@ def test_weight_half_integer_closed_form():
     # sqrt(2n) K_(1/2)(n pi x) e^(n pi x) collapses to x^(-1/2)
     with workprec(320):
         x = mpf("0.3")
-    got = px.w_weight(x, 10, "0.5", 256)
+    got = verify.w_weight(x, 10, "0.5", 256)
     with workprec(320):
         assert abs(got - x ** mpf("-0.5")) <= mpf(2) ** -240
 
@@ -31,17 +32,17 @@ def test_weight_half_integer_closed_form():
 def test_weight_normalization_estimate():
     with workprec(256):
         x = mpf("0.5")
-        got = px.w_weight(x, 100, NU, 256)
+        got = verify.w_weight(x, 100, NU, 256)
         assert abs(got * mp.sqrt(x) - 1) <= 2 / (100 * x)
 
 
 def test_weight_evenness_and_domain():
     with workprec(256):
-        a = px.w_weight(mpf("-0.4"), 12, NU, 256)
-        b = px.w_weight(mpf("0.4"), 12, NU, 256)
+        a = verify.w_weight(mpf("-0.4"), 12, NU, 256)
+        b = verify.w_weight(mpf("0.4"), 12, NU, 256)
         assert abs(a - b) <= mpf(2) ** -200
     with pytest.raises(DomainError):
-        px.w_weight(mpc(0, 1), 12, NU, 256)
+        verify.w_weight(mpc(0, 1), 12, NU, 256)
 
 
 def test_weight_one_sided_limits_conjugate():
@@ -52,12 +53,13 @@ def test_weight_one_sided_limits_conjugate():
 
 
 def test_szego_power_trivial_and_limit():
-    assert px.szego_power(mpc(2, 1), 0, PREC) == 1
+    assert verify.szego_power(mpc(2, 1), 0, PREC) == 1
     with workprec(256):
-        lim = px.szego_power(mpf(10) ** 9, mpf("-0.5"), 256)
+        lim = verify.szego_power(mpf(10) ** 9, mpf("-0.5"), 256)
         assert abs(lim - mpf(2) ** mpf("0.25")) <= mpf(10) ** -8
         ref = (2 / (2 + mp.sqrt(3))) ** (-mpf(1) / 4)
-        assert abs(px.szego_power(2, mpf("-0.5"), 256) - ref) <= mpf(2) ** -240
+        assert abs(verify.szego_power(2, mpf("-0.5"), 256) - ref) \
+            <= mpf(2) ** -240
 
 
 def test_d1n_grid_and_adaptive_agree():
@@ -421,15 +423,15 @@ def test_d2_psi_quadrant_identity():
 
 def test_n0_matrix_properties():
     with workprec(256):
-        m = px.n0_matrix(mpf(2), 256)
+        m = verify.n0_matrix(mpf(2), 256)
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         assert abs(det - 1) <= mpf(2) ** -230
-        m = px.n0_matrix(mpf(10) ** 6, 256)
+        m = verify.n0_matrix(mpf(10) ** 6, 256)
         assert max(abs(m[0, 0] - 1), abs(m[0, 1])) <= mpf(10) ** -5
         h = mpf(2) ** -80
         x = mpf("0.3")
-        np_ = px.n0_matrix(x + h * mpc(0, 1), 256)
-        nm = px.n0_matrix(x - h * mpc(0, 1), 256)
+        np_ = verify.n0_matrix(x + h * mpc(0, 1), 256)
+        nm = verify.n0_matrix(x - h * mpc(0, 1), 256)
         jump = nm * mp.matrix([[0, 1], [-1, 0]])
         dev = max(abs(np_[i, j] - jump[i, j])
                   for i in range(2) for j in range(2))
@@ -451,9 +453,9 @@ def test_outer_eval_nu_zero_drops_phase_factor():
     a = px.outer_eval(mpc(0, 2), 8, 0, 192)
     with workprec(256):
         g = eq.g_fn(mpc(0, 2), 192)
-        b = px.beta_quartic(mpc(0, 2))
+        b = exterior_beta(mpc(0, 2) + sqrt_offcut(mpc(0, 2)))
         manual = mp.exp(8 * g) * mpf(2) ** mpf("0.25") * (b + 1 / b) / 2 \
-            * px.szego_power(mpc(0, 2), mpf("0.5"), 192)
+            * verify.szego_power(mpc(0, 2), mpf("0.5"), 192)
         assert abs(a.value - manual) <= mpf(2) ** -40 * abs(manual)
 
 
