@@ -182,6 +182,9 @@ def cmd_zeros(args, parser) -> int:
             "max_newton_residual": fmt(max(zs.residuals), 64),
             "zero_line": _zero_line_summary(zs, args),
             "roots_mirrored": zs.mirrored,
+            # evaluations of P_n and P_n' per stage: "float", then each
+            # fixed-point scale in bits
+            "root_evaluations": {str(s): k for s, k in zs.evaluations},
         }
     _manifest(args.out, man)
     return 0

@@ -36,6 +36,7 @@ class CheckRecord:
     measured: str
     threshold: str
     passed: bool
+    value: object    # the measured value in full; `measured` has 8 digits
 
     def as_dict(self):
         return {"name": self.name, "measured": self.measured,
@@ -44,7 +45,8 @@ class CheckRecord:
 
 def _rec(name, measured, threshold, passed) -> CheckRecord:
     return CheckRecord(name=name, measured=mp.nstr(mpf(measured), 8),
-                       threshold=str(threshold), passed=bool(passed))
+                       threshold=str(threshold), passed=bool(passed),
+                       value=mp.mpmathify(measured))
 
 
 def _le(name, measured, bound) -> CheckRecord:

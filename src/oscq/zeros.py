@@ -4,16 +4,30 @@ zero-distribution statistics against the limiting laws.
 find_zeros refines all n roots together by Aberth-Ehrlich iteration,
 without deflation, which is robust for the clustered complex roots of
 these polynomials: first in complex floats to a Newton correction of
-1e-12, then in block-floating fixed point at root_scale(prec), where the
-returned roots are exact.  The block floats because the values fall by
-hundreds of bits over the recurrence in the rescaled frame (n = 200).
-Seeded in the rescaled frame at the equilibrium law's (k + 1/2)/n
-quantiles, the float stage takes about 4 evaluations per root at every n
-from 16 to 200.  Where the
-recurrence has a mirror symmetry, the fixed stage iterates one root of
-each mirror pair and holds the other as its exact image
-(ZeroSet.mirror_of, which quadrule reuses).  Runs are deterministic for a
-given polynomial, at its precision.
+1e-12, then in block-floating fixed point, each sweep at the precision it
+can deliver.  The float roots are taken to carry 50 bits and a sweep
+triples the bits, so the fixed stage climbs a ladder of one sweep per
+rung at the bits it delivers plus 64 (214, then 514 bits) while the rung
+lies below root_scale(prec), then sweeps at root_scale(prec), where the
+returned roots are exact, until every Newton correction is below
+2^-(prec/2).  From the equilibrium law's (k + 1/2)/n quantiles in the
+rescaled frame, the float stage takes about 4 evaluations per root at
+every n from 16 to 200, and the fixed stage one per rung and one at
+root_scale(prec) at 256 and 512 bits; at 1024 bits the last stage takes
+two.  The block floats because the values fall by hundreds of bits over
+the recurrence in the rescaled frame (n = 200).
+
+The fixed stage's Aberth sum s = sum_{j != k} 1/(z_k - z_j) is a complex
+float; it only scales a Newton step N = P/P' already below 2^-40, and
+the update N/(1 - N s) is formed in integers from s's exact value.  Its
+error from s's rounding is about |N|^2 2^-53 |s|: below 2^-(prec + 53)
+|s| in a frozen root's last step, where the roots moved by at most
+2^-(prec + 46) against an integer sum at 64 to 512 bits and n up to 200.
+The same error caps a rung: from 150 bits the 514-bit rung delivers 340
+to 365, not 450.  Where the recurrence has a mirror symmetry, the fixed
+stage iterates one root of each mirror pair and holds the other as its
+exact image (ZeroSet.mirror_of, which quadrule reuses).  Runs are
+deterministic for a given polynomial, at its precision.
 """
 
 from __future__ import annotations
@@ -30,6 +44,7 @@ from .mpfun import man_exp, to_fixed, workprec
 
 MAX_SWEEPS = 500
 FLOAT_TOL = 1e-12   # hand-over point of the float stage
+FLOAT_BITS = 50     # bits its roots are taken to carry
 FIXED_GUARD = 32    # bits of the fixed-point stage beyond prec + 64
 WINDOW = 32         # its P, P' block is renormalised past 2^(scale +- WINDOW)
 MIRROR_AXIS = 1e-6  # float roots nearer a mirror's axis are not paired
@@ -41,6 +56,19 @@ def root_scale(prec: int) -> int:
     return prec + 64 + FIXED_GUARD
 
 
+def _ladder(prec: int) -> list:
+    """The fixed stage's scales at prec: one rung per tripling of the
+    float roots' FLOAT_BITS, at the bits the rung delivers plus 64, while
+    the rung lies below root_scale(prec); then root_scale(prec).  Roots
+    past prec/2 bits get no rung: from b > prec/2 bits the next one, at
+    3b + 64, would lie above root_scale(prec) = prec + 96."""
+    bits, out = FLOAT_BITS, []
+    while 3 * bits + 64 < root_scale(prec):
+        bits *= 3
+        out.append(bits + 64)
+    return out + [root_scale(prec)]
+
+
 @dataclass(frozen=True)
 class ZeroSet:
     roots: tuple          # mpc, sorted by (Re on the 2^-(prec/2) grid, Im)
@@ -50,6 +78,9 @@ class ZeroSet:
     # per root, the index of the root it is the exact mirror image of, or
     # None for a root that was iterated (empty for a set built by hand)
     mirror_of: tuple = ()
+    # (stage, evaluations of P and P') per stage in order: "float", then
+    # the fixed-point scale in bits of each rung and of the last stage
+    evaluations: tuple = ()
 
     @property
     def mirrored(self) -> int:
@@ -87,21 +118,24 @@ def _float_eval_with_deriv(recurrence):
     return pair
 
 
-def _aberth(z, step, tol, pairs=None, mirror=None):
-    """Up to MAX_SWEEPS Aberth-Ehrlich sweeps over the roots z, for both
-    stages.  step(z, k), the stage's arithmetic, moves root k by one
-    Aberth update and returns its Newton correction's size: 0 where P
-    vanished (k stays), None where P' did (k is nudged off the critical
-    point).  A root is frozen once its correction is below tol.  Root
-    pairs[k] is held as mirror(z[k]) with k's correction: only k iterates,
-    and its Aberth sum still runs over all other roots.  Returns each
-    root's last correction, below tol exactly for frozen roots."""
+def _aberth(z, step, tol, pairs=None, mirror=None, sweeps=MAX_SWEEPS):
+    """Up to `sweeps` Aberth-Ehrlich sweeps over the roots z, for every
+    stage.  step(z, k), the stage's arithmetic, evaluates P and P' at root
+    k, moves it by one Aberth update and returns its Newton correction's
+    size: 0 where P vanished (k stays), None where P' did (k is nudged off
+    the critical point).  A root is frozen once its correction is below
+    tol.  Root pairs[k] is held as mirror(z[k]) with k's correction: only k
+    iterates, and its Aberth sum still runs over all other roots.  Returns
+    each root's last correction, below tol exactly for frozen roots, and
+    the number of steps taken, one evaluation each."""
     pairs = pairs or {}
     corr = [tol] * len(z)
     for k, j in pairs.items():
         z[j] = mirror(z[k])
     active = [k for k in range(len(z)) if k not in pairs.values()]
-    for _ in range(MAX_SWEEPS):
+    evals = 0
+    for _ in range(sweeps):
+        evals += len(active)
         still = []
         for k in active:
             c = step(z, k)
@@ -115,7 +149,7 @@ def _aberth(z, step, tol, pairs=None, mirror=None):
         active = still
         if not active:
             break
-    return corr
+    return corr, evals
 
 
 def _float_step(recurrence, tol):
@@ -230,11 +264,14 @@ def _mirror_pairs(zf, signs):
 
 def _fixed_step(recurrence, tol: int, scale: int):
     """_aberth's step on roots held as Gaussian ints (re, im) at 2^scale,
-    by fixed_eval_with_deriv; every step is integer arithmetic at that
-    scale.  The correction is |P/P'|^2 at 2^(2 scale); a nudge adds tol,
+    by fixed_eval_with_deriv.  P/P', q = 1 - (P/P') s and the update are
+    integer arithmetic at that scale; the Aberth sum s = sum_{j != k}
+    1/(z_k - z_j) is a complex float, each difference exact in integers
+    and rounded once, by int/int division, and q takes s's exact dyadic
+    value.  The correction is |P/P'|^2 at 2^(2 scale); a nudge adds tol,
     at 2^scale."""
     pair = fixed_eval_with_deriv(recurrence, scale)
-    one, two = 1 << scale, 2 * scale
+    one = 1 << scale
 
     def step(z, k):
         zr, zi = z[k]
@@ -245,15 +282,16 @@ def _fixed_step(recurrence, tol: int, scale: int):
             z[k] = (zr + tol, zi)
             return None
         nr, ni = _div(pr, pi, dr, di, scale)
-        sr = si = 0                # sum_{j != k} 1/(z_k - z_j)
+        s = 0j
         for j, (wr, wi) in enumerate(z):
             if j != k:
-                wr, wi = zr - wr, zi - wi
-                den = wr * wr + wi * wi
-                sr += (wr << two) // den
-                si -= (wi << two) // den
-        qr = one - ((nr * sr - ni * si) >> scale)   # 1 - newton * s
-        qi = -((nr * si + ni * sr) >> scale)
+                s += 1 / complex((zr - wr) / one, (zi - wi) / one)
+        (sr, er), (si, ei) = (s.real.as_integer_ratio(),
+                              s.imag.as_integer_ratio())
+        e = max(er, ei)            # s = (sr + i si) / e, e = 2^t
+        sr, si, t = sr * (e // er), si * (e // ei), e.bit_length() - 1
+        qr = one - ((nr * sr - ni * si) >> t)   # 1 - newton * s
+        qi = -((nr * si + ni * sr) >> t)
         if qr == qi == 0:
             z[k] = (zr - nr, zi - ni)
         else:
@@ -265,13 +303,15 @@ def _fixed_step(recurrence, tol: int, scale: int):
 
 def find_zeros(p: MonicPolynomial) -> ZeroSet:
     """All roots of p with Newton corrections below 2^(-prec/2), at prec =
-    p.prec: Aberth in floats from the seeds, then in fixed point at
-    2^-root_scale(prec) from the float roots, both stages in `_aberth`'s
-    loop.  When the recurrence maps the zero set to itself by a mirror
-    (`_mirrors`), the fixed stage iterates one root of each float pair
-    that `_mirror_pairs` matches and holds the other as its exact mirror
-    image; of two mirrors, the one that pairs more roots.  Roots are
-    sorted by real part on the 2^-(prec/2) grid, then by imaginary part."""
+    p.prec: Aberth in floats from the seeds, then in fixed point from the
+    float roots, one sweep at each rung of `_ladder(prec)` and then at
+    2^-root_scale(prec) until every root is frozen, every stage in
+    `_aberth`'s loop.  When the recurrence maps the zero set to itself by
+    a mirror (`_mirrors`), the fixed stage iterates one root of each float
+    pair that `_mirror_pairs` matches and holds the other as its exact
+    mirror image; of two mirrors, the one that pairs more roots.  Roots
+    are sorted by real part on the 2^-(prec/2) grid, then by imaginary
+    part; ZeroSet.evaluations counts each stage's evaluations."""
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
     prec, n = p.prec, p.degree
@@ -279,17 +319,25 @@ def find_zeros(p: MonicPolynomial) -> ZeroSet:
     half = prec // 2
     with workprec(prec, guard=64):
         zf = _initial_guesses(p)
-        _aberth(zf, _float_step(p.recurrence, FLOAT_TOL), FLOAT_TOL)
+        _, evals = _aberth(zf, _float_step(p.recurrence, FLOAT_TOL),
+                           FLOAT_TOL)
         if not all(map(cmath.isfinite, zf)):   # a nan would read as 0
             raise SolverError("float Aberth stage left a non-finite root")
         pairs, signs = max(((_mirror_pairs(zf, s), s)
                             for s in _mirrors(p.recurrence)),
                            key=lambda t: len(t[0]), default=({}, (1, 1)))
-        z = [gauss_int(w, scale) for w in zf]
-        grid = scale - half                   # 2^-half at 2^scale
         fr, fi = signs
-        corr2 = _aberth(z, _fixed_step(p.recurrence, 1 << grid, scale),
-                        1 << 2 * grid, pairs, lambda w: (fr * w[0], fi * w[1]))
+        work = [("float", evals)]
+        ladder = _ladder(prec)                # ends at scale
+        z = [gauss_int(w, ladder[0]) for w in zf]
+        for s, at in zip(ladder, ladder[:1] + ladder):
+            z = [(zr << s - at, zi << s - at) for zr, zi in z]
+            grid = max(s - half, 0)           # 2^-half at 2^s, or 2^-s
+            corr2, evals = _aberth(
+                z, _fixed_step(p.recurrence, 1 << grid, s), 1 << 2 * grid,
+                pairs, lambda w: (fr * w[0], fi * w[1]),
+                MAX_SWEEPS if s == scale else 1)
+            work.append((s, evals))
         # isqrt(c) < 2^grid has at most prec + 64 bits: below tol, exact
         corr = [mpf((isqrt(c), -scale)) for c in corr2]
         if not max(corr2) < 1 << 2 * grid:
@@ -306,7 +354,8 @@ def find_zeros(p: MonicPolynomial) -> ZeroSet:
                        residuals=tuple(corr[k] for k in order),
                        variable=p.variable, prec=prec,
                        mirror_of=tuple(pos[leader[k]] if k in leader
-                                       else None for k in order))
+                                       else None for k in order),
+                       evaluations=tuple(work))
 
 
 @dataclass(frozen=True)

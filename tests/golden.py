@@ -9,9 +9,11 @@ The outputs are the `oscq zeros --nu 0.25 --n 16` and `oscq asymptotics
 for n = 1..16, `k_norm_bounds(n, nu, 128)` for n in {16, 32} and nu in
 {0.05, 0.25, 0.5, 0.9}, the D1 grid payloads of the cases
 `test_parametrix.D1_PASS_CASES` builds, and the records of every `oscq
-verify` suite at its defaults.  A CSV's canonical bytes are the file's
-bytes; a value's are the compact, key-sorted JSON of its structure, with
-an mpf as the integers of its `_mpf_` tuple and an mpc as its two parts.
+verify` suite at its defaults, each with its measured value in full
+beside the 8 digits that `oscq verify` prints.  A CSV's canonical bytes
+are the file's bytes; a value's are the compact, key-sorted JSON of its
+structure, with an mpf as the integers of its `_mpf_` tuple and an mpc
+as its two parts.
 golden.json also records the mpmath version and backend the digests came
 from, and a mismatch names both: whether mpmath's python and gmpy2
 backends give the same bits here has not been checked.
@@ -95,6 +97,12 @@ def suite_name(suite: str) -> str:
     return f"oscq verify --suite {suite}"
 
 
+def suite_records(suite: str):
+    """A suite's records as `oscq verify` prints them, each beside its
+    measured value in full."""
+    return [[r.as_dict(), r.value] for r in verify.run_suite(suite)]
+
+
 def cli_csv(args) -> bytes:
     """The CSV bytes of one in-process `oscq` run."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -122,8 +130,7 @@ def outputs() -> dict:
                 for n, nu in K_NORM_CASES})
     out.update({d1_name(*case): (lambda case=case: d1_payload(*case))
                 for case in D1_PASS_CASES})
-    out.update({suite_name(s): (lambda s=s: [r.as_dict() for r
-                                             in verify.run_suite(s)])
+    out.update({suite_name(s): (lambda s=s: suite_records(s))
                 for s in verify.SUITES})
     return out
 

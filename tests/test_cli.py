@@ -95,6 +95,11 @@ def test_zeros_manifest_counts_mirrored_roots(tmp_path, n, nu, mirrored):
                  str(out)]) == 0
     man = json.loads((tmp_path / "z.csv.manifest.json").read_text())
     assert man["residual_summaries"]["roots_mirrored"] == mirrored
+    # only the other roots are evaluated: once at the 214-bit rung and
+    # once at the 352-bit root scale of the 256-bit run
+    work = man["residual_summaries"]["root_evaluations"]
+    assert work["214"] == work["352"] == n - mirrored
+    assert work["float"] > 0
 
 
 def test_zeros_determinism(tmp_path):

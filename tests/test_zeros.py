@@ -286,6 +286,42 @@ def test_mirrored_roots_are_exact_and_certified(n, nu, prec):
     _assert_mirror_closed(get_tilde(n, nu, prec), zs, (-1, 1))
 
 
+@pytest.mark.parametrize("n", [16, 64, 200])
+def test_each_iterated_root_takes_one_sweep_per_rung(n):
+    # the float roots' ~50 bits reach ~150 in one sweep at the 214-bit
+    # rung, past 2^-(prec/2) at 256 bits, so the first sweep at
+    # root_scale(256) freezes every iterated root; at 512 bits a second
+    # rung at 514 bits leaves at most that one sweep at root_scale(512)
+    zs = get_zeros(n, "0.25")
+    iterated = n - zs.mirrored
+    assert zs.evaluations[0][0] == "float"
+    assert zs.evaluations[1:] == ((214, iterated),
+                                  (root_scale(256), iterated))
+    zs = get_zeros(n, "0.25", 512)
+    iterated = n - zs.mirrored
+    assert zs.evaluations[1:-1] == ((214, iterated), (514, iterated))
+    assert zs.evaluations[-1] == (root_scale(512), iterated)
+
+
+# every rung of the fixed stage's ladder, which the property tests'
+# precisions (64 to 256 bits) reach only in part
+@pytest.mark.parametrize("prec, ladder", [(512, (214, 514, 608)),
+                                          (1024, (214, 514, 1120))])
+@pytest.mark.parametrize("nu", ["0", "0.25", "0.999"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_roots_through_every_rung_are_exact_and_certified(n, nu, prec,
+                                                          ladder):
+    zs = get_zeros(n, nu, prec)
+    assert tuple(s for s, _ in zs.evaluations[1:]) == ladder
+    assert max(zs.residuals) <= mpf(2) ** -(prec // 2)
+    scale = root_scale(prec)
+    with workprec(2 * scale):
+        for w in zs.roots:
+            re, im = gauss_int(w, scale)
+            assert mpc(mpf((re, -scale)), mpf((im, -scale))) == w
+    _assert_mirror_closed(get_tilde(n, nu, prec), zs, (-1, 1))
+
+
 @pytest.mark.parametrize("n, nu, mirrored, on_axis", [
     (14, "0.842937417", 6, 2),    # two roots on Re w = 0
     (14, "0.842937415", 6, 0),    # a pair at Re w = +-7.6e-7, unpaired
