@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import io
 import json
 import math
 import os
@@ -55,31 +56,24 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _write_csv(path: str, header, rows):
-    import io
+def _emit(args, prec: int, t0: float, header, rows, manifest: dict):
+    """Write rows under header to args.out as RFC 4180 CSV, then beside it
+    the JSON manifest: the command's own keys and those every command
+    shares, csv_schema being the CSV's header line."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\r\n")
     w.writerow(header)
     w.writerows(rows)
-    _atomic_write(path, buf.getvalue())
-
-
-def _manifest(path: str, payload: dict):
-    _atomic_write(path + ".manifest.json",
-                  json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _base_manifest(command: str, prec_used: int, t0: float) -> dict:
-    return {
-        "command": command,
-        "precision_bits_used": prec_used,
-        "delta": "0.2",
-        "eps": fmt(EPS_DEFAULT, 64),
-        "rho": fmt(RHO_DEFAULT, 64),
-        "chi_profile": CHI_PROFILE,
-        "mpmath_backend": mpmath.libmp.BACKEND,
+    _atomic_write(args.out, buf.getvalue())
+    manifest.update({
+        "command": args.command, "precision_bits_used": prec,
+        "nu": args.nu, "n": args.n, "output": os.path.basename(args.out),
+        "eps": fmt(EPS_DEFAULT, 64), "rho": fmt(RHO_DEFAULT, 64),
+        "chi_profile": CHI_PROFILE, "mpmath_backend": mpmath.libmp.BACKEND,
         "wall_time_s": round(time.time() - t0, 3),
-    }
+        "csv_schema": ",".join(header)})
+    _atomic_write(args.out + ".manifest.json",
+                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _arg(what: str, parse):
@@ -130,10 +124,14 @@ _RADIUS = _arg("a real number >= 0", _real(lambda v: v >= 0))
 _N_LIST = _arg("'lo..hi' or 'n1,n2,...' naming a degree", _parse_n_list)
 
 
-def _require_desk_scale(n: int, allow_long: bool, parser):
-    if n > DESK_N_CEILING and not allow_long:
-        parser.error(f"n={n} exceeds the desk-scale ceiling "
+def _polynomial(args, parser):
+    """(P_n, P~_n) for the command's n, nu and prec; past the desk-scale
+    ceiling without --allow-long, a usage error (exit 2)."""
+    if args.n > DESK_N_CEILING and not args.allow_long:
+        parser.error(f"n={args.n} exceeds the desk-scale ceiling "
                      f"{DESK_N_CEILING}; pass --allow-long to proceed")
+    poly = monic_op(args.n, args.nu, args.prec)
+    return poly, rescale_to_tilde(poly)
 
 
 def _zero_line_summary(zs, args):
@@ -157,9 +155,8 @@ def _zero_line_summary(zs, args):
 
 def cmd_zeros(args, parser) -> int:
     t0 = time.time()
-    _require_desk_scale(args.n, args.allow_long, parser)
-    poly = monic_op(args.n, args.nu, args.prec)
-    zs = find_zeros(rescale_to_tilde(poly))
+    poly, tilde = _polynomial(args, parser)
+    zs = find_zeros(tilde)
     prec = zs.prec
     rows = []
     with workprec(prec):
@@ -169,15 +166,8 @@ def cmd_zeros(args, parser) -> int:
             rows.append([idx, fmt(z.real, prec), fmt(z.imag, prec),
                          fmt(w.real, prec), fmt(w.imag, prec),
                          fmt(res, prec)])
-    _write_csv(args.out, ["index", "re", "im", "re_w", "im_w", "residual"],
-               rows)
-    man = _base_manifest("zeros", prec, t0)
-    man.update({"nu": args.nu, "n": args.n, "delta": str(args.delta),
-                "output": os.path.basename(args.out),
-                "csv_schema": "index,re,im,re_w,im_w,residual "
-                              "(raw frame re/im; rescaled frame re_w/im_w)"})
     with workprec(prec):
-        man["residual_summaries"] = {
+        summaries = {
             "hankel_solve_residual": fmt(poly.residual, 64),
             "max_newton_residual": fmt(max(zs.residuals), 64),
             "zero_line": _zero_line_summary(zs, args),
@@ -186,7 +176,8 @@ def cmd_zeros(args, parser) -> int:
             # fixed-point scale in bits
             "root_evaluations": {str(s): k for s, k in zs.evaluations},
         }
-    _manifest(args.out, man)
+    _emit(args, prec, t0, ["index", "re", "im", "re_w", "im_w", "residual"],
+          rows, {"delta": str(args.delta), "residual_summaries": summaries})
     return 0
 
 
@@ -251,13 +242,12 @@ def _read_points(source: str, parser):
 
 def cmd_asymptotics(args, parser) -> int:
     t0 = time.time()
-    _require_desk_scale(args.n, args.allow_long, parser)
     raw = None if args.points == "grid" else _read_points(args.points, parser)
-    poly = monic_op(args.n, args.nu, args.prec)
-    tilde = rescale_to_tilde(poly)
+    poly, tilde = _polynomial(args, parser)
     prec = tilde.prec
     # P~_n by the root finder's recurrence at its scale; with prec + 32 bits
-    # and |z| >= 0.2, only a coordinate below 2^-64 is cut, by <= 2^-scale
+    # and |z| >= px.EXCLUSION_RADIUS, only a coordinate below 2^-64 is cut,
+    # by <= 2^-scale
     scale = root_scale(prec)
     pair = fixed_eval_with_deriv(tilde.recurrence, scale)
     with workprec(prec):
@@ -284,17 +274,11 @@ def cmd_asymptotics(args, parser) -> int:
                          fmt(pred.value.imag, prec),
                          fmt(actual.real, prec), fmt(actual.imag, prec),
                          fmt(rel, 64), fmt(pred.error_scale, 64)])
-    _write_csv(args.out, ["z_re", "z_im", "pred_re", "pred_im",
-                          "actual_re", "actual_im", "rel_err",
-                          "error_scale"], rows)
-    man = _base_manifest("asymptotics", prec, t0)
-    man.update({"nu": args.nu, "n": args.n, "regime": args.regime,
-                "points": args.points, "output": os.path.basename(args.out),
-                "csv_schema": "z_re,z_im,pred_re,pred_im,actual_re,"
-                              "actual_im,rel_err,error_scale",
-                "residual_summaries": {
-                    "hankel_solve_residual": fmt(poly.residual, 64)}})
-    _manifest(args.out, man)
+    _emit(args, prec, t0, ["z_re", "z_im", "pred_re", "pred_im", "actual_re",
+                           "actual_im", "rel_err", "error_scale"], rows,
+          {"regime": args.regime, "points": args.points,
+           "delta": px.EXCLUSION_RADIUS, "residual_summaries": {
+               "hankel_solve_residual": fmt(poly.residual, 64)}})
     return 0
 
 

@@ -541,6 +541,11 @@ class _FormulaConstants(NamedTuple):
     band: mpf           # 3 log n/n + epsilon_n, inner_eval's error scale
 
 
+# the evaluators' excluded discs: outer_eval needs dist(z, [-1,1]) at
+# least this, inner_eval |z| and |z -+ 1| at least this
+EXCLUSION_RADIUS = "0.2"
+
+
 @lru_cache(maxsize=8)
 def _formula_constants(n: int, nu, prec: int) -> _FormulaConstants:
     """What the asymptotic formulas take from (n, nu, prec) alone, once
@@ -592,9 +597,10 @@ def outer_eval(z, n: int, nu, prec: int) -> AsymptoticPrediction:
     """
     with workprec(prec):
         z = mpc(z)
-        gap = max(abs(z.real) - 1, 0)      # dist(z, [-1,1])^2 < 0.2^2
-        if gap * gap + z.imag * z.imag < mpf("0.2") ** 2:
-            raise DomainError("outer regime needs dist(z, [-1,1]) >= 0.2")
+        gap = max(abs(z.real) - 1, 0)      # dist(z, [-1,1])^2 < radius^2
+        if gap * gap + z.imag * z.imag < mpf(EXCLUSION_RADIUS) ** 2:
+            raise DomainError("outer regime needs dist(z, [-1,1]) >= "
+                              + EXCLUSION_RADIUS)
     c = _formula_constants(n, nu, prec)
     with workprec(prec, guard=_eval_guard(z, n)):
         reflect = z.real < 0
@@ -608,7 +614,7 @@ def outer_eval(z, n: int, nu, prec: int) -> AsymptoticPrediction:
 def _check_inner_domain(z):
     if abs(z.imag) > mpf("0.1") or abs(z.real) > 1:
         raise DomainError("point outside the validated oscillatory box")
-    delta = mpf("0.2")
+    delta = mpf(EXCLUSION_RADIUS)
     if abs(z) < delta or abs(z - 1) < delta or abs(z + 1) < delta:
         raise DomainError("point inside an excluded disk of the "
                           "oscillatory regime")

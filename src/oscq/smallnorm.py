@@ -174,7 +174,7 @@ def eta2_modulus(y, n: int, nu, chi: CutoffChi, prec: int):
     return _eta_moduli(y, nu, chi, d1_grid(n, nu, prec))[1]
 
 
-def eta_bound_check(y, n: int, nu, chi: CutoffChi, prec: int):
+def eta_bound_check(y, n: int, nu, prec: int):
     """Kernel moduli against the predicted shape bounds with constants 1:
     bound1 = y^nu e^(-2n Re phi), bound2 = (n^(2nu) y^nu + n y^(1-nu))
     e^(-2n Re phi)."""
@@ -183,7 +183,7 @@ def eta_bound_check(y, n: int, nu, chi: CutoffChi, prec: int):
         if not 0 < y <= RHO_DEFAULT:
             raise DomainError("y must lie in (0, rho]")
         # the caller's nu, so D1 reads the grid cached under its key
-        e1, e2 = _eta_moduli(y, nu, chi, d1_grid(n, nu, prec))
+        e1, e2 = _eta_moduli(y, nu, CutoffChi(), d1_grid(n, nu, prec))
         nu = mpf(nu)
         decay = mp.exp(-2 * n * re_phi_imag_axis(y, prec + 16))
         b1 = y ** nu * decay
@@ -192,18 +192,17 @@ def eta_bound_check(y, n: int, nu, chi: CutoffChi, prec: int):
             "eta2_mod": e2, "bound2": round_to(b2, prec)}
 
 
-def k_norm_bounds(n: int, nu, prec: int, chi: CutoffChi | None = None):
+def k_norm_bounds(n: int, nu, prec: int):
     """Hilbert-Schmidt style operator-norm bounds
 
     k1 = (integral_0^(2 eps) |eta1(iy)|^2 / y dy)^(1/2), same for k2, and
     their product, which must decay like a power of 1/log n.  The
-    integrals run to 2^-(prec/8).  chi is the cutoff, CutoffChi() unless
-    given.
+    integrals run to 2^-(prec/8), with the cutoff CutoffChi().
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     require_prec(prec)
-    chi = chi or CutoffChi()
+    chi = CutoffChi()
     out = {}
     with workprec(prec):
         hi = 2 * chi.eps

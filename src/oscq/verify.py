@@ -597,14 +597,14 @@ def suite_smallnorm(prec: int = 128, nu="0.25",
         n0 = min(n_list)
         c1 = c2 = mpf(0)
         for y in ys:
-            r = sn.eta_bound_check(y, n0, nu, chi, prec)
+            r = sn.eta_bound_check(y, n0, nu, prec)
             c1 = max(c1, r["eta1_mod"] / r["bound1"])
             c2 = max(c2, r["eta2_mod"] / r["bound2"])
         ok = True
         worst = mpf(0)
         for m in n_list[1:]:
             for y in ys:
-                r = sn.eta_bound_check(y, m, nu, chi, prec)
+                r = sn.eta_bound_check(y, m, nu, prec)
                 q1 = r["eta1_mod"] / r["bound1"] / (3 * c1)
                 q2 = r["eta2_mod"] / r["bound2"] / (3 * c2)
                 worst = max(worst, q1, q2)
@@ -638,7 +638,7 @@ def suite_smallnorm(prec: int = 128, nu="0.25",
         out.append(_rec("first-Szego axis bound fit-then-test", cfit,
                         "slack 3 over n", ok))
         # operator-norm decay trend over the run's n list
-        res = {m: sn.k_norm_bounds(m, nu, prec, chi) for m in n_list}
+        res = {m: sn.k_norm_bounds(m, nu, prec) for m in n_list}
         b1 = {m: res[m]["k1_bound"] * m ** nu * mp.log(m) ** nu
               for m in n_list}
         b2 = {m: res[m]["k2_bound"] * m ** (-nu) * mp.log(m) ** nu

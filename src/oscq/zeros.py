@@ -5,17 +5,18 @@ find_zeros refines all n roots together by Aberth-Ehrlich iteration,
 without deflation, which is robust for the clustered complex roots of
 these polynomials: first in complex floats to a Newton correction of
 1e-12, then in block-floating fixed point, each sweep at the precision it
-can deliver.  The float roots are taken to carry 50 bits and a sweep
-triples the bits, so the fixed stage climbs a ladder of one sweep per
-rung at the bits it delivers plus 64 (214, then 514 bits) while the rung
-lies below root_scale(prec), then sweeps at root_scale(prec), where the
-returned roots are exact, until every Newton correction is below
-2^-(prec/2).  From the equilibrium law's (k + 1/2)/n quantiles in the
-rescaled frame, the float stage takes about 4 evaluations per root at
+can deliver.  The float roots are taken to carry 50 bits, and a sweep
+from b bits delivers min(3b, 2b + 53): Newton's tripling, capped by the
+float Aberth sum below.  So the fixed stage climbs a ladder of one sweep
+per rung at the bits it delivers plus 64 (214, 417, then 823 bits) while
+the rung lies below root_scale(prec), then sweeps at root_scale(prec),
+where the returned roots are exact, until every Newton correction is
+below 2^-(prec/2).  From the equilibrium law's (k + 1/2)/n quantiles in
+the rescaled frame, the float stage takes about 4 evaluations per root at
 every n from 16 to 200, and the fixed stage one per rung and one at
-root_scale(prec) at 256 and 512 bits; at 1024 bits the last stage takes
-two.  The block floats because the values fall by hundreds of bits over
-the recurrence in the rescaled frame (n = 200).
+root_scale(prec) at 256, 512 and 1024 bits.  The block floats because the
+values fall by hundreds of bits over the recurrence in the rescaled frame
+(n = 200).
 
 The fixed stage's Aberth sum s = sum_{j != k} 1/(z_k - z_j) is a complex
 float; it only scales a Newton step N = P/P' already below 2^-40, and
@@ -23,8 +24,9 @@ the update N/(1 - N s) is formed in integers from s's exact value.  Its
 error from s's rounding is about |N|^2 2^-53 |s|: below 2^-(prec + 53)
 |s| in a frozen root's last step, where the roots moved by at most
 2^-(prec + 46) against an integer sum at 64 to 512 bits and n up to 200.
-The same error caps a rung: from 150 bits the 514-bit rung delivers 340
-to 365, not 450.  Where the recurrence has a mirror symmetry, the fixed
+The same error caps a rung at 2b + 53 bits: at n = 16 to 200, the
+417-bit rung delivers 342 to 364 bits (model 353), the 823-bit rung 725
+to 775 (model 759).  Where the recurrence has a mirror symmetry, the fixed
 stage iterates one root of each mirror pair and holds the other as its
 exact image (ZeroSet.mirror_of, which quadrule reuses).  Runs are
 deterministic for a given polynomial, at its precision.
@@ -57,14 +59,15 @@ def root_scale(prec: int) -> int:
 
 
 def _ladder(prec: int) -> list:
-    """The fixed stage's scales at prec: one rung per tripling of the
-    float roots' FLOAT_BITS, at the bits the rung delivers plus 64, while
-    the rung lies below root_scale(prec); then root_scale(prec).  Roots
-    past prec/2 bits get no rung: from b > prec/2 bits the next one, at
-    3b + 64, would lie above root_scale(prec) = prec + 96."""
+    """The fixed stage's scales at prec: from the float roots' FLOAT_BITS,
+    one rung per sweep, a sweep from b bits delivering min(3b, 2b + 53),
+    at the bits the rung delivers plus 64, while the rung lies below
+    root_scale(prec); then root_scale(prec).  Roots past prec/2 bits get
+    no rung: from b > prec/2 bits the next one, at min(3b, 2b + 53) + 64,
+    would lie above root_scale(prec) = prec + 96."""
     bits, out = FLOAT_BITS, []
-    while 3 * bits + 64 < root_scale(prec):
-        bits *= 3
+    while (nxt := min(3 * bits, 2 * bits + 53)) + 64 < root_scale(prec):
+        bits = nxt
         out.append(bits + 64)
     return out + [root_scale(prec)]
 

@@ -111,6 +111,27 @@ def test_zeros_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# the manifest keys the README documents: every CSV command's, then each
+# command's own
+MANIFEST_KEYS = {"command", "precision_bits_used", "nu", "n", "output",
+                 "delta", "eps", "rho", "chi_profile", "mpmath_backend",
+                 "wall_time_s", "csv_schema", "residual_summaries"}
+OWN_KEYS = {"zeros": set(), "asymptotics": {"regime", "points"}}
+
+
+@pytest.mark.parametrize("args", [("zeros",),
+                                  ("asymptotics", "--regime", "outer"),
+                                  ("asymptotics", "--regime", "inner")],
+                         ids=lambda a: "-".join(a[::2]))
+def test_manifest_states_the_csv_header_and_the_documented_keys(tmp_path,
+                                                                 args):
+    out = tmp_path / "x.csv"
+    assert main([*args, "--nu", "0.25", "--n", "8", "--out", str(out)]) == 0
+    man = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+    assert man["csv_schema"] == out.read_bytes().split(b"\r\n")[0].decode()
+    assert set(man) == MANIFEST_KEYS | OWN_KEYS[args[0]]
+
+
 def test_zeros_desk_ceiling(tmp_path):
     r = run_cli("zeros", "--nu", "0.25", "--n", "201",
                 "--out", str(tmp_path / "x.csv"))

@@ -71,7 +71,8 @@ def test_cutoff_absolute_accuracy(prec):
 def test_k_norm_bounds_chi_tail_is_bit_identical(n, nu):
     # the nodes where chi is cut to 0 add nothing the integrals can see
     lib = sn.k_norm_bounds(n, nu, prec=PREC)
-    raw = sn.k_norm_bounds(n, nu, PREC, _UnroundedTailChi())
+    with mock.patch.object(sn, "CutoffChi", _UnroundedTailChi):
+        raw = sn.k_norm_bounds(n, nu, PREC)
     for key in ("k1_bound", "k2_bound", "product"):
         assert lib[key]._mpf_ == raw[key]._mpf_, key
 
@@ -136,8 +137,7 @@ def test_eta_vanishes_outside_support():
 
 
 def test_eta_bound_record_structure():
-    chi = sn.CutoffChi()
-    r = sn.eta_bound_check(mpf("0.1"), 16, NU, chi, PREC)
+    r = sn.eta_bound_check(mpf("0.1"), 16, NU, PREC)
     assert set(r) == {"eta1_mod", "bound1", "eta2_mod", "bound2"}
     with workprec(PREC):
         assert r["eta1_mod"] > 0 and r["eta2_mod"] > 0
@@ -162,11 +162,10 @@ def test_k_norm_bounds_structure():
 def test_one_d1_grid_per_n_nu_prec():
     # a non-dyadic nu rounded at prec before it reaches d1n would key the
     # grid cache apart from d1n's own conversion and build a second grid
-    chi = sn.CutoffChi()
     with mock.patch.object(px, "build_d1_grid",
                            wraps=px.build_d1_grid) as build:
-        sn.k_norm_bounds(5, "0.3", PREC, chi)
-        sn.eta_bound_check(mpf("0.1"), 5, "0.3", chi, PREC)
+        sn.k_norm_bounds(5, "0.3", PREC)
+        sn.eta_bound_check(mpf("0.1"), 5, "0.3", PREC)
         px.d1n(mpc(0, "0.1"), 5, "0.3", PREC)
     assert build.call_count == 1
 
@@ -194,8 +193,7 @@ def test_k_norm_bounds_regression_pin():
 
 def test_suite_smallnorm_all_pass(monkeypatch):
     # the suite's k_norm_bounds runs are AC-8's; read them from the cache
-    def cached(n, nu, prec, chi):
-        assert chi == sn.CutoffChi()
+    def cached(n, nu, prec):
         return get_k_norms(n, nu, prec)
 
     monkeypatch.setattr(sn, "k_norm_bounds", cached)

@@ -291,7 +291,8 @@ def test_each_iterated_root_takes_one_sweep_per_rung(n):
     # the float roots' ~50 bits reach ~150 in one sweep at the 214-bit
     # rung, past 2^-(prec/2) at 256 bits, so the first sweep at
     # root_scale(256) freezes every iterated root; at 512 bits a second
-    # rung at 514 bits leaves at most that one sweep at root_scale(512)
+    # rung at 417 bits (~350), and at 1024 bits a third at 823 (~750),
+    # leave that one sweep at root_scale(prec)
     zs = get_zeros(n, "0.25")
     iterated = n - zs.mirrored
     assert zs.evaluations[0][0] == "float"
@@ -299,14 +300,19 @@ def test_each_iterated_root_takes_one_sweep_per_rung(n):
                                   (root_scale(256), iterated))
     zs = get_zeros(n, "0.25", 512)
     iterated = n - zs.mirrored
-    assert zs.evaluations[1:-1] == ((214, iterated), (514, iterated))
+    assert zs.evaluations[1:-1] == ((214, iterated), (417, iterated))
     assert zs.evaluations[-1] == (root_scale(512), iterated)
+    zs = get_zeros(n, "0.25", 1024)
+    iterated = n - zs.mirrored
+    assert zs.evaluations[1:] == ((214, iterated), (417, iterated),
+                                  (823, iterated),
+                                  (root_scale(1024), iterated))
 
 
 # every rung of the fixed stage's ladder, which the property tests'
 # precisions (64 to 256 bits) reach only in part
-@pytest.mark.parametrize("prec, ladder", [(512, (214, 514, 608)),
-                                          (1024, (214, 514, 1120))])
+@pytest.mark.parametrize("prec, ladder", [(512, (214, 417, 608)),
+                                          (1024, (214, 417, 823, 1120))])
 @pytest.mark.parametrize("nu", ["0", "0.25", "0.999"])
 @pytest.mark.parametrize("n", [16, 64])
 def test_roots_through_every_rung_are_exact_and_certified(n, nu, prec,
