@@ -2,13 +2,14 @@
 rescaled polynomials.
 
 The first Szego factor d1n is a Cauchy-type integral of log W_n against
-the Chebyshev kernel, read from a frozen tanh-sinh grid per (n, nu, prec)
-(D1Grid; a cached and a fresh grid are bit-identical) as one fixed-point
-sum at a scale chosen from z.  On the imaginary axis that sum is within
-2^-(prec+64) relative of the mpc sum over the grid's nodes, and D1(-iy) =
-conj D1(iy) bit for bit.  The grid's log-weight is within 2^-(prec+16) in
-log W_n of log K_nu by its series at prec + 96 bits.  The second factor
-d2 is a closed form.
+the Chebyshev kernel.  On the imaginary axis it is read from a frozen
+tanh-sinh grid per (n, nu, prec) (D1Grid; a cached and a fresh grid are
+bit-identical) as one fixed-point sum at a scale chosen from y; that sum
+is within 2^-(prec+64) relative of the mpc sum over the grid's nodes, and
+D1(-iy) = conj D1(iy) bit for bit.  Off the axis d1n runs the tanh-sinh
+engine, which holds 2^-(prec/4) or raises QuadratureError.  The grid's
+log-weight is within 2^-(prec+16) in log W_n of log K_nu by its series at
+prec + 96 bits.  The second factor d2 is a closed form.
 
 The outer and inner evaluators round once: a value is within 2^-(prec-2)
 relative of the same call at prec + 128 bits, and P~_n(-conj z) =
@@ -233,10 +234,11 @@ class D1Grid:
     same absolute resolution.  Immutable snapshot: cached and freshly
     built grids are bit-identical.
 
-    Reads on the imaginary axis take integer arrays and the moments of
-    the node clusters, derived from this payload at the grid's first axis
-    read (_bulk_arrays); they are held outside the grid, for one grid at
-    a time, so they add neither to the payload nor to its equality.
+    The grid is read on the imaginary axis only (cauchy).  Its reads take
+    integer arrays and the moments of the node clusters, derived from this
+    payload at the grid's first read (_bulk_arrays); they are held outside
+    the grid, for one grid at a time, so they add neither to the payload
+    nor to its equality.
     """
 
     n: int
@@ -247,49 +249,39 @@ class D1Grid:
     wk: tuple         # w_i * h * k(t_i), trapezoidal factor included
 
     def read_scale(self, z) -> int:
-        """Fixed-point scale W (bits) of a read at z: prec + 64 plus four
-        bits per binade of d = max(|Re z| - 1, |Im z|) below 1 (d is |Im z|
-        for |Re z| <= 1, and within a factor sqrt 2 below dist(z, [-1,1])
-        otherwise, so it also covers small |z|) and per binade of |z|
-        above 1, and never less than bulk_scale."""
-        near = max(abs(z.real) - 1, abs(z.imag))
-        return self.prec + 64 + max(BULK_BITS,
-                                    4 * max(0, 1 - mp.mag(near))
-                                    + 4 * max(0, mp.mag(z)))
+        """Fixed-point scale W (bits) of a read at z = iy: prec + 64 plus
+        four bits per binade of |y| below 1 and above 1, and never less
+        than bulk_scale."""
+        m = mp.mag(z.imag)
+        return self.prec + 64 + max(BULK_BITS, 4 * max(m, 1 - m))
 
     @property
     def bulk_scale(self) -> int:
         """The least read scale, prec + 96 bits, which every read with
-        dist(z, [-1,1]) >= 2^-8 and |z| < 2^8 shares (at n=16, prec 128:
-        151 of the 182 axis reads of k_norm_bounds)."""
+        2^-8 <= |y| < 2^8 shares (at n=16, prec 128: 151 of the 182 reads
+        of k_norm_bounds)."""
         return self.prec + 64 + BULK_BITS
 
     def cauchy(self, z):
-        """integral over [-1,1] of k(t)/(z-t) dt via the folded grid, z off
-        [-1,1] (d1n checks).
+        """integral over [-1,1] of k(t)/(z-t) dt via the folded grid, at
+        z = iy, y != 0 (Re z exactly 0; DomainError elsewhere).
 
         The sum over i of wk_i (1/(z-t_i) + 1/(z+t_i)) is 2z * sum wk_i /
-        (z^2 - t_i^2), formed in Python ints at scale 2^W (read_scale) with
-        one integer division per node.  z^2 is taken exactly from z's
-        mantissas and truncated toward zero.  On the imaginary axis (Re z
-        exactly 0) z^2 = -y^2 is real, and the sum is the real sum of wk_i
-        / a_i, a_i = -(y^2 + t_i^2), with the node clusters summed from
-        their moments (see _axis_sum).  Elsewhere it is
-        2z * sum wk_i (a_i - ib)/(a_i^2 + b^2), a_i = Re z^2 - t_i^2,
-        b = Im z^2 (see _complex_sum).  conj z flips only the sign of b,
-        and of z on the axis, so the read honours Schwarz reflection bit
-        for bit.
+        (z^2 - t_i^2), and z^2 = -y^2 is real: the real sum of wk_i / a_i,
+        a_i = -(y^2 + t_i^2), formed in Python ints at scale 2^W
+        (read_scale), with one integer division per node and the node
+        clusters summed from their moments (see _axis_sum).  y^2 is taken
+        exactly from y's mantissa and truncated toward zero.  -y flips only
+        the sign of z, so the read honours Schwarz reflection bit for bit.
         """
         with workprec(self.prec, guard=32):
             z = mpc(z)
+            if z.real != 0 or z.imag == 0:
+                raise DomainError("the D1 grid is read only on the "
+                                  "imaginary axis off the origin")
             w = self.read_scale(z)
-            xr, er = man_exp(z.real)
             xi, ei = man_exp(z.imag)
-            a0 = to_fixed(xr * xr, 2 * er, w) - to_fixed(xi * xi, 2 * ei, w)
-            if xr == 0:
-                return 2 * z * self._axis_sum(a0, w)
-            return 2 * z * self._complex_sum(a0, to_fixed(2 * xr * xi,
-                                                          er + ei, w), w)
+            return 2 * z * self._axis_sum(-to_fixed(xi * xi, 2 * ei, w), w)
 
     def _squares(self, squares, w: int):
         """The t_i^2 held at scale 2 scale, at scale w, truncated."""
@@ -322,9 +314,8 @@ class D1Grid:
         """(-t_i^2, wk_i << (2W - scale)) at W = bulk_scale over the nodes
         in no cluster; t_i^2 at scale 2 scale and wk_i over those and the
         near-0 cluster; and the clusters (t -> x*, t -> 1, near 0; see
-        _clusters).  Derived at the grid's first axis read and held for
-        the grid whose axis was read last, so at most one grid's arrays
-        are alive."""
+        _clusters).  Derived at the grid's first read and held for the
+        grid read last, so at most one grid's arrays are alive."""
         global _held_bulk_arrays
         if _held_bulk_arrays is not None and _held_bulk_arrays[0] is self:
             return _held_bulk_arrays[1]
@@ -372,22 +363,8 @@ class D1Grid:
                 self.bulk_scale), members))
         return out
 
-    def _complex_sum(self, a0: int, b: int, w: int):
-        """sum wk_i / (a0 - t_i^2 + ib) for a0, b at scale w, as an mpc."""
-        bb = b * b
-        qshift = 3 * w - self.scale     # q = wk/(a^2+b^2) at scale w
-        re = im = 0
-        for t2, wk in zip(self._squares(map(mul, self.nodes, self.nodes),
-                                        w), self.wk):
-            a = a0 - t2
-            q = (wk << qshift) // (a * a + bb)
-            re += q * a
-            im += q
-        return mpc(mpf((re, -2 * w)), mpf((-b * im, -2 * w)))
 
-
-# (grid, its arrays) of the grid whose axis was read last; see
-# D1Grid._bulk_arrays
+# (grid, its arrays) of the grid read last; see D1Grid._bulk_arrays
 _held_bulk_arrays = None
 
 
@@ -505,21 +482,23 @@ def _cached_grid(n: int, nu: mpf, prec: int) -> D1Grid:
 def d1n(z, n: int, nu, prec: int, adaptive: bool = False):
     """First Szego factor for the normalized weight, off [-1,1].
 
-    Default path is one fixed-point read of the cached frozen grid
-    (D1Grid.cauchy, whose scale follows z, so the grid *sum* keeps the
-    working precision for every z off the cut); adaptive=True runs the
-    tanh-sinh engine per call, used as the independent route in tests.
+    On the imaginary axis (Re z exactly 0) it is one fixed-point read of
+    the cached frozen grid (D1Grid.cauchy, whose scale follows y, so the
+    grid *sum* keeps the working precision).  Off the axis, and everywhere
+    with adaptive=True (the grid's independent route in tests), the
+    tanh-sinh engine runs per call: its integral holds 2^-(prec/4) or
+    raises QuadratureError, as at 0.5 + 1e-3 i (n=16, prec 128).
 
-    The grid's quadrature error does grow as z nears the cut.  On the
-    imaginary axis at prec 128 (n=16, nu=0.25), the level-6 grid's log D1
-    differs from a level-8 grid's by at most 2e-31 for y >= 1e-5, but by
-    5e-11 at y = 2^-40, 1.5e-4 at 2^-80 and 1.6e-2 at 2^-120.
+    The grid's quadrature error does grow as y nears 0.  At prec 128
+    (n=16, nu=0.25), the level-6 grid's log D1 differs from a level-8
+    grid's by at most 2e-31 for y >= 1e-5, but by 5e-11 at y = 2^-40,
+    1.5e-4 at 2^-80 and 1.6e-2 at 2^-120.
     """
     with workprec(prec, guard=32):
         z = mpc(z)
         if _on_cut(z):
             raise DomainError("d1n is cut along [-1,1]")
-        if adaptive:
+        if adaptive or z.real != 0:
             k = _k_log_weight(n, mpf(nu), prec + 32)
             points = [mpf(0), 1 / (n * mp.pi), mpf(1)]
 

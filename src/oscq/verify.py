@@ -448,7 +448,8 @@ def suite_parametrix(prec: int = 192, nu="0.25") -> list[CheckRecord]:
         defm = d2_psi_consistency(mpc("0.5", "-0.2"), nu, prec)
         out.append(_le("d2/psi reflection symmetry", abs(defp - defm),
                        mpf(2) ** (-prec // 2)))
-        # closed-form oracle: at nu=1/2 the weight is exactly |x|^(-1/2)
+        # closed-form oracle: at nu=1/2 the weight is exactly |x|^(-1/2);
+        # d1n reads the grid at 0.1i and runs tanh-sinh off the axis
         for zz in (mpc(0, "0.1"), mpc(2), mpc("0.4", "0.8")):
             ref = ((zz + sqrt_offcut(zz)) / zz) ** (mpf(1) / 4)
             got = px.d1n(zz, 20, "0.5", prec)

@@ -12,6 +12,7 @@ from oscq import verify
 from oscq.branches import exterior_beta, sqrt_offcut
 from oscq.mpfun import (DomainError, besselk_map, man_exp, round_to,
                         to_fixed, workprec)
+from oscq.quadrature import QuadratureError
 from oscq.smallnorm import EPS_DEFAULT
 
 from conftest import get_k_norm_nodes, get_tilde
@@ -63,7 +64,7 @@ def test_szego_power_trivial_and_limit():
 
 
 def test_d1n_grid_and_adaptive_agree():
-    z = mpc("0.3", "0.6")
+    z = mpc(0, "0.6")
     a = px.d1n(z, 12, NU, PREC)
     b = px.d1n(z, 12, NU, PREC, adaptive=True)
     with workprec(256):
@@ -85,8 +86,25 @@ def test_d1_grid_cache_keys_on_exact_nu():
     assert grid.nu == fresh.nu and grid.wk == fresh.wk
     # and d1n reads that grid rather than building one for a rounded nu
     misses = px._cached_grid.cache_info().misses
-    px.d1n(mpc("0.1", "0.4"), 9, near, 128)
+    px.d1n(mpc(0, "0.4"), 9, near, 128)
     assert px._cached_grid.cache_info().misses == misses
+
+
+def test_d1n_off_axis_is_the_engine():
+    # off the imaginary axis d1n is the tanh-sinh route, bit for bit, with
+    # no grid built; near the cut that route misses its 2^-(prec/4) and
+    # raises; and the grid refuses every read off the axis
+    misses = px._cached_grid.cache_info().misses
+    z = mpc("0.3", "0.6")
+    assert px.d1n(z, 11, NU, 128)._mpc_ \
+        == px.d1n(z, 11, NU, 128, adaptive=True)._mpc_
+    assert px._cached_grid.cache_info().misses == misses
+    with pytest.raises(QuadratureError):
+        px.d1n(mpc("0.5", "1e-3"), 16, NU, 128)
+    grid = px.d1_grid(16, NU, 128)
+    for z in (mpc("0.5", "1e-3"), mpc(2), mpc("-0.4", "-0.8"), mpc(0)):
+        with pytest.raises(DomainError):
+            grid.cauchy(z)
 
 
 def _per_node_payload(n, nu, prec):
@@ -270,8 +288,14 @@ far_points = st.tuples(st.floats(0.1, 20), st.floats(-math.pi, math.pi)).map(
 @given(xy=st.one_of(axis_points, near_cut, far_points),
        sign=st.sampled_from((1, -1)))
 def test_d1_grid_read_matches_mpc_sum(xy, sign):
+    # on the imaginary axis the read is the mpc sum to 2^-prec; off it
+    # the grid has no read and refuses the point
     grid = px.d1_grid(16, NU, 128)
     z = mpc(xy[0], sign * xy[1])
+    if z.real != 0:
+        with pytest.raises(DomainError):
+            grid.cauchy(z)
+        return
     assert _rel_err(grid.cauchy(z), _cauchy_by_mpc(grid, z)) \
         <= mpf(2) ** -grid.prec
 
@@ -303,10 +327,10 @@ def test_d1_grid_axis_read_property(n, nu, prec, e):
 
 def test_d1_grid_read_scale_follows_z(monkeypatch):
     # the quad_ts nodes of k_norm_bounds reach y ~ 2^-182; the read scale
-    # grows with 1/dist(z, [-1,1]) and with |z|, where a fixed one fails
+    # grows with 1/|y| and with |y|, where a fixed one fails
     grid = px.d1_grid(16, NU, 128)
     with workprec(128):
-        tiny, huge = mpc(0, mpf(2) ** -182), mpc(mpf(10) ** 20)
+        tiny, huge = mpc(0, mpf(2) ** -182), mpc(0, mpf(10) ** 30)
     ref = _cauchy_by_mpc(grid, huge)
     assert _rel_err(grid.cauchy(huge), ref) <= mpf(2) ** -grid.prec
     assert _rel_err(grid.cauchy(tiny), _cauchy_by_mpc(grid, tiny)) \
@@ -344,10 +368,10 @@ def _axis_sum_per_node(grid, a0, w):
                for t, wk in zip(grid.nodes, grid.wk))
 
 
-def test_d1_grid_axis_read_is_the_complex_read():
-    # at every node of AC-8's integrals, the axis branch gives bit for bit
-    # what the general branch's complex sum gives with b = 0, and its sum
-    # (from the held arrays at the bulk scale) is the per-node integer sum
+def test_d1_grid_axis_sum_is_the_per_node_sum():
+    # at every node of AC-8's integrals, the axis sum (from the held
+    # arrays at the bulk scale) is the per-node integer sum, and the read
+    # is 2z times that sum
     for n in (16, 32):
         grid = px.d1_grid(n, NU, 128)
         nodes = get_k_norm_nodes(n, NU, 128)
@@ -358,10 +382,11 @@ def test_d1_grid_axis_read_is_the_complex_read():
                 w = grid.read_scale(z)
                 man, exp = man_exp(z.imag)
                 a0 = -to_fixed(man * man, 2 * exp, w)
-                ref = 2 * z * grid._complex_sum(a0, 0, w)
                 per_node = mpf((_axis_sum_per_node(grid, a0, w), -w))
                 assert grid._axis_sum(a0, w)._mpf_ == per_node._mpf_, (n, y)
-            assert grid.cauchy(z)._mpc_ == ref._mpc_, (n, y)
+            with workprec(grid.prec, guard=32):
+                assert grid.cauchy(z)._mpc_ == (2 * z * per_node)._mpc_, \
+                    (n, y)
             at_bulk += w == grid.bulk_scale
         assert at_bulk > len(nodes) // 2, n
 
