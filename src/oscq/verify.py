@@ -3,12 +3,13 @@ that only they and the tests read.
 
 Each suite runs a battery of identity, oracle, and trend checks for one
 layer of the package and returns structured records (measured value vs
-threshold).  Thresholds follow the operation contracts; trend checks fit
-their unknown constant on the smallest case of a run and assert it, with
-the declared slack, on the larger ones.  The routes are the general
-closed forms of objects the pipeline forms inline or not at all
-(g_boundary, phi_boundary, w_weight, szego_power, n0_matrix, d_infty_n)
-and the independent oracles of the pipeline's own routes.
+threshold).  Thresholds follow the operation contracts; every fitted
+trend law goes through `_fit_then_test`, which fits the law's unknown
+constant at the smallest degree of a run and asserts it, with slack 3,
+at every other degree, in whatever order the degrees come.  The routes
+are the general closed forms of objects the pipeline forms inline or not
+at all (g_boundary, phi_boundary, w_weight, szego_power, n0_matrix,
+d_infty_n) and the independent oracles of the pipeline's own routes.
 """
 
 from __future__ import annotations
@@ -295,6 +296,20 @@ def eta_moduli_by_parts(y, n: int, nu, chi, prec: int):
     return tuple(out)
 
 
+def _fit_then_test(ratios):
+    """The trend protocol of every fitted law.  `ratios` maps each degree
+    to its ratios measured / predicted shape, in any order; returns (C, q)
+    with C the largest ratio at the smallest degree and q the largest
+    ratio / (3 C) at every other degree, so the law holds with slack 3 iff
+    q <= 1."""
+    if len(ratios) < 2:
+        raise ValueError("a fitted trend needs two or more distinct degrees")
+    n0 = min(ratios)
+    c = max(ratios[n0])
+    return c, max(r / (3 * c) for m, rs in ratios.items() if m != n0
+                  for r in rs)
+
+
 def decay_integral(alpha, n: int, prec: int):
     """integral_0^(1/e) y^alpha exp(-4 n y log(1/y)) dy (trend checks)."""
     with workprec(prec):
@@ -375,14 +390,12 @@ def suite_equilibrium(prec: int = 256) -> list[CheckRecord]:
         # (effective log is log(4 n log n)), so the fit takes the
         # project-wide slack factor 3
         for alpha in ("0.5", "1", "2"):
-            vals = {m: decay_integral(alpha, m, prec)
-                    for m in (16, 64, 256)}
             a = mpf(alpha)
-            c16 = vals[16] * (16 * mp.log(16)) ** (a + 1)
-            ok = all(vals[m] * (m * mp.log(m)) ** (a + 1) <= 3 * c16
-                     for m in (64, 256))
+            c16, q = _fit_then_test(
+                {m: [decay_integral(alpha, m, prec)
+                     * (m * mp.log(m)) ** (a + 1)] for m in (16, 64, 256)})
             out.append(_rec(f"decay integral law alpha={alpha}",
-                            c16, "fit at n=16, slack 3", ok))
+                            c16, "fit at n=16, slack 3", q <= 1))
     return out
 
 
@@ -440,14 +453,13 @@ def suite_parametrix(prec: int = 192, nu="0.25") -> list[CheckRecord]:
         out.append(_le("d2 boundary product on (0,1)",
                        abs(prod - mp.exp(-nu * mp.pi * mpc(0, 1) / 2)),
                        mpf(2) ** (-prec // 2 + 24)))
+        defects = []
         for zz in (mpc("0.5", "0.2"), mpc("0.5", "-0.2"), mpc("-0.5", "0.2")):
-            out.append(_le(f"d2/psi quadrant identity at {zz}",
-                           d2_psi_consistency(zz, nu, prec),
+            defects.append(d2_psi_consistency(zz, nu, prec))
+            out.append(_le(f"d2/psi quadrant identity at {zz}", defects[-1],
                            mpf(2) ** (-prec // 2)))
-        defp = d2_psi_consistency(mpc("0.5", "0.2"), nu, prec)
-        defm = d2_psi_consistency(mpc("0.5", "-0.2"), nu, prec)
-        out.append(_le("d2/psi reflection symmetry", abs(defp - defm),
-                       mpf(2) ** (-prec // 2)))
+        out.append(_le("d2/psi reflection symmetry",
+                       abs(defects[0] - defects[1]), mpf(2) ** (-prec // 2)))
         # closed-form oracle: at nu=1/2 the weight is exactly |x|^(-1/2);
         # d1n reads the grid at 0.1i and runs tanh-sinh off the axis
         for zz in (mpc(0, "0.1"), mpc(2), mpc("0.4", "0.8")):
@@ -488,11 +500,12 @@ def suite_parametrix(prec: int = 192, nu="0.25") -> list[CheckRecord]:
         out.append(_le("d1 boundary product equals weight (10 points)",
                        worst, mpf(10) ** -7))
         z = mpc("0.7", "0.9")
-        out.append(_le("d1 evenness", abs(px.d1n(-z, 12, nu, prec)
-                                          - px.d1n(z, 12, nu, prec)), tol))
+        d1z = px.d1n(z, 12, nu, prec)
+        out.append(_le("d1 evenness", abs(px.d1n(-z, 12, nu, prec) - d1z),
+                       tol))
         out.append(_le("d1 Schwarz reflection",
-                       abs(px.d1n(mp.conj(z), 12, nu, prec)
-                           - mp.conj(px.d1n(z, 12, nu, prec))), tol))
+                       abs(px.d1n(mp.conj(z), 12, nu, prec) - mp.conj(d1z)),
+                       tol))
         # large-n limit of d1n with rate log n / n, fitted constant <= 5
         zz = mpc(0, 2)
         ref = ((zz + sqrt_offcut(zz)) / zz) ** (mpf(1) / 4)
@@ -530,7 +543,7 @@ def suite_parametrix(prec: int = 192, nu="0.25") -> list[CheckRecord]:
 def suite_smallnorm(prec: int = 128, nu="0.25",
                     n_list=None) -> list[CheckRecord]:
     out = []
-    n_list = n_list or [16, 32]
+    degrees = sorted(set(n_list or [16, 32]))
     chi = sn.CutoffChi()
     with workprec(prec):
         nu = mpf(nu)
@@ -593,27 +606,19 @@ def suite_smallnorm(prec: int = 128, nu="0.25",
         q = (r3["lhs1"] / r3["rhs1"]) / (r2_["lhs1"] / r2_["rhs1"])
         out.append(_rec("ratio plateau s=1e2 vs 1e3", q, "within factor 3",
                         mpf(1) / 3 <= q <= 3))
-        # eta bounds: fit constants on the smallest n, assert with slack 3
+        # eta bounds: one fitted constant per kernel
         ys = [mpf("0.02") * (k + 1) for k in range(10)]
-        n0 = min(n_list)
-        c1 = c2 = mpf(0)
-        for y in ys:
-            r = sn.eta_bound_check(y, n0, nu, prec)
-            c1 = max(c1, r["eta1_mod"] / r["bound1"])
-            c2 = max(c2, r["eta2_mod"] / r["bound2"])
-        ok = True
-        worst = mpf(0)
-        for m in n_list[1:]:
-            for y in ys:
-                r = sn.eta_bound_check(y, m, nu, prec)
-                q1 = r["eta1_mod"] / r["bound1"] / (3 * c1)
-                q2 = r["eta2_mod"] / r["bound2"] / (3 * c2)
-                worst = max(worst, q1, q2)
-                ok = ok and q1 <= 1 and q2 <= 1
+        n0 = degrees[0]
+        eta1, eta2 = {}, {}
+        for m in degrees:
+            rs = [sn.eta_bound_check(y, m, nu, prec) for y in ys]
+            eta1[m] = [r["eta1_mod"] / r["bound1"] for r in rs]
+            eta2[m] = [r["eta2_mod"] / r["bound2"] for r in rs]
+        worst = max(_fit_then_test(eta1)[1], _fit_then_test(eta2)[1])
         out.append(_rec("eta bounds fit-then-test (slack 3)", worst,
-                        "<= 1", ok))
+                        "<= 1", worst <= 1))
         worst = mpf(0)
-        for m in n_list:
+        for m in degrees:
             for y in ("0.01", "0.05", "0.15"):
                 got = (sn.eta1_modulus(y, m, nu, chi, prec),
                        sn.eta2_modulus(y, m, nu, chi, prec))
@@ -622,34 +627,26 @@ def suite_smallnorm(prec: int = 128, nu="0.25",
                                        for g, r in zip(got, ref)])
         out.append(_le("eta kernels vs D1*D2 by parts", worst,
                        mpf(2) ** -(prec - 4)))
-        # first-Szego on-axis size bound, same protocol
-        cfit = mpf(0)
-        for y in ys:
-            d1v = abs(px.d1n(mpc(0, y), n0, nu, prec)) ** 2
-            shape = n0 ** (mpf(1) / 2 - nu) * y ** (-nu) \
-                / (1 + (n0 * y) ** (mpf(1) / 2 - nu))
-            cfit = max(cfit, d1v / shape)
-        ok = True
-        for m in n_list[1:]:
-            for y in ys:
-                d1v = abs(px.d1n(mpc(0, y), m, nu, prec)) ** 2
-                shape = m ** (mpf(1) / 2 - nu) * y ** (-nu) \
-                    / (1 + (m * y) ** (mpf(1) / 2 - nu))
-                ok = ok and d1v <= 3 * cfit * shape
+        # first-Szego on-axis size bound
+        cfit, q = _fit_then_test(
+            {m: [abs(px.d1n(mpc(0, y), m, nu, prec)) ** 2
+                 / (m ** (mpf(1) / 2 - nu) * y ** (-nu)
+                    / (1 + (m * y) ** (mpf(1) / 2 - nu))) for y in ys]
+             for m in degrees})
         out.append(_rec("first-Szego axis bound fit-then-test", cfit,
-                        "slack 3 over n", ok))
-        # operator-norm decay trend over the run's n list
-        res = {m: sn.k_norm_bounds(m, nu, prec) for m in n_list}
+                        "slack 3 over n", q <= 1))
+        # operator-norm decay trend over the run's degrees
+        res = {m: sn.k_norm_bounds(m, nu, prec) for m in degrees}
         b1 = {m: res[m]["k1_bound"] * m ** nu * mp.log(m) ** nu
-              for m in n_list}
+              for m in degrees}
         b2 = {m: res[m]["k2_bound"] * m ** (-nu) * mp.log(m) ** nu
-              for m in n_list}
-        ok = all(b1[m] <= 3 * b1[n0] and b2[m] <= 3 * b2[n0]
-                 for m in n_list[1:])
+              for m in degrees}
+        q = max(_fit_then_test({m: [b[m]] for m in degrees})[1]
+                for b in (b1, b2))
         out.append(_rec("normalized operator norms bounded (slack 3)",
                         max(max(b1.values()), max(b2.values())),
-                        f"fit at n={n0}", ok))
-        nmax = max(n_list)
+                        f"fit at n={n0}", q <= 1))
+        nmax = degrees[-1]
         out.append(_rec("operator norm product decays",
                         res[nmax]["product"],
                         f"< product at n={n0}",
@@ -675,10 +672,9 @@ def suite_quadrature(prec: int = 256, nu=None,
                 degree_worst = max(degree_worst, rule.exactness_per_degree)
                 sum_worst = max(sum_worst,
                                 abs(mp.fsum(rule.weights) - 1))
-                for x, w in zip(rule.nodes, rule.weights):
-                    best = min(abs(mp.conj(x) - x2) for x2 in rule.nodes)
-                    match = [w2 for x2, w2 in zip(rule.nodes, rule.weights)
-                             if abs(mp.conj(x) - x2) == best][0]
+                pairs = list(zip(rule.nodes, rule.weights))
+                for x, w in pairs:
+                    _, match = min(pairs, key=lambda p: abs(mp.conj(x) - p[0]))
                     sym_worst = max(sym_worst,
                                     abs(mp.conj(w) - match) / max(1, abs(w)))
                 out.append(_le(f"exactness nu={nu_s} n={n}",
@@ -784,7 +780,7 @@ SUITES = {"equilibrium": suite_equilibrium, "parametrix": suite_parametrix,
           "smallnorm": suite_smallnorm, "quadrature": suite_quadrature,
           "zeros": suite_zeros}
 # the suites that read an n list: the smallest degree each takes, and how
-# many distinct degrees (smallnorm fits at its smallest, tests the others)
+# many distinct degrees (smallnorm's trends go through _fit_then_test)
 SUITE_MIN_N = {"smallnorm": (2, 2), "quadrature": (1, 1), "zeros": (1, 1)}
 
 

@@ -178,6 +178,7 @@ BAD_POINTS = {"empty.csv": "", "header_only.csv": "z_re,z_im\r\n",
     ("verify", "--suite", "zeros", "--n-list", "5..3"),
     ("verify", "--suite", "zeros", "--n-list", ","),
     ("verify", "--suite", "smallnorm", "--n-list", "16"),
+    ("verify", "--suite", "smallnorm", "--n-list", "16,16"),
     *(("asymptotics", "--nu", "0.25", "--n", "8", "--regime", "outer",
        "--points", f"{{tmp}}/{name}")
       for name in ("missing.csv", *BAD_POINTS)),

@@ -191,15 +191,43 @@ def test_k_norm_bounds_regression_pin():
             assert abs(r[key] - ref) <= mpf(2) ** -64 * ref, key
 
 
-def test_suite_smallnorm_all_pass(monkeypatch):
+def _suite_smallnorm(monkeypatch, n_list=None):
     # the suite's k_norm_bounds runs are AC-8's; read them from the cache
     def cached(n, nu, prec):
         return get_k_norms(n, nu, prec)
 
     monkeypatch.setattr(sn, "k_norm_bounds", cached)
-    records = verify.suite_smallnorm(prec=128)
+    return verify.suite_smallnorm(prec=128, n_list=n_list)
+
+
+def test_suite_smallnorm_all_pass(monkeypatch):
+    records = _suite_smallnorm(monkeypatch)
     failures = [r for r in records if not r.passed]
     assert not failures, failures
+
+
+def test_suite_smallnorm_reads_its_degrees_as_a_set(monkeypatch):
+    # each trend is fitted at the smallest degree and tested at the others,
+    # whatever the order of the list
+    def fields(records):
+        return [(r.name, r.measured, r.threshold, r.passed) for r in records]
+
+    assert fields(_suite_smallnorm(monkeypatch, [32, 16])) \
+        == fields(_suite_smallnorm(monkeypatch, [16, 32]))
+
+
+@pytest.mark.parametrize("n_list", [[16], [16, 16]])
+def test_suite_smallnorm_refuses_one_degree(monkeypatch, n_list):
+    with pytest.raises(ValueError, match="two or more distinct degrees"):
+        _suite_smallnorm(monkeypatch, n_list)
+
+
+@pytest.mark.parametrize("ratios", [{32: [4.0], 16: [1.0]},
+                                    {16: [1.0], 32: [4.0]}])
+def test_fit_then_test_fits_at_the_smallest_degree(ratios):
+    c, q = verify._fit_then_test(ratios)
+    assert (c, q) == (1.0, 4.0 / 3)
+    assert not q <= 1
 
 
 def _log_uniform_y(lo, u):
