@@ -124,6 +124,18 @@ _RADIUS = _arg("a real number >= 0", _real(lambda v: v >= 0))
 _N_LIST = _arg("'lo..hi' or 'n1,n2,...' naming a degree", _parse_n_list)
 
 
+def _file_path(t: str):
+    """t where it names a file in a directory that exists (the one
+    _atomic_write writes its temporary file to); not a directory, nor a
+    path that ends in a separator."""
+    folder = os.path.dirname(os.path.abspath(t))
+    ok = os.path.basename(t) and os.path.isdir(folder) and not os.path.isdir(t)
+    return t if ok else None
+
+
+_OUT = _arg("a file path in an existing directory", _file_path)
+
+
 def _polynomial(args, parser):
     """(P_n, P~_n) for the command's n, nu and prec; past the desk-scale
     ceiling without --allow-long, a usage error (exit 2)."""
@@ -301,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     pz.add_argument("--allow-long", action="store_true",
                     help=f"permit n beyond the desk ceiling "
                          f"{DESK_N_CEILING}")
-    pz.add_argument("--out", required=True)
+    pz.add_argument("--out", type=_OUT, required=True)
 
     pv = sub.add_parser("verify", help="run a named invariant suite")
     pv.add_argument("--suite", required=True, choices=list(SUITES))
@@ -309,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--n-list", dest="n_list", type=_N_LIST,
                     help="e.g. '1..10' or '16,32,64'")
     pv.add_argument("--prec", type=_BITS)
-    pv.add_argument("--out")
+    pv.add_argument("--out", type=_OUT)
 
     pa = sub.add_parser("asymptotics",
                         help="compare polynomial values against the "
@@ -323,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--prec", type=_BITS_OR_AUTO, default="auto",
                     help=prec_help)
     pa.add_argument("--allow-long", action="store_true")
-    pa.add_argument("--out", required=True)
+    pa.add_argument("--out", type=_OUT, required=True)
     return p
 
 

@@ -3,13 +3,14 @@ rescaled polynomials.
 
 The first Szego factor d1n is a Cauchy-type integral of log W_n against
 the Chebyshev kernel.  On the imaginary axis it is read from a frozen
-tanh-sinh grid per (n, nu, prec) (D1Grid; a cached and a fresh grid are
-bit-identical) as one fixed-point sum at a scale chosen from y; that sum
-is within 2^-(prec+64) relative of the mpc sum over the grid's nodes, and
-D1(-iy) = conj D1(iy) bit for bit.  Off the axis d1n runs the tanh-sinh
-engine, which holds 2^-(prec/4) or raises QuadratureError.  The grid's
-log-weight is within 2^-(prec+16) in log W_n of log K_nu by its series at
-prec + 96 bits.  The second factor d2 is a closed form.
+tanh-sinh grid per (n, nu, prec) (D1Grid; d1_grid holds the grids of the
+last (nu, prec) it served, bit-identical to fresh builds) as one
+fixed-point sum at a scale chosen from y; that sum is within
+2^-(prec+64) relative of the mpc sum over the grid's nodes, and D1(-iy) =
+conj D1(iy) bit for bit.  Off the axis d1n runs the tanh-sinh engine,
+which holds 2^-(prec/4) or raises QuadratureError.  The grid's log-weight
+is within 2^-(prec+16) in log W_n of log K_nu by its series at prec + 96
+bits.  The second factor d2 is a closed form.
 
 The outer and inner evaluators round once: a value is within 2^-(prec-2)
 relative of the same call at prec + 128 bits, and P~_n(-conj z) =
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import add, floordiv, lshift, mul, rshift, sub
 from typing import NamedTuple
@@ -231,14 +232,14 @@ class D1Grid:
     mantissas at the shared exponent -scale (value = mantissa * 2^-scale);
     the kernel is folded for the even integrand.  scale is the deepest
     node exponent, so every node is held exactly, and the weights to the
-    same absolute resolution.  Immutable snapshot: cached and freshly
-    built grids are bit-identical.
+    same absolute resolution.  Immutable snapshot: held and freshly built
+    grids are bit-identical.
 
     The grid is read on the imaginary axis only (cauchy).  Its reads take
     integer arrays and the moments of the node clusters, derived from this
-    payload at the grid's first read (_bulk_arrays); they are held outside
-    the grid, for one grid at a time, so they add neither to the payload
-    nor to its equality.
+    payload at the grid's first read and held by the grid outside its
+    fields (_bulk_arrays), so they add neither to the payload nor to its
+    equality, and they go with the grid.
     """
 
     n: int
@@ -298,7 +299,7 @@ class D1Grid:
         y >= 2^-8.  Every other node costs one floor division, run by map
         in C: at bulk_scale over the held -t_i^2 and numerators wk_i <<
         (2w - scale), at other scales over the held t_i^2 shifted to w."""
-        neg_t2, num, squares, wks, clusters = self._bulk_arrays()
+        neg_t2, num, squares, wks, clusters = self._bulk_arrays
         if w == self.bulk_scale:
             total = sum(map(floordiv, num, map(add, repeat(a0), neg_t2)))
         else:
@@ -310,28 +311,23 @@ class D1Grid:
             total += cluster.axis_sum(a0, w, self.bulk_scale)
         return mpf((total, -w))
 
+    @cached_property
     def _bulk_arrays(self):
         """(-t_i^2, wk_i << (2W - scale)) at W = bulk_scale over the nodes
         in no cluster; t_i^2 at scale 2 scale and wk_i over those and the
         near-0 cluster; and the clusters (t -> x*, t -> 1, near 0; see
-        _clusters).  Derived at the grid's first read and held for the
-        grid read last, so at most one grid's arrays are alive."""
-        global _held_bulk_arrays
-        if _held_bulk_arrays is not None and _held_bulk_arrays[0] is self:
-            return _held_bulk_arrays[1]
-        _held_bulk_arrays = None    # release the last grid's first
+        _clusters).  Derived at the grid's first read and held by the grid
+        in its instance dict, outside the dataclass fields."""
         squares = [t * t for t in self.nodes]
         (near0, near), *others = self._clusters(squares)
         taken = set(near).union(*(members for _, members in others))
         rest = [i for i in range(len(squares)) if i not in taken]
         w = self.bulk_scale
-        arrays = (tuple(-(squares[i] >> (2 * self.scale - w)) for i in rest),
-                  tuple(self.wk[i] << (2 * w - self.scale) for i in rest),
-                  tuple(squares[i] for i in rest + near),
-                  tuple(self.wk[i] for i in rest + near),
-                  (*(cluster for cluster, _ in others), near0))
-        _held_bulk_arrays = (self, arrays)
-        return arrays
+        return (tuple(-(squares[i] >> (2 * self.scale - w)) for i in rest),
+                tuple(self.wk[i] << (2 * w - self.scale) for i in rest),
+                tuple(squares[i] for i in rest + near),
+                tuple(self.wk[i] for i in rest + near),
+                (*(cluster for cluster, _ in others), near0))
 
     def _clusters(self, squares):
         """[(cluster, its node indices)] near 0, at t -> x* and at t -> 1,
@@ -362,10 +358,6 @@ class D1Grid:
                 [self.wk[i] for i in members], two, self.scale, c, p, least,
                 self.bulk_scale), members))
         return out
-
-
-# (grid, its arrays) of the grid read last; see D1Grid._bulk_arrays
-_held_bulk_arrays = None
 
 
 def _terms(log2_mabs: float, log2_a: float, v: int, p: int,
@@ -467,23 +459,30 @@ def build_d1_grid(n: int, nu, prec: int) -> D1Grid:
                   wk=tuple(to_fixed(*man_exp(v), scale) for v in wk))
 
 
+@lru_cache(maxsize=1)    # the last (nu, prec) at which a grid was served
+def _grids(nu: mpf, prec: int) -> dict:
+    """{n: D1Grid} of the grids d1_grid has served at (nu, prec)."""
+    return {}
+
+
 def d1_grid(n: int, nu, prec: int) -> D1Grid:
-    """The grid for (n, nu, prec), cached on nu as build_d1_grid reads it."""
+    """The grid for (n, nu, prec), keyed on nu as build_d1_grid reads it.
+    The grids of the last (nu, prec) served are held, each with its read
+    arrays; a call at another (nu, prec) releases them.  Every reader
+    works at one (nu, prec) at a time, whatever its degrees."""
     with workprec(prec, guard=64):
         nu = mpf(nu)
-    return _cached_grid(n, nu, prec)
-
-
-@lru_cache(maxsize=16)   # 0.2 MB a grid; below 16 the tests rebuild some
-def _cached_grid(n: int, nu: mpf, prec: int) -> D1Grid:
-    return build_d1_grid(n, nu, prec)
+    grids = _grids(nu, prec)
+    if n not in grids:
+        grids[n] = build_d1_grid(n, nu, prec)
+    return grids[n]
 
 
 def d1n(z, n: int, nu, prec: int, adaptive: bool = False):
     """First Szego factor for the normalized weight, off [-1,1].
 
     On the imaginary axis (Re z exactly 0) it is one fixed-point read of
-    the cached frozen grid (D1Grid.cauchy, whose scale follows y, so the
+    the held frozen grid (D1Grid.cauchy, whose scale follows y, so the
     grid *sum* keeps the working precision).  Off the axis, and everywhere
     with adaptive=True (the grid's independent route in tests), the
     tanh-sinh engine runs per call: its integral holds 2^-(prec/4) or
@@ -506,7 +505,7 @@ def d1n(z, n: int, nu, prec: int, adaptive: bool = False):
                 return k(t) * (1 / (z - t) + 1 / (z + t))
 
             integral, _ = quad_ts(f, points, prec)
-        else:   # the caller's nu, so every caller shares the cached grid
+        else:   # the caller's nu, so every caller shares the held grid
             integral = d1_grid(n, nu, prec).cauchy(z)
         v = mp.exp(sqrt_offcut(z) / (2 * mp.pi) * integral)
     return round_to(v, prec)

@@ -657,7 +657,7 @@ def suite_smallnorm(prec: int = 128, nu="0.25",
 def suite_quadrature(prec: int = 256, nu=None,
                      n_list=None) -> list[CheckRecord]:
     out = []
-    n_list = n_list or list(range(1, 7))
+    n_list = sorted(set(n_list or range(1, 7)))
     nus = [nu] if nu is not None else ["0", "0.25", "0.5"]
     with workprec(prec):
         thresh = mpf(10) ** (-mpf("0.15") * prec)
@@ -701,7 +701,7 @@ def suite_quadrature(prec: int = 256, nu=None,
 
 def suite_zeros(prec: int = 256, nu="0", n_list=None) -> list[CheckRecord]:
     out = []
-    n_list = n_list or [2, 4, 8]
+    n_list = sorted(set(n_list or [2, 4, 8]))
     rng = random.Random(73)
     with workprec(prec):
         for n in n_list:

@@ -11,7 +11,7 @@ from unittest import mock
 from hypothesis import settings
 from mpmath import mp, mpf
 
-from oscq import smallnorm
+from oscq import parametrix, smallnorm
 from oscq.moments import monic_op, rescale_to_tilde
 from oscq.mpfun import workprec
 from oscq.parametrix import D1Grid, d1_grid
@@ -103,6 +103,14 @@ def _k_norm_run(n: int, nu, prec: int):
         live = tuple(sorted(y for y in nodes if chi(y, prec) != 0))
         _K_NORMS[key] = (res, reads[0], live, d1_grid(n, nu, prec))
     return _K_NORMS[key]
+
+
+def counting_grid_builds():
+    """A patch of parametrix.build_d1_grid that records its calls
+    (.call_args_list), for tests that pin how many D1 grids a read
+    sequence builds."""
+    return mock.patch.object(parametrix, "build_d1_grid",
+                             wraps=parametrix.build_d1_grid)
 
 
 def agrees(a, b, tol, prec: int = 512) -> bool:

@@ -4,10 +4,12 @@ import json
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from mpmath import mp, mpc, mpf
 
+from oscq import cli, verify
 from oscq.cli import _INNER_GRID, _OUTER_GRID, main
 from oscq.mpfun import workprec
 
@@ -151,6 +153,21 @@ def test_verify_command(tmp_path):
                for c in report["checks"])
 
 
+@pytest.mark.parametrize("suite, n", [("zeros", 3), ("quadrature", 2)])
+def test_suites_read_their_degrees_as_a_set(suite, n):
+    # a repeated degree is one degree, and the order of the list is not
+    # read (smallnorm's own test: test_suite_smallnorm_reads_its_degrees_
+    # as_a_set)
+    def records(n_list):
+        return [r.as_dict() for r in verify.run_suite(suite, n_list=n_list,
+                                                      prec=64)]
+
+    names = [r["name"] for r in records([n, n])]
+    assert len(names) == len(set(names))
+    assert records([n, n]) == records([n])
+    assert records([3, 2]) == records([2, 3])
+
+
 def test_verify_bad_suite():
     r = run_cli("verify", "--suite", "nonsense")
     assert r.returncode == 2
@@ -225,6 +242,30 @@ def test_nu_outside_the_unit_interval_is_a_usage_error(tmp_path, capsys,
     if code == 2:
         assert "argument --nu: expected a real number nu with 0 <= nu < 1" \
             in err
+
+
+@pytest.mark.parametrize("command", [
+    ("zeros", "--nu", "0.25", "--n", "8"),
+    ("asymptotics", "--nu", "0.25", "--n", "8", "--regime", "outer"),
+    ("verify", "--suite", "zeros"),
+], ids=lambda c: c[0])
+@pytest.mark.parametrize("out", ["missing/x.csv", "adir"])
+def test_unwritable_out_is_refused_before_the_work(tmp_path, capsys, command,
+                                                   out):
+    # an --out in a directory that does not exist, or naming a directory,
+    # is a usage error when the arguments are parsed: no polynomial and no
+    # suite runs, and no output or temporary file is left
+    (tmp_path / "adir").mkdir()
+    work = mock.Mock(side_effect=AssertionError("the work began"))
+    with mock.patch.object(cli, "monic_op", work), \
+            mock.patch.object(cli, "run_suite", work):
+        code, err = _in_process([*command, "--out", str(tmp_path / out)],
+                                capsys)
+    assert code == 2, err
+    assert "error: argument --out: expected a file path in an existing " \
+        "directory" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["adir"]
 
 
 @pytest.mark.parametrize("delta, code", [(BELOW_ZERO, 2), ("0", 0)])

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given
@@ -15,7 +17,7 @@ from oscq.mpfun import (DomainError, besselk_map, man_exp, round_to,
 from oscq.quadrature import QuadratureError
 from oscq.smallnorm import EPS_DEFAULT
 
-from conftest import get_k_norm_nodes, get_tilde
+from conftest import counting_grid_builds, get_k_norm_nodes, get_tilde
 
 PREC = 192
 NU = "0.25"
@@ -72,8 +74,8 @@ def test_d1n_grid_and_adaptive_agree():
 
 
 def test_d1_grid_cache_bit_identical():
-    # the module cache serves a grid equal to a fresh build, field by
-    # field (int payload and mpf nu, so the comparison is exact)
+    # the held grid equals a fresh build, field by field (int payload and
+    # mpf nu, so the comparison is exact)
     assert px.build_d1_grid(9, NU, 128) == px.d1_grid(9, NU, 128)
 
 
@@ -85,20 +87,20 @@ def test_d1_grid_cache_keys_on_exact_nu():
     fresh = px.build_d1_grid(9, near, 128)
     assert grid.nu == fresh.nu and grid.wk == fresh.wk
     # and d1n reads that grid rather than building one for a rounded nu
-    misses = px._cached_grid.cache_info().misses
-    px.d1n(mpc(0, "0.4"), 9, near, 128)
-    assert px._cached_grid.cache_info().misses == misses
+    with counting_grid_builds() as build:
+        px.d1n(mpc(0, "0.4"), 9, near, 128)
+    assert build.call_count == 0
 
 
 def test_d1n_off_axis_is_the_engine():
     # off the imaginary axis d1n is the tanh-sinh route, bit for bit, with
     # no grid built; near the cut that route misses its 2^-(prec/4) and
     # raises; and the grid refuses every read off the axis
-    misses = px._cached_grid.cache_info().misses
     z = mpc("0.3", "0.6")
-    assert px.d1n(z, 11, NU, 128)._mpc_ \
-        == px.d1n(z, 11, NU, 128, adaptive=True)._mpc_
-    assert px._cached_grid.cache_info().misses == misses
+    with counting_grid_builds() as build:
+        assert px.d1n(z, 11, NU, 128)._mpc_ \
+            == px.d1n(z, 11, NU, 128, adaptive=True)._mpc_
+    assert build.call_count == 0
     with pytest.raises(QuadratureError):
         px.d1n(mpc("0.5", "1e-3"), 16, NU, 128)
     grid = px.d1_grid(16, NU, 128)
@@ -315,11 +317,11 @@ def test_d1_grid_axis_read_property(n, nu, prec, e):
         man, exp = man_exp(z.imag)
         a0 = -to_fixed(man * man, 2 * exp, w)      # -y^2, exactly
     ref = _cauchy_by_mpc(grid, z)
-    px._held_bulk_arrays = None
+    vars(grid).pop("_bulk_arrays", None)    # derived again at this read
     with workprec(2 * w):
         total = 2 * z * grid._axis_sum(a0, w)
     assert _rel_err(total, ref) <= mpf(2) ** -(prec + 64)
-    assert grid._bulk_arrays()[-1], "no cluster held after the read"
+    assert grid._bulk_arrays[-1], "no cluster held after the read"
     up, down = px.d1n(z, n, nu, prec), px.d1n(mp.conj(z), n, nu, prec)
     with workprec(prec):
         assert down._mpc_ == mp.conj(up)._mpc_
@@ -391,18 +393,31 @@ def test_d1_grid_axis_sum_is_the_per_node_sum():
         assert at_bulk > len(nodes) // 2, n
 
 
-def test_d1_grid_holds_bulk_arrays_for_one_grid():
-    # the axis read's integer arrays are derived per grid and held only
-    # for the grid read last
-    a, b = px.d1_grid(9, NU, 128), px.d1_grid(16, NU, 128)
+def test_d1_grid_holds_the_grids_of_the_last_nu_prec():
+    # d1_grid holds every degree served at the last (nu, prec), each grid
+    # with the integer arrays it derived at its first read, outside its
+    # fields; a re-read after another degree reuses both, and a grid at
+    # another (nu, prec) releases them
+    px._grids.cache_clear()
     z = mpc(0, "0.1")
-    assert a.read_scale(z) == a.bulk_scale
-    first = a.cauchy(z)
-    assert px._held_bulk_arrays[0] is a
-    b.cauchy(z)
-    assert px._held_bulk_arrays[0] is b
-    assert a.cauchy(z)._mpc_ == first._mpc_   # derived again, same read
-    assert px._held_bulk_arrays[0] is a
+    with counting_grid_builds() as build:
+        a, b = px.d1_grid(9, NU, 128), px.d1_grid(16, NU, 128)
+        assert a.read_scale(z) == a.bulk_scale
+        assert "_bulk_arrays" not in vars(a)
+        first = a.cauchy(z)
+        arrays = a._bulk_arrays
+        b.cauchy(z)
+        assert px.d1_grid(9, NU, 128) is a
+        assert a.cauchy(z)._mpc_ == first._mpc_
+        assert a._bulk_arrays is arrays
+    assert build.call_count == 2
+    fresh = px.build_d1_grid(9, NU, 128)
+    assert a == fresh and hash(a) == hash(fresh)
+    held = weakref.ref(a)
+    del a, b, fresh
+    px.d1_grid(9, NU, 192)
+    gc.collect()
+    assert held() is None
 
 
 @given(y=small_axis, nu=st.floats(0, 1, exclude_max=True),
@@ -724,6 +739,12 @@ def test_zero_condition_defect_at_computed_zeros():
 
 
 def test_suite_parametrix_all_pass():
-    records = verify.suite_parametrix(prec=192)
+    # its grid reads build five grids, each once: n = 20 at nu = 1/2, then
+    # n = 25, 50, 100 and 200 at nu = 1/4, all at 192 bits
+    px._grids.cache_clear()
+    with counting_grid_builds() as build:
+        records = verify.suite_parametrix(prec=192)
+    assert [(c.args[0], c.args[2]) for c in build.call_args_list] \
+        == [(20, 192), (25, 192), (50, 192), (100, 192), (200, 192)]
     failures = [r for r in records if not r.passed]
     assert not failures, failures

@@ -10,7 +10,8 @@ from oscq import smallnorm as sn
 from oscq import verify
 from oscq.mpfun import round_to, workprec
 
-from conftest import get_k_norm_grid, get_k_norm_reads, get_k_norms
+from conftest import (counting_grid_builds, get_k_norm_grid,
+                      get_k_norm_reads, get_k_norms)
 
 NU = "0.25"
 PREC = 128
@@ -162,12 +163,26 @@ def test_k_norm_bounds_structure():
 def test_one_d1_grid_per_n_nu_prec():
     # a non-dyadic nu rounded at prec before it reaches d1n would key the
     # grid cache apart from d1n's own conversion and build a second grid
-    with mock.patch.object(px, "build_d1_grid",
-                           wraps=px.build_d1_grid) as build:
+    with counting_grid_builds() as build:
         sn.k_norm_bounds(5, "0.3", PREC)
         sn.eta_bound_check(mpf("0.1"), 5, "0.3", PREC)
         px.d1n(mpc(0, "0.1"), 5, "0.3", PREC)
     assert build.call_count == 1
+
+
+def test_smallnorm_op_builds_one_grid_per_degree():
+    # as a smallnorm benchmark op and its check read them: k_norm_bounds
+    # at n = 16 and 32 for one fresh nu, then the kernel moduli at both
+    # degrees; the grids of that (nu, prec) are held until the last read
+    nu, chi = "0.3125", sn.CutoffChi()
+    px._grids.cache_clear()
+    with counting_grid_builds() as build:
+        for n in (16, 32):
+            sn.k_norm_bounds(n, nu, PREC)
+        for n in (16, 32):
+            sn.eta1_modulus("0.01", n, nu, chi, PREC)
+            sn.eta2_modulus("0.01", n, nu, chi, PREC)
+    assert [c.args[0] for c in build.call_args_list] == [16, 32]
 
 
 def test_k_norm_bounds_takes_prec_third():
@@ -201,7 +216,12 @@ def _suite_smallnorm(monkeypatch, n_list=None):
 
 
 def test_suite_smallnorm_all_pass(monkeypatch):
-    records = _suite_smallnorm(monkeypatch)
+    # every grid read of the suite is at (1/4, 128 bits): one grid per
+    # degree, n = 16 and 32
+    px._grids.cache_clear()
+    with counting_grid_builds() as build:
+        records = _suite_smallnorm(monkeypatch)
+    assert sorted(c.args[0] for c in build.call_args_list) == [16, 32]
     failures = [r for r in records if not r.passed]
     assert not failures, failures
 
