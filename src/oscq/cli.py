@@ -44,9 +44,15 @@ def fmt(x, prec: int) -> str:
 
 
 def _atomic_write(path: str, text: str):
+    """Write text to path through a temporary file in its directory and a
+    rename, with the mode a plain open would give (0666 less the umask),
+    not mkstemp's 0600."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".oscq-tmp-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -133,7 +139,17 @@ def _file_path(t: str):
     return t if ok else None
 
 
+def _file_path_with_manifest(t: str):
+    """t where _file_path accepts it and the manifest _emit writes beside
+    it, t + ".manifest.json", is not a directory."""
+    ok = _file_path(t) and not os.path.isdir(t + ".manifest.json")
+    return t if ok else None
+
+
 _OUT = _arg("a file path in an existing directory", _file_path)
+_OUT_WITH_MANIFEST = _arg("a file path in an existing directory, with no "
+                          "directory at its .manifest.json path",
+                          _file_path_with_manifest)
 
 
 def _polynomial(args, parser):
@@ -313,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     pz.add_argument("--allow-long", action="store_true",
                     help=f"permit n beyond the desk ceiling "
                          f"{DESK_N_CEILING}")
-    pz.add_argument("--out", type=_OUT, required=True)
+    pz.add_argument("--out", type=_OUT_WITH_MANIFEST, required=True)
 
     pv = sub.add_parser("verify", help="run a named invariant suite")
     pv.add_argument("--suite", required=True, choices=list(SUITES))
@@ -335,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--prec", type=_BITS_OR_AUTO, default="auto",
                     help=prec_help)
     pa.add_argument("--allow-long", action="store_true")
-    pa.add_argument("--out", type=_OUT, required=True)
+    pa.add_argument("--out", type=_OUT_WITH_MANIFEST, required=True)
     return p
 
 

@@ -6,13 +6,18 @@ Values are mpmath ``mpf`` / ``mpc``; every operation takes an explicit
 working precision in bits and evaluates internally with guard bits before
 rounding down to the requested precision.
 Relative error contract for the gamma functions: <= 2**(-prec+16).
-``besselk_map(nu, prec)`` gives K_nu, relative to K_nu, and
-``besseljy_real`` the triple (J_nu, J_-nu, Y_nu), relative to
-sqrt(J_nu^2 + Y_nu^2), each within 16 units of 2^-prec of mpmath at
-prec + 64 bits over the tested range (prec 64..448, 0 <= nu < 1).
-Below mpmath's asymptotic crossover both sum their +-nu pair of power
-series in Python ints, from one per-(nu, prec) set-up (_pm_core) and one
-per-argument evaluation (_pm_series); above it they call mpmath.
+The two Bessel maps, ``besselk_map(nu, prec)`` for K_nu, relative to
+K_nu, and ``besseljy_map(nu, prec)`` for the triple (J_nu, J_-nu, Y_nu),
+relative to sqrt(J_nu^2 + Y_nu^2), are within 16 units of 2^-prec of
+mpmath at prec + 64 bits over the tested range (prec 64..448,
+0 <= nu < 1); ``besseljy_real(nu, s, prec)`` is the J/Y map at one point.
+Each map does its per-(nu, prec) set-up once, when it is made: nu's
+conversion, the series set-up (_pm_core) and the constants its
+reflection reads.  Below mpmath's asymptotic crossover both sum their
++-nu pair of power series in Python ints, one per-argument evaluation
+(_pm_series); above it they call mpmath.  The D1 grid's log-weight reads
+besselk_map (parametrix._log_k_map) and the small-norm kernels read
+besseljy_map (smallnorm._Kernel).
 
 mpmath rounds on every construction and operation at the ambient context,
 so all argument conversion happens inside the functions' own workprec
@@ -173,9 +178,9 @@ def _pm_core(nu, prec: int) -> _PmCore:
 
 
 def _pm_series(core: _PmCore, x, w: int, alternating: bool, reflect):
-    """reflect(A_-nu, A_nu, c, nu) at the scale W = w, for x > 0: A_-+nu =
-    S_-+ g_-+ (x/2)^-+nu, with S_-+ = sum_k (+-x^2/4)^k / (k! (1-+nu)_k),
-    - if alternating, summed in Python ints."""
+    """reflect(A_-nu, A_nu) at the scale W = w, for x > 0: A_-+nu = S_-+
+    g_-+ (x/2)^-+nu, with S_-+ = sum_k (+-x^2/4)^k / (k! (1-+nu)_k) - if
+    alternating - summed in Python ints."""
     nu = core.nu
     one = 1 << w
     man, exp = man_exp(x)
@@ -186,16 +191,7 @@ def _pm_series(core: _PmCore, x, w: int, alternating: bool, reflect):
     with workprec(w, guard=0):
         p = mp.exp(nu * mp.log(x / 2))           # (x/2)^nu
         return reflect(mpf((s_minus, -w)) * core.g_minus / p,
-                       mpf((s_plus, -w)) * core.g_plus * p, core.c, nu)
-
-
-def _k_reflect(a_minus, a_plus, c, nu):
-    return c * (a_minus - a_plus)
-
-
-def _jy_reflect(j_minus, j_plus, c, nu):     # Y_nu at W, before rounding
-    return j_plus, j_minus, \
-        (j_plus * mp.cospi(nu) - j_minus) * (2 * c / mp.pi)
+                       mpf((s_plus, -w)) * core.g_plus * p)
 
 
 def besselk_map(nu, prec: int):
@@ -216,20 +212,25 @@ def besselk_map(nu, prec: int):
     core = _pm_core(nu, prec) if nu < 1 else None
     edge = prec + ASYMPTOTIC_BITS
 
+    def reflect(i_minus, i_plus):
+        return core.c * (i_minus - i_plus)
+
     def k(x):
         if core is None or 2 * LOG2E * float(x) >= edge:
             with workprec(prec, guard=0):
                 return mp.besselk(nu, x)
         return round_to(_pm_series(
-            core, x, _series_scale(x, prec, core.sin_bits), False,
-            _k_reflect), prec)
+            core, x, _series_scale(x, prec, core.sin_bits), False, reflect),
+            prec)
 
     return k
 
 
-def besseljy_real(nu, s, prec: int):
-    """(J_nu(s), J_-nu(s), Y_nu(s)) for real s > 0, each to about 2^-prec
-    relative to sqrt(J_nu^2 + Y_nu^2) (J has zeros).
+def besseljy_map(nu, prec: int):
+    """The map s -> (J_nu(s), J_-nu(s), Y_nu(s)) for real s > 0, each to
+    about 2^-prec relative to sqrt(J_nu^2 + Y_nu^2) (J has zeros), with
+    what depends only on (nu, prec) done once: nu's conversion and the
+    series set-up with the cos nu pi and 2c/pi of its reflection.
 
     For 0 <= nu < 1 and s below mpmath's asymptotic crossover
     (s log2(e) < prec + ASYMPTOTIC_BITS), both J_+-nu come from their
@@ -249,17 +250,35 @@ def besseljy_real(nu, s, prec: int):
     """
     require_prec(prec)
     with workprec(prec):
-        nu, s = mpf(nu), mpf(s)
-    if s <= 0:
-        raise DomainError("besseljy_real needs s > 0")
-    if not 0 <= nu < 1 or LOG2E * float(s) >= prec + ASYMPTOTIC_BITS:
-        with workprec(prec, guard=0):
-            j_plus, y = mp.besselj(nu, s), mp.bessely(nu, s)
+        nu = mpf(nu)
+    core = _pm_core(nu, prec) if 0 <= nu < 1 else None
+    edge = prec + ASYMPTOTIC_BITS
+    if core is not None:
+        w = prec + core.sin_bits + SERIES_GUARD
+        with workprec(w, guard=0):
+            cos_w, two_c_pi = mp.cospi(core.nu), 2 * core.c / mp.pi
+
+    def reflect(j_minus, j_plus):        # Y_nu at W, before rounding
+        return j_plus, j_minus, (j_plus * cos_w - j_minus) * two_c_pi
+
+    def jy(s):
         with workprec(prec):
-            j_minus = j_plus * mp.cospi(nu) - y * mp.sinpi(nu)
-        return j_plus, round_to(j_minus, prec), y
-    core = _pm_core(nu, prec)
-    j_plus, j_minus, y = _pm_series(
-        core, s, prec + core.sin_bits + SERIES_GUARD, True, _jy_reflect)
-    return (round_to(j_plus, prec), round_to(j_minus, prec),
-            round_to(y, prec))
+            s = mpf(s)
+        if s <= 0:
+            raise DomainError("besseljy_map needs s > 0")
+        if core is None or LOG2E * float(s) >= edge:
+            with workprec(prec, guard=0):
+                j_plus, y = mp.besselj(nu, s), mp.bessely(nu, s)
+            with workprec(prec):
+                j_minus = j_plus * mp.cospi(nu) - y * mp.sinpi(nu)
+            return j_plus, round_to(j_minus, prec), y
+        return tuple(round_to(v, prec)
+                     for v in _pm_series(core, s, w, True, reflect))
+
+    return jy
+
+
+def besseljy_real(nu, s, prec: int):
+    """(J_nu(s), J_-nu(s), Y_nu(s)) for real s > 0: besseljy_map(nu,
+    prec)(s)."""
+    return besseljy_map(nu, prec)(s)

@@ -8,9 +8,14 @@ last (nu, prec) it served, bit-identical to fresh builds) as one
 fixed-point sum at a scale chosen from y; that sum is within
 2^-(prec+64) relative of the mpc sum over the grid's nodes, and D1(-iy) =
 conj D1(iy) bit for bit.  Off the axis d1n runs the tanh-sinh engine,
-which holds 2^-(prec/4) or raises QuadratureError.  The grid's log-weight
-is within 2^-(prec+16) in log W_n of log K_nu by its series at prec + 96
-bits.  The second factor d2 is a closed form.
+which holds 2^-(prec/4) or raises QuadratureError.  Both routes take the
+log-weight log W_n(t) / sqrt(1-t^2) from one core in Python ints
+(_log_weight_core), which the grid stores at its own scale, times the
+node's factor, and the engine reads as an mpf (_k_log_weight); log K_nu
+comes from mpfun.besselk_map, by Taylor tables or a memo where they
+serve (_log_k_map).  The log-weight is within 2^-(prec+16) in log W_n of
+log K_nu by its series at prec + 96 bits.  The second factor d2 is a
+closed form.
 
 The outer and inner evaluators round once: a value is within 2^-(prec-2)
 relative of the same call at prec + 128 bits, and P~_n(-conj z) =
@@ -27,6 +32,7 @@ from operator import add, floordiv, lshift, mul, rshift, sub
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import mpf_mul, round_nearest
 
 from .branches import exterior_beta, sqrt_offcut, sqrt_onecut
 from .equilibrium import epsilon_n, g_at, theta_terms
@@ -96,17 +102,48 @@ def _weight_constants(n: int, nu, prec: int):
         return mpf(nu), n * mp.pi, mp.log(2 * n) / 2
 
 
-def _k_log_weight(n: int, nu, prec: int):
-    """The map t -> log W_n(t) / sqrt(1-t^2) for t in (0,1), W_n being even
-    in t.  nu, n pi and log(2n)/2 are taken once, at prec + 32 bits; the
-    map evaluates at the caller's working precision, which must be
-    prec + 32 bits (workprec(prec)).  log K_nu comes from _log_k_map."""
+def _log_weight_core(n: int, nu, prec: int):
+    """The map (t, scale, factor) -> factor log W_n(t) / sqrt(1-t^2) as an
+    int at the scale 2^scale, floored, for an mpf t in (0,1) held exactly
+    at that scale and factor = (man, exp), W_n being even in t.  It must
+    run at prec + 32 bits (workprec(prec)), where log K_nu is read.
+
+    x = n pi t is rounded to prec + 32 bits, as log K_nu reads it
+    (_log_k_map); the sum log(2n)/2 + log K_nu(x) + x is formed at the
+    scale, 1 - t^2 = (1-t)(1+t) exactly at twice the scale, and its square
+    root by math.isqrt with at least prec + 64 bits, which holds
+    where 1 - t nears 2^-(prec+48); the quotient times the factor is one
+    floor division."""
     nu, npi, half_log2n = _weight_constants(n, nu, prec)
     log_k = _log_k_map(nu, npi, prec)
+    wp, npi, half = prec + 32, npi._mpf_, man_exp(half_log2n)
+    least = 2 * (prec + 65)        # bits of 1 - t^2 for prec + 64 in the root
+
+    def core(t, scale: int, factor) -> int:
+        x = mp.make_mpf(mpf_mul(npi, t._mpf_, wp, round_nearest))
+        one, tf = 1 << scale, to_fixed(*man_exp(t), scale)
+        square = (one - tf) * (one + tf)          # 1 - t^2 at 2 scale
+        g = max(0, least - square.bit_length()) // 2
+        root = math.isqrt(square << 2 * g)        # at scale + g
+        total = (to_fixed(*half, scale) + to_fixed(*man_exp(log_k(x)), scale)
+                 + to_fixed(*man_exp(x), scale)) * factor[0]
+        e = g + scale + factor[1]
+        return (total << e) // root if e >= 0 else total // (root << -e)
+
+    return core
+
+
+def _k_log_weight(n: int, nu, prec: int):
+    """The map t -> log W_n(t) / sqrt(1-t^2) for t in (0,1), rounded to the
+    caller's working precision: _log_weight_core at t's own scale, and at
+    least prec + 64 bits."""
+    core = _log_weight_core(n, nu, prec)
 
     def k(t):
-        x = npi * t
-        return (half_log2n + log_k(x) + x) / mp.sqrt((1 - t) * (1 + t))
+        scale = max(-t._mpf_[2], prec + 64)
+        with workprec(prec):
+            v = core(t, scale, (1, 0))
+        return mpf((v, -scale))
 
     return k
 
@@ -442,21 +479,19 @@ def _grid_nodes(n: int, prec: int):
 
 def build_d1_grid(n: int, nu, prec: int) -> D1Grid:
     """Construct the frozen grid; splits at the weight's character change
-    x* = 1/(n pi) and at the endpoints.  The log-weight is _k_log_weight
-    at each node."""
+    x* = 1/(n pi) and at the endpoints.  The payload is
+    _log_weight_core at each node and its factor, at the grid's scale."""
     require_prec(prec)
     nodes, factors = _grid_nodes(n, prec)
     with workprec(prec, guard=64):
         nu = mpf(nu)
-    k = _k_log_weight(n, nu, prec)
-    with workprec(prec):
-        wk = [k(t) for t in nodes]
-    with workprec(prec, guard=64):
-        wk = [v * c for v, c in zip(wk, factors)]
+    core = _log_weight_core(n, nu, prec)
     scale = -min(t._mpf_[2] for t in nodes)
+    with workprec(prec):
+        wk = tuple(core(t, scale, man_exp(c)) for t, c in zip(nodes, factors))
     return D1Grid(n=n, nu=nu, prec=prec, scale=scale,
                   nodes=tuple(to_fixed(*man_exp(t), scale) for t in nodes),
-                  wk=tuple(to_fixed(*man_exp(v), scale) for v in wk))
+                  wk=wk)
 
 
 @lru_cache(maxsize=1)    # the last (nu, prec) at which a grid was served

@@ -5,11 +5,18 @@ integrals whose decay certifies the local analysis.
 
 The kernels come in mirrored pairs, |j1(iy)| with |j2(-iy)| and
 |eta1(iy)| with |eta2(-iy)|, from one real pass per axis point y > 0
-(_eta_moduli): on the axis D1 and D2 have real closed forms, so each
+(_Kernel): on the axis D1 and D2 have real closed forms, so each
 modulus is one exponential, rounded once, within 2^-(prec-4) relative of
 d1n and d2 composed (verify.eta_moduli_by_parts).  A point where the
 cutoff is 0, its tail below 2^-(prec+1) included, costs the cutoff value
 alone.
+
+What a pass takes from (n, nu, prec) alone is a _Kernel, which
+k_norm_bounds builds once per call: nu, n pi, sqrt(2n) pi, the J/Y map
+mpfun.besseljy_map (the sibling of besselk_map, which the D1 grid's
+log-weight reads) and the D1 grid, whose payload is the log-weight formed
+in Python ints (parametrix._log_weight_core).  The modulus functions
+build one per call, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from .equilibrium import imag_axis_terms, phi_imag_side, re_phi_imag_axis
-from .mpfun import (DomainError, besseljy_real, require_prec, round_to,
-                    workprec)
+from .mpfun import (DomainError, besseljy_map, besseljy_real, require_prec,
+                    round_to, workprec)
 from .parametrix import d1_grid, w_pm_imag
 from .quadrature import quad_ts
 
@@ -67,33 +74,65 @@ def _axis_y(y):
     return y
 
 
-def _axis_parts(y, n: int, nu, prec: int):
-    """(a1, a2, r, L, Re phi) at z = iy, inside workprec(prec): a1 = A
-    |J_-nu| and a2 = A |J_nu| at n pi y, A = 4 / (sqrt(2n) pi (J_nu^2 +
-    Y_nu^2)) (|J_-nu| = |J_nu cos nu pi - Y_nu sin nu pi|, and the 4 fits
-    j1_direct's assembly), and r, L, Re phi from imag_axis_terms."""
-    j_plus, j_minus, y_nu = besseljy_real(nu, n * mp.pi * y, prec + 16)
-    amp = 4 / (mp.sqrt(2 * n) * mp.pi * (j_plus * j_plus + y_nu * y_nu))
-    return (amp * abs(j_minus), amp * abs(j_plus), *imag_axis_terms(y))
+class _Kernel:
+    """What the kernels at (n, nu, prec) take from (n, nu, prec) alone,
+    formed once: nu, n pi and sqrt(2n) pi at prec + 32 bits, the J/Y map
+    besseljy_map(nu, prec + 16) and, for the eta kernels, the D1 grid
+    (d1_grid(n, nu, prec), fetched by the caller for its own nu)."""
 
+    def __init__(self, n: int, nu, prec: int, grid=None):
+        with workprec(prec):
+            self.nu, self.npi = mpf(nu), n * mp.pi
+            self.root = mp.sqrt(2 * n) * mp.pi
+        self.n, self.prec, self.grid = n, prec, grid
+        self.jy = besseljy_map(self.nu, prec + 16)
 
-def _j_moduli(y, n: int, nu, prec: int):
-    """(|j1(iy)|, |j2(-iy)|) = (a1, a2) e^(-2n Re phi), see _axis_parts."""
-    with workprec(prec):
-        a1, a2, _, _, re_phi = _axis_parts(_axis_y(y), n, mpf(nu), prec)
-        decay = mp.exp(-2 * n * re_phi)
-        v1, v2 = a1 * decay, a2 * decay
-    return round_to(v1, prec), round_to(v2, prec)
+    def parts(self, y):
+        """(a1, a2, r, L, Re phi) at z = iy, inside workprec(prec): a1 = A
+        |J_-nu| and a2 = A |J_nu| at n pi y, A = 4 / (sqrt(2n) pi (J_nu^2 +
+        Y_nu^2)) (|J_-nu| = |J_nu cos nu pi - Y_nu sin nu pi|, and the 4
+        fits j1_direct's assembly), and r, L, Re phi from
+        imag_axis_terms."""
+        j_plus, j_minus, y_nu = self.jy(self.npi * y)
+        amp = 4 / (self.root * (j_plus * j_plus + y_nu * y_nu))
+        return (amp * abs(j_minus), amp * abs(j_plus), *imag_axis_terms(y))
+
+    def j_moduli(self, y):
+        """(|j1(iy)|, |j2(-iy)|) = (a1, a2) e^(-2n Re phi), see parts."""
+        with workprec(self.prec):
+            a1, a2, _, _, re_phi = self.parts(_axis_y(y))
+            decay = mp.exp(-2 * self.n * re_phi)
+            v1, v2 = a1 * decay, a2 * decay
+        return round_to(v1, self.prec), round_to(v2, self.prec)
+
+    def eta_moduli(self, y, chi: CutoffChi):
+        """(|eta1(iy)|, |eta2(-iy)|) = |j| chi |D1 D2|^2 at iy and -iy.
+        The grid's read is cauchy(iy) = 2iy S, S real, so |D1(+-iy)|^2 =
+        e^(-r Im cauchy/pi); D2(iy) = (y/(1+r))^(nu/2), so |D2(+-iy)|^2 =
+        e^(-+nu L).  Each modulus is a chi e^(E -+ nu L), with E = -2n Re
+        phi - r Im cauchy/pi (parts)."""
+        prec, nu = self.prec, self.nu
+        c = chi(y, prec)
+        if c == 0:
+            return mpf(0), mpf(0)
+        with workprec(prec):
+            y = _axis_y(y)
+            a1, a2, r, big_l, re_phi = self.parts(y)
+            e = (-2 * self.n * re_phi
+                 - r * self.grid.cauchy(mpc(0, y)).imag / mp.pi)
+            v1 = a1 * c * mp.exp(e - nu * big_l)
+            v2 = a2 * c * mp.exp(e + nu * big_l)
+        return round_to(v1, prec), round_to(v2, prec)
 
 
 def j1_modulus(y, n: int, nu, prec: int):
-    """|j1(iy)|, see _j_moduli."""
-    return _j_moduli(y, n, nu, prec)[0]
+    """|j1(iy)|, see _Kernel.j_moduli."""
+    return _Kernel(n, nu, prec).j_moduli(y)[0]
 
 
 def j2_modulus(y, n: int, nu, prec: int):
-    """|j2(-iy)|, see _j_moduli."""
-    return _j_moduli(y, n, nu, prec)[1]
+    """|j2(-iy)|, see _Kernel.j_moduli."""
+    return _Kernel(n, nu, prec).j_moduli(y)[1]
 
 
 def _j_jump(s, n: int, nu, prec: int):
@@ -145,33 +184,14 @@ def bessel_ratio_bounds_check(s, nu, prec: int):
             "lhs2": round_to(lhs2, prec), "rhs2": round_to(rhs2, prec)}
 
 
-def _eta_moduli(y, nu, chi: CutoffChi, grid):
-    """(|eta1(iy)|, |eta2(-iy)|) = |j| chi |D1 D2|^2 at iy and -iy, grid
-    being d1_grid(n, nu, prec).  Its read is cauchy(iy) = 2iy S, S real,
-    so |D1(+-iy)|^2 = e^(-r Im cauchy/pi); D2(iy) = (y/(1+r))^(nu/2), so
-    |D2(+-iy)|^2 = e^(-+nu L).  Each modulus is a chi e^(E -+ nu L), with
-    E = -2n Re phi - r Im cauchy/pi (_axis_parts)."""
-    n, prec = grid.n, grid.prec
-    c = chi(y, prec)
-    if c == 0:
-        return mpf(0), mpf(0)
-    with workprec(prec):
-        y, nu = _axis_y(y), mpf(nu)
-        a1, a2, r, big_l, re_phi = _axis_parts(y, n, nu, prec)
-        e = -2 * n * re_phi - r * grid.cauchy(mpc(0, y)).imag / mp.pi
-        v1 = a1 * c * mp.exp(e - nu * big_l)
-        v2 = a2 * c * mp.exp(e + nu * big_l)
-    return round_to(v1, prec), round_to(v2, prec)
-
-
 def eta1_modulus(y, n: int, nu, chi: CutoffChi, prec: int):
-    """|eta1(iy)| on the positive imaginary axis, see _eta_moduli."""
-    return _eta_moduli(y, nu, chi, d1_grid(n, nu, prec))[0]
+    """|eta1(iy)| on the positive imaginary axis, see _Kernel.eta_moduli."""
+    return _Kernel(n, nu, prec, d1_grid(n, nu, prec)).eta_moduli(y, chi)[0]
 
 
 def eta2_modulus(y, n: int, nu, chi: CutoffChi, prec: int):
     """|eta2(-iy)| on the negative imaginary axis (y > 0)."""
-    return _eta_moduli(y, nu, chi, d1_grid(n, nu, prec))[1]
+    return _Kernel(n, nu, prec, d1_grid(n, nu, prec)).eta_moduli(y, chi)[1]
 
 
 def eta_bound_check(y, n: int, nu, prec: int):
@@ -183,7 +203,8 @@ def eta_bound_check(y, n: int, nu, prec: int):
         if not 0 < y <= RHO_DEFAULT:
             raise DomainError("y must lie in (0, rho]")
         # the caller's nu, so D1 reads the grid cached under its key
-        e1, e2 = _eta_moduli(y, nu, CutoffChi(), d1_grid(n, nu, prec))
+        e1, e2 = _Kernel(n, nu, prec, d1_grid(n, nu, prec)).eta_moduli(
+            y, CutoffChi())
         nu = mpf(nu)
         decay = mp.exp(-2 * n * re_phi_imag_axis(y, prec + 16))
         b1 = y ** nu * decay
@@ -210,12 +231,13 @@ def k_norm_bounds(n: int, nu, prec: int):
         peak = mpf(1) / (n * max(1, mp.log(n)))
         points = sorted({mpf(0), +peak, +min(4 * peak, hi), hi})
         # node y -> both moduli; the two integrals share nodes and one
-        # grid, fetched for the caller's nu, the key it is cached under
-        grid, pairs = d1_grid(n, nu, prec), {}
+        # kernel, whose grid is fetched for the caller's nu, the key it is
+        # cached under
+        kernel, pairs = _Kernel(n, nu, prec, d1_grid(n, nu, prec)), {}
         for key, side in (("k1_bound", 0), ("k2_bound", 1)):
             def f(y):
                 if y not in pairs:
-                    pairs[y] = _eta_moduli(y, nu, chi, grid)
+                    pairs[y] = kernel.eta_moduli(y, chi)
                 e = pairs[y][side]
                 return e * e / y
 

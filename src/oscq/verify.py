@@ -289,7 +289,7 @@ def eta_moduli_by_parts(y, n: int, nu, chi, prec: int):
         y = mpf(y)
         c = chi(y, prec)
         out = []
-        for j, z in zip(sn._j_moduli(y, n, nu, prec),
+        for j, z in zip(sn._Kernel(n, nu, prec).j_moduli(y),
                         (mpc(0, y), mpc(0, -y))):
             v = j * c * abs(px.d1n(z, n, nu, prec) * px.d2(z, nu, prec)) ** 2
             out.append(round_to(v, prec))

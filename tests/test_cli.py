@@ -1,7 +1,9 @@
 import cmath
 import csv
 import json
+import os
 import random
+import stat
 import subprocess
 import sys
 from unittest import mock
@@ -266,6 +268,43 @@ def test_unwritable_out_is_refused_before_the_work(tmp_path, capsys, command,
         "directory" in err
     assert "Traceback" not in err
     assert [p.name for p in tmp_path.rglob("*")] == ["adir"]
+
+
+@pytest.mark.parametrize("command", [
+    ("zeros", "--nu", "0.25", "--n", "8"),
+    ("asymptotics", "--nu", "0.25", "--n", "8", "--regime", "outer"),
+], ids=lambda c: c[0])
+def test_manifest_path_that_is_a_directory_is_refused_before_the_work(
+        tmp_path, capsys, command):
+    # the manifest goes beside the CSV, at --out + ".manifest.json"; a
+    # directory there is a usage error when the arguments are parsed, so
+    # no CSV is written before the manifest fails
+    (tmp_path / "y.csv.manifest.json").mkdir()
+    work = mock.Mock(side_effect=AssertionError("the work began"))
+    with mock.patch.object(cli, "monic_op", work):
+        code, err = _in_process(
+            [*command, "--out", str(tmp_path / "y.csv")], capsys)
+    assert code == 2, err
+    assert "error: argument --out: expected a file path in an existing " \
+        "directory, with no directory at its .manifest.json path" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["y.csv.manifest.json"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_honour_the_umask(tmp_path, capsys, umask, mode):
+    # the CSV and its manifest get 0666 less the umask, as a plain open
+    # would give them, not the 0600 of the temporary file they replace
+    old = os.umask(umask)
+    try:
+        code, err = _in_process(["zeros", "--nu", "0.25", "--n", "4",
+                                 "--out", str(tmp_path / "z.csv")], capsys)
+    finally:
+        os.umask(old)
+    assert code == 0, err
+    assert {p.name: stat.S_IMODE(p.stat().st_mode)
+            for p in tmp_path.iterdir()} \
+        == {"z.csv": mode, "z.csv.manifest.json": mode}
 
 
 @pytest.mark.parametrize("delta, code", [(BELOW_ZERO, 2), ("0", 0)])

@@ -7,7 +7,7 @@ engine, directly or through another oscq module.  The mpc recurrence of
 `MonicPolynomial` is an oracle: outside `moments`, which defines it, and
 `verify`, no library module evaluates by it, and polynomial values come
 from the root finder's fixed-point recurrence.  Likewise mpmath's J and Y are
-oracles for `mpfun.besseljy_real`, the one route of the small-norm kernels
+oracles for `mpfun.besseljy_map`, the one route of the small-norm kernels
 to them, and the general complex routes `parametrix.d1n` and `d2` are
 oracles for the kernels' one real pass on the imaginary axis.  The root
 finder's fixed-point frame is `zeros`' own: every other reader takes its

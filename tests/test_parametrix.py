@@ -4,7 +4,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -12,8 +12,8 @@ from oscq import equilibrium as eq
 from oscq import parametrix as px
 from oscq import verify
 from oscq.branches import exterior_beta, sqrt_offcut
-from oscq.mpfun import (DomainError, besselk_map, man_exp, round_to,
-                        to_fixed, workprec)
+from oscq.mpfun import (ASYMPTOTIC_BITS, LOG2E, DomainError, besselk_map,
+                        man_exp, round_to, to_fixed, workprec)
 from oscq.quadrature import QuadratureError
 from oscq.smallnorm import EPS_DEFAULT
 
@@ -109,22 +109,25 @@ def test_d1n_off_axis_is_the_engine():
             grid.cauchy(z)
 
 
-def _per_node_payload(n, nu, prec):
-    """(scale, nodes, wk) of the D1 grid formed node by node with
-    _k_log_weight, on the build's own nodes and factors, with no log K_nu
-    value held from an earlier map."""
+def _per_node_payload(grid):
+    """The grid's (scale, nodes, wk) as the per-node map gives them: the
+    nodes and scale from the build's own nodes, and wk by
+    _log_weight_core with no log K_nu value held from an earlier map, at
+    the x <= 1 nodes, the only ones whose log K_nu a build may read from
+    _log_k_memo (every other node takes one route in both)."""
     px._log_k_memo.cache_clear()
+    n, prec = grid.n, grid.prec
     nodes, factors = px._grid_nodes(n, prec)
-    with workprec(prec, guard=64):
-        nu = mpf(nu)
-    k = px._k_log_weight(n, nu, prec)
-    with workprec(prec):
-        wk = [k(t) for t in nodes]
-    with workprec(prec, guard=64):
-        wk = [v * c for v, c in zip(wk, factors)]
+    _, npi, _ = px._weight_constants(n, grid.nu, prec)
+    core = px._log_weight_core(n, grid.nu, prec)
     scale = -min(t._mpf_[2] for t in nodes)
+    wk = list(grid.wk)
+    with workprec(prec):
+        for i, (t, c) in enumerate(zip(nodes, factors)):
+            if npi * t <= 1:
+                wk[i] = core(t, scale, man_exp(c))
     return (scale, tuple(to_fixed(*man_exp(t), scale) for t in nodes),
-            tuple(to_fixed(*man_exp(v), scale) for v in wk))
+            tuple(wk))
 
 
 # one build sequence: n = 32 after 16 reads the held x <= 1 values and
@@ -145,7 +148,7 @@ def test_d1_grid_pass_is_the_per_node_map():
     for n, nu, prec in D1_PASS_CASES:
         grid = px.build_d1_grid(n, nu, prec)
         assert (grid.scale, grid.nodes, grid.wk) \
-            == _per_node_payload(n, nu, prec), (n, nu, prec)
+            == _per_node_payload(grid), (n, nu, prec)
 
 
 def _grid_xs(n, nu, prec):
@@ -245,6 +248,55 @@ def test_k_log_weight_taylor_matches_series(n, prec):
                     assert abs(got * mp.sqrt((1 - t) * (1 + t)) - ref) \
                         <= mpf(2) ** -(prec + 16), (n, nu, prec, x)
         assert covered > len(nodes) // 4, (n, nu, prec)
+
+
+def _nodes_by_route(n, nu, prec):
+    """{route: [(x, t)]} over the grid's nodes, by the route of log K_nu
+    at x = n pi t (_log_k_map): the x <= 1 memo, the Taylor tables, the
+    series of besselk_map and mp.besselk."""
+    nodes, _ = px._grid_nodes(n, prec)
+    nu_c, npi, _ = px._weight_constants(n, nu, prec)
+    tables = [px._log_k_taylor(x0, nu_c, prec) for x0 in (mpf(1), npi)]
+    out = {"memo": [], "table": [], "series": [], "mpmath": []}
+    with workprec(prec):
+        for t in nodes:
+            x = npi * t
+            if x <= 1:
+                route = "memo"
+            elif any(tab.lo < x <= tab.hi for tab in tables):
+                route = "table"
+            elif 2 * LOG2E * float(x) < prec + 32 + ASYMPTOTIC_BITS:
+                route = "series"
+            else:
+                route = "mpmath"
+            out[route].append((x, t))
+    return out
+
+
+@given(n=st.sampled_from((2, 16, 64, 128, 200)),
+       nu=st.one_of(st.sampled_from(("0", "0.999999")),
+                    st.integers(0, 999999).map(lambda k: f"{k / 1e6:.6f}")),
+       prec=st.sampled_from((128, 192, 300)),
+       route=st.sampled_from(("memo", "table", "series", "mpmath")),
+       u=st.floats(0, 1, exclude_max=True))
+def test_log_weight_core_matches_series_at_every_route(n, nu, prec, route,
+                                                       u):
+    # the int core at a grid node of each route of log K_nu is within
+    # 2^-(prec+16) in log W_n of log K_nu by besselk_map at prec + 96
+    # bits, at the same x = n pi t
+    xts = _nodes_by_route(n, nu, prec)[route]
+    assume(xts)
+    x, t = xts[int(u * len(xts))]
+    scale = -t._mpf_[2]
+    core = px._log_weight_core(n, nu, prec)
+    with workprec(prec):
+        got = core(t, scale, (1, 0))
+    nu_c = px._weight_constants(n, nu, prec)[0]
+    with workprec(2 * prec):
+        ref = (mp.log(2 * n) / 2 + mp.log(besselk_map(nu_c, prec + 96)(x))
+               + x)
+        got = mpf((got, -scale)) * mp.sqrt((1 - t) * (1 + t))
+        assert abs(got - ref) <= mpf(2) ** -(prec + 16), (x, got, ref)
 
 
 def test_d1n_schwarz_reflection_on_axis_bitwise():

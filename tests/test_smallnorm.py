@@ -185,6 +185,27 @@ def test_smallnorm_op_builds_one_grid_per_degree():
     assert [c.args[0] for c in build.call_args_list] == [16, 32]
 
 
+def test_k_norm_kernel_gives_the_modulus_functions_bitwise():
+    # the one kernel k_norm_bounds builds per call (its J/Y map and grid
+    # taken once) gives, at every node it evaluates, the moduli of
+    # eta1_modulus and eta2_modulus, which build a kernel per call
+    seen = {}
+
+    class Recording(sn._Kernel):
+        def eta_moduli(self, y, chi):
+            seen[y] = v = super().eta_moduli(y, chi)
+            return v
+
+    with mock.patch.object(sn, "_Kernel", Recording):
+        sn.k_norm_bounds(16, NU, PREC)
+    chi = sn.CutoffChi()
+    assert any(e1 != 0 for e1, _ in seen.values())
+    for y, (e1, e2) in seen.items():
+        assert (e1._mpf_, e2._mpf_) == (
+            sn.eta1_modulus(y, 16, NU, chi, PREC)._mpf_,
+            sn.eta2_modulus(y, 16, NU, chi, PREC)._mpf_), y
+
+
 def test_k_norm_bounds_takes_prec_third():
     # the positional call the README quotes is the keyword call
     pos = sn.k_norm_bounds(16, "0.25", 128)
@@ -281,7 +302,8 @@ def test_eta_moduli_elementary_case_nu_half(n, u):
     chi, prec = sn.CutoffChi(), PREC
     with workprec(prec):
         y = _log_uniform_y(mpf(2) ** -8, u)
-    got = sn._eta_moduli(y, "0.5", chi, get_k_norm_grid(n, "0.5", prec))
+    got = sn._Kernel(n, "0.5", prec,
+                     get_k_norm_grid(n, "0.5", prec)).eta_moduli(y, chi)
     with workprec(2 * prec):
         r = mp.sqrt(1 + y * y)
         s = n * mp.pi * y
