@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import io
 import json
 import math
@@ -29,7 +28,7 @@ from .moments import (IndeterminateHankelError, SolverError, monic_op,
                       rescale_to_tilde)
 from .mpfun import MIN_PREC, DomainError, workprec
 from .smallnorm import CHI_PROFILE, EPS_DEFAULT, RHO_DEFAULT
-from .verify import SUITE_MIN_N, SUITES, run_suite
+from .verify import SUITES, SuiteArgumentError, run_suite
 from .zeros import (find_zeros, fixed_eval_with_deriv, gauss_int, root_scale,
                     zero_line_stats)
 
@@ -152,16 +151,6 @@ _OUT_WITH_MANIFEST = _arg("a file path in an existing directory, with no "
                           _file_path_with_manifest)
 
 
-def _polynomial(args, parser):
-    """(P_n, P~_n) for the command's n, nu and prec; past the desk-scale
-    ceiling without --allow-long, a usage error (exit 2)."""
-    if args.n > DESK_N_CEILING and not args.allow_long:
-        parser.error(f"n={args.n} exceeds the desk-scale ceiling "
-                     f"{DESK_N_CEILING}; pass --allow-long to proceed")
-    poly = monic_op(args.n, args.nu, args.prec)
-    return poly, rescale_to_tilde(poly)
-
-
 def _zero_line_summary(zs, args):
     """The zero-line statistics of the manifest; None at n = 1, where the
     error scale epsilon_n is undefined (log 1 = 0).  Above the proven
@@ -183,8 +172,8 @@ def _zero_line_summary(zs, args):
 
 def cmd_zeros(args, parser) -> int:
     t0 = time.time()
-    poly, tilde = _polynomial(args, parser)
-    zs = find_zeros(tilde)
+    poly = monic_op(args.n, args.nu, args.prec)
+    zs = find_zeros(rescale_to_tilde(poly))
     prec = zs.prec
     rows = []
     with workprec(prec):
@@ -211,20 +200,12 @@ def cmd_zeros(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     t0 = time.time()
-    low, count = SUITE_MIN_N.get(args.suite, (None, None))
-    if args.n_list is not None and low is None:
-        parser.error(f"argument --n-list: suite {args.suite} reads no "
-                     f"degree list")
-    if args.nu is not None and \
-            "nu" not in inspect.signature(SUITES[args.suite]).parameters:
-        parser.error(f"argument --nu: suite {args.suite} reads no nu")
-    if args.n_list and (min(args.n_list) < low
-                        or len(set(args.n_list)) < count):
-        parser.error(f"argument --n-list: suite {args.suite} needs {count} "
-                     f"or more distinct degrees n >= {low}")
     kwargs = {k: v for k in ("nu", "n_list", "prec")
               if (v := getattr(args, k)) is not None}
-    records = run_suite(args.suite, **kwargs)
+    try:
+        records = run_suite(args.suite, **kwargs)
+    except SuiteArgumentError as exc:
+        parser.error(f"argument --{exc.argument.replace('_', '-')}: {exc}")
     passed = all(r.passed for r in records)
     report = {
         "suite": args.suite,
@@ -271,28 +252,31 @@ def _read_points(source: str, parser):
 def cmd_asymptotics(args, parser) -> int:
     t0 = time.time()
     raw = None if args.points == "grid" else _read_points(args.points, parser)
-    poly, tilde = _polynomial(args, parser)
-    prec = tilde.prec
-    # P~_n by the root finder's recurrence at its scale; with prec + 32 bits
-    # and |z| >= px.EXCLUSION_RADIUS, only a coordinate below 2^-64 is cut,
-    # by <= 2^-scale
-    scale = root_scale(prec)
-    pair = fixed_eval_with_deriv(tilde.recurrence, scale)
+    prec = args.prec
     with workprec(prec):
         if raw is None:
             grid = _OUTER_GRID if args.regime == "outer" else _INNER_GRID
             points = [mp.mpmathify(t.replace("i", "j")) for t in grid]
         else:
             points = [mpc(mpf(re_), mpf(im_)) for re_, im_ in raw]
+    # every prediction first: an out-of-domain point is refused before work
     predict = px.outer_eval if args.regime == "outer" else px.inner_eval
-    rows = []
+    preds = []
     for z in points:
         try:
-            pred = predict(z, args.n, args.nu, prec)
+            preds.append(predict(z, args.n, args.nu, prec))
         except DomainError as exc:
             print(f"point {z} outside {args.regime} domain: {exc}",
                   file=sys.stderr)
             return 4
+    poly = monic_op(args.n, args.nu, prec)
+    # P~_n by the root finder's recurrence at its scale; with prec + 32 bits
+    # and |z| >= px.EXCLUSION_RADIUS, only a coordinate below 2^-64 is cut,
+    # by <= 2^-scale
+    scale = root_scale(prec)
+    pair = fixed_eval_with_deriv(rescale_to_tilde(poly).recurrence, scale)
+    rows = []
+    for z, pred in zip(points, preds):
         pr, pi, *_, e = pair(*gauss_int(z, scale))
         with workprec(prec):
             actual = mpc(mpf((pr, e - scale)), mpf((pi, e - scale)))
@@ -317,47 +301,49 @@ def build_parser() -> argparse.ArgumentParser:
                     "quadrature for the oscillatory Bessel weight.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    pz = sub.add_parser("zeros", help="compute polynomial zeros (both "
-                                      "frames) to CSV + manifest")
-    pz.add_argument("--nu", type=_NU, required=True)
+    # the arguments zeros and asymptotics share
+    csv_command = argparse.ArgumentParser(add_help=False)
+    csv_command.add_argument("--nu", type=_NU, required=True)
+    csv_command.add_argument("--prec", type=_BITS_OR_AUTO, default="auto",
+                             help="'auto' (256 bits) or bits")
+    csv_command.add_argument("--allow-long", action="store_true",
+                             help=f"permit n beyond the desk ceiling "
+                                  f"{DESK_N_CEILING}")
+    csv_command.add_argument("--out", type=_OUT_WITH_MANIFEST, required=True)
+
+    pz = sub.add_parser("zeros", parents=[csv_command],
+                        help="compute polynomial zeros (both frames) to "
+                             "CSV + manifest")
     pz.add_argument("--n", type=_int_from(1), required=True)
-    prec_help = "'auto' (256 bits) or bits"
-    pz.add_argument("--prec", type=_BITS_OR_AUTO, default="auto",
-                    help=prec_help)
     pz.add_argument("--delta", type=_RADIUS, default="0.2",
                     help="disk-exclusion radius for zero-line stats")
-    pz.add_argument("--allow-long", action="store_true",
-                    help=f"permit n beyond the desk ceiling "
-                         f"{DESK_N_CEILING}")
-    pz.add_argument("--out", type=_OUT_WITH_MANIFEST, required=True)
 
     pv = sub.add_parser("verify", help="run a named invariant suite")
     pv.add_argument("--suite", required=True, choices=list(SUITES))
     pv.add_argument("--nu", type=_NU)
-    pv.add_argument("--n-list", dest="n_list", type=_N_LIST,
+    pv.add_argument("--n-list", type=_N_LIST,
                     help="e.g. '1..10' or '16,32,64'")
     pv.add_argument("--prec", type=_BITS)
     pv.add_argument("--out", type=_OUT)
 
-    pa = sub.add_parser("asymptotics",
+    pa = sub.add_parser("asymptotics", parents=[csv_command],
                         help="compare polynomial values against the "
                              "asymptotic formulas")
-    pa.add_argument("--nu", type=_NU, required=True)
     # the error scale epsilon_n needs n >= 2
     pa.add_argument("--n", type=_int_from(2), required=True)
     pa.add_argument("--points", default="grid",
                     help="'grid' or a CSV file with z_re,z_im columns")
     pa.add_argument("--regime", required=True, choices=["outer", "inner"])
-    pa.add_argument("--prec", type=_BITS_OR_AUTO, default="auto",
-                    help=prec_help)
-    pa.add_argument("--allow-long", action="store_true")
-    pa.add_argument("--out", type=_OUT_WITH_MANIFEST, required=True)
     return p
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command != "verify" and args.n > DESK_N_CEILING \
+            and not args.allow_long:
+        parser.error(f"n={args.n} exceeds the desk-scale ceiling "
+                     f"{DESK_N_CEILING}; pass --allow-long to proceed")
     handler = {"zeros": cmd_zeros, "verify": cmd_verify,
                "asymptotics": cmd_asymptotics}[args.command]
     try:

@@ -131,19 +131,6 @@ def _series_scale(x, prec: int, sin_bits: int) -> int:
     return prec + int(2 * LOG2E * float(x)) + 1 + sin_bits + SERIES_GUARD
 
 
-@lru_cache(maxsize=32)
-def _series_constants(nu, prec: int):
-    """(pi/(2 sin nu pi), 1/Gamma(1-nu), 1/Gamma(1+nu), bits lost to
-    1/sin nu pi) for 0 < nu < 1, at the widest scale W of a series call
-    at (nu, prec)."""
-    with workprec(prec):
-        sin_bits = max(0, -mp.mag(mp.sinpi(nu)))
-    widest = 2 * prec + ASYMPTOTIC_BITS + sin_bits + SERIES_GUARD
-    with workprec(widest):
-        return (mp.pi / (2 * mp.sinpi(nu)), mp.rgamma(1 - nu),
-                mp.rgamma(1 + nu), sin_bits)
-
-
 def _series(q: int, b: int, one: int, alternating: bool) -> int:
     """sum_k (-+q)^k / (k! (b)_k) with q, b > 0 and the result at scale
     one; the terms are held as magnitudes, so each truncates toward
@@ -162,19 +149,25 @@ class _PmCore(NamedTuple):
     """The per-(nu, prec) part of the +-nu series pair (see _pm_core)."""
     nu: mpf
     nu_man_exp: tuple     # nu's (mantissa, exponent), for its fixed image
-    c: mpf
-    g_minus: mpf
-    g_plus: mpf
-    sin_bits: int
+    c: mpf                # pi/(2 sin nu pi)
+    g_minus: mpf          # 1/Gamma(1-nu)
+    g_plus: mpf           # 1/Gamma(1+nu)
+    sin_bits: int         # bits lost to 1/sin nu pi
 
 
+@lru_cache(maxsize=32)
 def _pm_core(nu, prec: int) -> _PmCore:
     """Set-up of the +-nu series pair for 0 <= nu < 1 at prec: nu = 0 is
-    taken as 2^-(prec+32), and c, g_-+, sin_bits are those of
-    _series_constants."""
+    taken as 2^-(prec+32), and c, g_-+ are formed at the widest scale W
+    of a series call at (nu, prec)."""
     if nu == 0:
         nu = mpf(2) ** -(prec + 32)
-    return _PmCore(nu, man_exp(nu), *_series_constants(nu, prec))
+    with workprec(prec):
+        sin_bits = max(0, -mp.mag(mp.sinpi(nu)))
+    widest = 2 * prec + ASYMPTOTIC_BITS + sin_bits + SERIES_GUARD
+    with workprec(widest):
+        return _PmCore(nu, man_exp(nu), mp.pi / (2 * mp.sinpi(nu)),
+                       mp.rgamma(1 - nu), mp.rgamma(1 + nu), sin_bits)
 
 
 def _pm_series(core: _PmCore, x, w: int, alternating: bool, reflect):
@@ -229,8 +222,9 @@ def besselk_map(nu, prec: int):
 def besseljy_map(nu, prec: int):
     """The map s -> (J_nu(s), J_-nu(s), Y_nu(s)) for real s > 0, each to
     about 2^-prec relative to sqrt(J_nu^2 + Y_nu^2) (J has zeros), with
-    what depends only on (nu, prec) done once: nu's conversion and the
-    series set-up with the cos nu pi and 2c/pi of its reflection.
+    what depends only on (nu, prec) done once: nu's conversion, the
+    series set-up with the cos nu pi and 2c/pi of its reflection, and the
+    cos nu pi and sin nu pi of the mpmath route.
 
     For 0 <= nu < 1 and s below mpmath's asymptotic crossover
     (s log2(e) < prec + ASYMPTOTIC_BITS), both J_+-nu come from their
@@ -251,6 +245,7 @@ def besseljy_map(nu, prec: int):
     require_prec(prec)
     with workprec(prec):
         nu = mpf(nu)
+        cos_nu, sin_nu = mp.cospi(nu), mp.sinpi(nu)
     core = _pm_core(nu, prec) if 0 <= nu < 1 else None
     edge = prec + ASYMPTOTIC_BITS
     if core is not None:
@@ -270,7 +265,7 @@ def besseljy_map(nu, prec: int):
             with workprec(prec, guard=0):
                 j_plus, y = mp.besselj(nu, s), mp.bessely(nu, s)
             with workprec(prec):
-                j_minus = j_plus * mp.cospi(nu) - y * mp.sinpi(nu)
+                j_minus = j_plus * cos_nu - y * sin_nu
             return j_plus, round_to(j_minus, prec), y
         return tuple(round_to(v, prec)
                      for v in _pm_series(core, s, w, True, reflect))

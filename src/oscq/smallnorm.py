@@ -12,16 +12,14 @@ cutoff is 0, its tail below 2^-(prec+1) included, costs the cutoff value
 alone.
 
 What a pass takes from (n, nu, prec) alone is a _Kernel, which
-k_norm_bounds builds once per call: nu, n pi, sqrt(2n) pi, the J/Y map
-mpfun.besseljy_map (the sibling of besselk_map, which the D1 grid's
-log-weight reads) and the D1 grid, whose payload is the log-weight formed
-in Python ints (parametrix._log_weight_core).  The modulus functions
-build one per call, so both give the same bits.
+k_norm_bounds builds once per call and the modulus functions once per
+value, so both give the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from mpmath import mp, mpc, mpf
 
@@ -77,15 +75,20 @@ def _axis_y(y):
 class _Kernel:
     """What the kernels at (n, nu, prec) take from (n, nu, prec) alone,
     formed once: nu, n pi and sqrt(2n) pi at prec + 32 bits, the J/Y map
-    besseljy_map(nu, prec + 16) and, for the eta kernels, the D1 grid
-    (d1_grid(n, nu, prec), fetched by the caller for its own nu)."""
+    besseljy_map(nu, prec + 16) (the sibling of the besselk_map that the
+    D1 grid's log-weight reads) and, at the first eta read, the grid."""
 
-    def __init__(self, n: int, nu, prec: int, grid=None):
+    def __init__(self, n: int, nu, prec: int):
         with workprec(prec):
             self.nu, self.npi = mpf(nu), n * mp.pi
             self.root = mp.sqrt(2 * n) * mp.pi
-        self.n, self.prec, self.grid = n, prec, grid
+        self.n, self.prec, self.nu_given = n, prec, nu
         self.jy = besseljy_map(self.nu, prec + 16)
+
+    @cached_property
+    def grid(self):
+        """d1_grid at the caller's nu as given, the key d1n reads."""
+        return d1_grid(self.n, self.nu_given, self.prec)
 
     def parts(self, y):
         """(a1, a2, r, L, Re phi) at z = iy, inside workprec(prec): a1 = A
@@ -186,12 +189,12 @@ def bessel_ratio_bounds_check(s, nu, prec: int):
 
 def eta1_modulus(y, n: int, nu, chi: CutoffChi, prec: int):
     """|eta1(iy)| on the positive imaginary axis, see _Kernel.eta_moduli."""
-    return _Kernel(n, nu, prec, d1_grid(n, nu, prec)).eta_moduli(y, chi)[0]
+    return _Kernel(n, nu, prec).eta_moduli(y, chi)[0]
 
 
 def eta2_modulus(y, n: int, nu, chi: CutoffChi, prec: int):
     """|eta2(-iy)| on the negative imaginary axis (y > 0)."""
-    return _Kernel(n, nu, prec, d1_grid(n, nu, prec)).eta_moduli(y, chi)[1]
+    return _Kernel(n, nu, prec).eta_moduli(y, chi)[1]
 
 
 def eta_bound_check(y, n: int, nu, prec: int):
@@ -202,9 +205,7 @@ def eta_bound_check(y, n: int, nu, prec: int):
         y = mpf(y)
         if not 0 < y <= RHO_DEFAULT:
             raise DomainError("y must lie in (0, rho]")
-        # the caller's nu, so D1 reads the grid cached under its key
-        e1, e2 = _Kernel(n, nu, prec, d1_grid(n, nu, prec)).eta_moduli(
-            y, CutoffChi())
+        e1, e2 = _Kernel(n, nu, prec).eta_moduli(y, CutoffChi())
         nu = mpf(nu)
         decay = mp.exp(-2 * n * re_phi_imag_axis(y, prec + 16))
         b1 = y ** nu * decay
@@ -230,10 +231,8 @@ def k_norm_bounds(n: int, nu, prec: int):
         # integrand peaks near 1/(n log n); give the quadrature that split
         peak = mpf(1) / (n * max(1, mp.log(n)))
         points = sorted({mpf(0), +peak, +min(4 * peak, hi), hi})
-        # node y -> both moduli; the two integrals share nodes and one
-        # kernel, whose grid is fetched for the caller's nu, the key it is
-        # cached under
-        kernel, pairs = _Kernel(n, nu, prec, d1_grid(n, nu, prec)), {}
+        # node y -> both moduli: the two integrals share nodes and one kernel
+        kernel, pairs = _Kernel(n, nu, prec), {}
         for key, side in (("k1_bound", 0), ("k2_bound", 1)):
             def f(y):
                 if y not in pairs:

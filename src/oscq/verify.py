@@ -3,17 +3,17 @@ that only they and the tests read.
 
 Each suite runs a battery of identity, oracle, and trend checks for one
 layer of the package and returns structured records (measured value vs
-threshold).  Thresholds follow the operation contracts; every fitted
-trend law goes through `_fit_then_test`, which fits the law's unknown
-constant at the smallest degree of a run and asserts it, with slack 3,
-at every other degree, in whatever order the degrees come.  The routes
-are the general closed forms of objects the pipeline forms inline or not
-at all (g_boundary, phi_boundary, w_weight, szego_power, n0_matrix,
-d_infty_n) and the independent oracles of the pipeline's own routes.
+threshold), and refuses its arguments through run_suite and _degrees.
+Thresholds follow the operation contracts; every fitted trend law goes
+through `_fit_then_test`.  The routes are the general closed forms of
+objects the pipeline forms inline or not at all (g_boundary,
+phi_boundary, w_weight, szego_power, n0_matrix, d_infty_n) and the
+independent oracles of the pipeline's own routes.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -296,14 +296,32 @@ def eta_moduli_by_parts(y, n: int, nu, chi, prec: int):
     return tuple(out)
 
 
+class SuiteArgumentError(ValueError):
+    """A suite's refusal, before any work, of an argument it does not read
+    or of a degree list outside its rule; `argument` names the keyword."""
+
+    def __init__(self, argument: str, message: str):
+        super().__init__(message)
+        self.argument = argument
+
+
+def _degrees(n_list, default, low: int, fitted: bool = False) -> list:
+    """n_list (default when empty or None) as a sorted set of degrees >=
+    low, two or more where the suite fits trends (_fit_then_test)."""
+    degrees = sorted(set(n_list or default))
+    if degrees[0] < low or len(degrees) < 1 + fitted:
+        count = "two" if fitted else "one"
+        raise SuiteArgumentError("n_list", f"the suite needs {count} or "
+                                 f"more distinct degrees n >= {low}")
+    return degrees
+
+
 def _fit_then_test(ratios):
     """The trend protocol of every fitted law.  `ratios` maps each degree
     to its ratios measured / predicted shape, in any order; returns (C, q)
     with C the largest ratio at the smallest degree and q the largest
-    ratio / (3 C) at every other degree, so the law holds with slack 3 iff
-    q <= 1."""
-    if len(ratios) < 2:
-        raise ValueError("a fitted trend needs two or more distinct degrees")
+    ratio / (3 C) at every other degree (two or more: _degrees), so the
+    law holds with slack 3 iff q <= 1."""
     n0 = min(ratios)
     c = max(ratios[n0])
     return c, max(r / (3 * c) for m, rs in ratios.items() if m != n0
@@ -543,7 +561,7 @@ def suite_parametrix(prec: int = 192, nu="0.25") -> list[CheckRecord]:
 def suite_smallnorm(prec: int = 128, nu="0.25",
                     n_list=None) -> list[CheckRecord]:
     out = []
-    degrees = sorted(set(n_list or [16, 32]))
+    degrees = _degrees(n_list, [16, 32], low=2, fitted=True)
     chi = sn.CutoffChi()
     with workprec(prec):
         nu = mpf(nu)
@@ -657,7 +675,7 @@ def suite_smallnorm(prec: int = 128, nu="0.25",
 def suite_quadrature(prec: int = 256, nu=None,
                      n_list=None) -> list[CheckRecord]:
     out = []
-    n_list = sorted(set(n_list or range(1, 7)))
+    n_list = _degrees(n_list, range(1, 7), low=1)
     nus = [nu] if nu is not None else ["0", "0.25", "0.5"]
     with workprec(prec):
         thresh = mpf(10) ** (-mpf("0.15") * prec)
@@ -701,7 +719,7 @@ def suite_quadrature(prec: int = 256, nu=None,
 
 def suite_zeros(prec: int = 256, nu="0", n_list=None) -> list[CheckRecord]:
     out = []
-    n_list = sorted(set(n_list or [2, 4, 8]))
+    n_list = _degrees(n_list, [2, 4, 8], low=1)
     rng = random.Random(73)
     with workprec(prec):
         for n in n_list:
@@ -779,14 +797,15 @@ def suite_zeros(prec: int = 256, nu="0", n_list=None) -> list[CheckRecord]:
 SUITES = {"equilibrium": suite_equilibrium, "parametrix": suite_parametrix,
           "smallnorm": suite_smallnorm, "quadrature": suite_quadrature,
           "zeros": suite_zeros}
-# the suites that read an n list: the smallest degree each takes, and how
-# many distinct degrees (smallnorm's trends go through _fit_then_test)
-SUITE_MIN_N = {"smallnorm": (2, 2), "quadrature": (1, 1), "zeros": (1, 1)}
 
 
 def run_suite(name: str, **kwargs) -> list[CheckRecord]:
+    """The suite's records; a keyword it does not read, or a degree list
+    it refuses, raises SuiteArgumentError before any work."""
     fn = SUITES.get(name)
     if fn is None:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{tuple(SUITES)}")
+    for key in sorted(kwargs.keys() - inspect.signature(fn).parameters):
+        raise SuiteArgumentError(key, f"suite {name} reads no {key}")
     return fn(**kwargs)

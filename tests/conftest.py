@@ -1,8 +1,10 @@
 """Shared fixtures: session-wide polynomial/zero/rule/operator-norm caches
 so the expensive recurrence solves, Aberth runs, Gauss rules and
 small-norm integrals (with the D1 grids they read) happen once per
-(n, nu), and the one hypothesis profile every property test runs under
-(25 derandomized examples, no deadline, no database)."""
+(n, nu), and the hypothesis profile every property test runs under
+(25 derandomized examples, no deadline, no database), with a larger
+example budget beside it ("oscq-long", 300 examples), which
+`--hypothesis-profile=oscq-long` selects."""
 
 from __future__ import annotations
 
@@ -20,6 +22,8 @@ from oscq.zeros import find_zeros
 
 settings.register_profile("oscq", max_examples=25, deadline=None,
                           derandomize=True, database=None)
+settings.register_profile("oscq-long", settings.get_profile("oscq"),
+                          max_examples=300)
 settings.load_profile("oscq")
 
 # bound at import: tests may monkeypatch smallnorm.k_norm_bounds to read

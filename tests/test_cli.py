@@ -1,14 +1,20 @@
 import cmath
+import contextlib
 import csv
+import io
 import json
 import os
 import random
 import stat
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from oscq import cli, verify
@@ -337,6 +343,31 @@ def test_asymptotics_domain_guard(tmp_path):
     assert r.returncode == 4
 
 
+def test_asymptotics_refuses_a_point_before_the_polynomial(tmp_path,
+                                                          capsys):
+    # every prediction comes first: a point outside the outer domain exits
+    # 4 before monic_op runs, and nothing is written
+    pts = tmp_path / "pts.csv"
+    pts.write_text("z_re,z_im\r\n0.5,0.0\r\n")
+    work = mock.Mock(side_effect=AssertionError("the polynomial was built"))
+    with mock.patch.object(cli, "monic_op", work):
+        code, err = _in_process(
+            ["asymptotics", "--nu", "0.25", "--n", "8", "--regime", "outer",
+             "--points", str(pts), "--out", str(tmp_path / "x.csv")], capsys)
+    assert code == 4, err
+    assert "outside outer domain" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["pts.csv"]
+
+
+@pytest.mark.parametrize("command", ["zeros", "asymptotics"])
+def test_allow_long_has_help_text(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"--allow-long permit n beyond the desk ceiling " \
+        f"{cli.DESK_N_CEILING}" in text
+
+
 def test_asymptotics_domain_guard_off_the_boundary(tmp_path):
     # the outer command runs at 256 bits; points 2^-200 inside
     # dist(z, [-1,1]) = 0.2, on the real axis and above (-1,1), exit 4
@@ -427,3 +458,116 @@ def test_asymptotics_actual_column_matches_mpc_oracle(tmp_path, nu, n,
             with workprec(4 * prec):
                 got = mpc(mpf(row["actual_re"]), mpf(row["actual_im"]))
                 assert abs(got - ref) <= mpf(2) ** (16 - prec) * abs(ref), z
+
+
+# the exit-code and output contract over drawn invocations of every
+# command, run in process: nu weighted toward the boundaries and toward
+# strings that must be rounded to be read; degree lists with repeats,
+# ranges, empty and malformed syntax; good and bad --out paths.  Only the
+# cheap suites (quadrature, zeros) run; the slow ones are drawn only with
+# an argument they refuse
+NU_TEXT = st.one_of(
+    st.sampled_from(["0", "-0", "1e-30", "0.9999999999999999999999",
+                     BELOW_ONE, "0.5", BELOW_ZERO, "-1e-30", "1", "nan",
+                     "abc"]),
+    st.integers(0, 99).map(lambda k: f"0.{k:02d}"))
+N_LIST_TEXT = st.one_of(
+    st.lists(st.integers(0, 8), max_size=3).map(
+        lambda ns: ",".join(map(str, ns))),
+    st.tuples(st.integers(0, 8), st.integers(0, 8)).map(
+        lambda t: f"{t[0]}..{t[1]}"),
+    st.sampled_from([",", "2..x", "1,,2", "a"]))
+PREC_TEXT = st.sampled_from(["64", "96", "64", "96", "63"])
+POINTS = ("2,0", "0.5,0", "0,1.5", "-0.5,0.01", "0.3,0", "abc,0")
+OUTS = ("good",) * 5 + ("missing", "dir", "slash", "manifest_dir", "omit")
+
+
+@st.composite
+def invocations(draw):
+    """(argv with {d} for the run's directory, the points file's lines or
+    None, the --out kind)."""
+    command = draw(st.sampled_from(["verify", "zeros", "asymptotics"]))
+    out = draw(st.sampled_from(OUTS))
+    argv, points = [command], None
+    if command == "verify":
+        suite = draw(st.sampled_from(["quadrature", "zeros", "equilibrium",
+                                      "parametrix", "smallnorm"]))
+        argv += ["--suite", suite]
+        nu = draw(st.none() | NU_TEXT)
+        n_list = draw(st.none() | N_LIST_TEXT)
+        if suite == "equilibrium" and nu is None and n_list is None:
+            nu = draw(NU_TEXT)          # reads neither
+        elif suite == "parametrix":
+            n_list = draw(N_LIST_TEXT)  # reads no degree list
+        elif suite == "smallnorm":      # one distinct degree
+            n_list = ",".join([str(draw(st.integers(0, 8)))]
+                              * draw(st.integers(1, 2)))
+        argv += [] if nu is None else ["--nu", nu]
+        argv += [] if n_list is None else ["--n-list", n_list]
+    else:
+        argv += ["--nu", draw(NU_TEXT)]
+        n = draw(st.integers(2, 8) | st.integers(-1, 8) | st.just(201))
+        argv += ["--n", str(n)]
+        if command == "asymptotics":
+            argv += ["--regime", draw(st.sampled_from(["outer", "inner"]))]
+            if draw(st.sampled_from([True, True, False])):
+                points = draw(st.lists(st.sampled_from(POINTS), min_size=1,
+                                       max_size=3) | st.just([]))
+                argv += ["--points", "{d}/pts.csv"]
+        if n <= 8 and draw(st.booleans()):
+            argv.append("--allow-long")
+    if draw(st.booleans()):
+        argv += ["--prec", draw(PREC_TEXT)]
+    ext = "json" if command == "verify" else "csv"
+    argv += {"good": ["--out", f"{{d}}/o.{ext}"],
+             "missing": ["--out", "{d}/missing/x.csv"],
+             "dir": ["--out", "{d}/adir"],
+             "slash": ["--out", "{d}/q" + os.sep],
+             "manifest_dir": ["--out", "{d}/m.csv"],
+             "omit": []}[out]
+    return argv, points, out
+
+
+def _tree(d: Path):
+    return {str(p.relative_to(d)) for p in d.rglob("*")}
+
+
+@given(invocations())
+def test_cli_contract_holds_on_drawn_invocations(invocation):
+    argv, points, out = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "adir").mkdir()
+        (d / "m.csv.manifest.json").mkdir()
+        if points is not None:
+            (d / "pts.csv").write_text(
+                "z_re,z_im\r\n" + "".join(f"{p}\r\n" for p in points))
+        before = _tree(d)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            try:
+                code = main([a.format(d=d) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+        err = stderr.getvalue()
+        event(f"{argv[0]} exit {code}")
+        assert code in range(5), (argv, code, err)
+        assert "Traceback" not in err, err
+        new = _tree(d) - before
+        if code not in (0, 1):
+            assert new == set(), (argv, code, new)
+            return
+        assert code == 0 or argv[0] == "verify", (argv, err)
+        if argv[0] == "verify":     # a report, and no manifest
+            name = {"good": "o.json", "manifest_dir": "m.csv"}.get(out)
+            assert new == ({name} if name else set()), (argv, new)
+            report = json.loads((d / name).read_text() if name
+                                else stdout.getvalue())
+            assert report["passed"] is (code == 0)
+            assert all(c["passed"] for c in report["checks"]) is (code == 0)
+            return
+        assert new == {"o.csv", "o.csv.manifest.json"}, (argv, new)
+        header = (d / "o.csv").read_bytes().split(b"\r\n")[0].decode()
+        man = json.loads((d / "o.csv.manifest.json").read_text())
+        assert man["csv_schema"] == header

@@ -103,11 +103,11 @@ BROKEN_SERIES_CASES = ((0.25, 40.0, 128), (1e-6, 1.0, 128), (0.0, 0.5, 128),
                        (0.8, 1e-59, 128))
 
 
-def _wrong_gamma(consts):
-    def constants(nu, prec):        # 1/Gamma(1+nu) to only prec/2 bits
-        c, g_minus, g_plus, sin_bits = consts(nu, prec)
-        return c, g_minus, round_to(g_plus, prec // 2), sin_bits
-    return constants
+def _wrong_gamma(pm_core):
+    def core(nu, prec):             # 1/Gamma(1+nu) to only prec/2 bits
+        c = pm_core(nu, prec)
+        return c._replace(g_plus=round_to(c.g_plus, prec // 2))
+    return core
 
 
 def _scale_without_cancellation(x, prec, sin_bits):
@@ -123,7 +123,7 @@ def test_besselk_real_cases_pass():
 
 
 @pytest.mark.parametrize("attr, broken", [
-    ("_series_constants", _wrong_gamma(mpfun._series_constants)),
+    ("_pm_core", _wrong_gamma(mpfun._pm_core)),
     ("_series_scale", _scale_without_cancellation),
     ("_series_scale", _scale_without_sin_bits),
     ("SERIES_GUARD", 0),
@@ -186,10 +186,10 @@ BROKEN_JY_CASES = ((0.0, 0.5, 128), (1e-6, 1.0, 128), (0.999999, 3.0, 128),
                    (0.25, 40.0, 128), (0.3, 0.01, 192), (0.8, 1e-59, 128))
 
 
-def _without_sin_bits(consts):
-    def constants(nu, prec):
-        return consts(nu, prec)[:3] + (0,)
-    return constants
+def _without_sin_bits(pm_core):
+    def core(nu, prec):
+        return pm_core(nu, prec)._replace(sin_bits=0)
+    return core
 
 
 def _y_at_narrow_precision(nu, s, prec):
@@ -207,7 +207,7 @@ def test_besseljy_real_cases_pass():
 
 
 @pytest.mark.parametrize("attr, broken", [
-    ("_series_constants", _without_sin_bits(mpfun._series_constants)),
+    ("_pm_core", _without_sin_bits(mpfun._pm_core)),
     ("SERIES_GUARD", 0),
     ("besseljy_real", _y_at_narrow_precision),
 ])
@@ -237,6 +237,25 @@ def test_besseljy_real_branches(monkeypatch):
         assert _besseljy_error(nu, s, prec) <= 16
     with pytest.raises(DomainError):
         besseljy_real(0.25, 0, prec)
+
+
+@pytest.mark.parametrize("nu", [0.25, 1.5])
+def test_besseljy_map_takes_cos_and_sin_of_nu_pi_once(monkeypatch, nu):
+    # above the crossover, J_-nu = J_nu cos nu pi - Y_nu sin nu pi reads
+    # the two constants the map formed when it was made: its reads
+    # compute neither
+    prec = 64
+    jy = mpfun.besseljy_map(nu, prec)
+    calls = []
+    for name in ("cospi", "sinpi"):
+        def counted(x, fn=getattr(mp, name), name=name):
+            calls.append(name)
+            return fn(x)
+        monkeypatch.setattr(mp, name, counted)
+    edge = (prec + ASYMPTOTIC_BITS) / LOG2E
+    for s in (1.5 * edge, 2 * edge, 3 * edge):
+        jy(s)
+    assert calls == []
 
 
 def _hexbits(v):

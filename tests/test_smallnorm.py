@@ -10,8 +10,7 @@ from oscq import smallnorm as sn
 from oscq import verify
 from oscq.mpfun import round_to, workprec
 
-from conftest import (counting_grid_builds, get_k_norm_grid,
-                      get_k_norm_reads, get_k_norms)
+from conftest import counting_grid_builds, get_k_norm_reads, get_k_norms
 
 NU = "0.25"
 PREC = 128
@@ -298,12 +297,11 @@ def test_eta_moduli_match_the_composition_by_parts(prec, nu, n, u):
 def test_eta_moduli_elementary_case_nu_half(n, u):
     # nu = 1/2: W_n = |t|^(-1/2), so |D1(iy)|^2 = ((y+r)/y)^(1/2), and
     # J_(+-1/2), Y_(1/2) are sines and cosines; r = sqrt(1+y^2).  The
-    # grids are AC-8's at nu = 1/2, read again from the conftest cache
+    # kernel fetches the grids of nu = 1/2 itself
     chi, prec = sn.CutoffChi(), PREC
     with workprec(prec):
         y = _log_uniform_y(mpf(2) ** -8, u)
-    got = sn._Kernel(n, "0.5", prec,
-                     get_k_norm_grid(n, "0.5", prec)).eta_moduli(y, chi)
+    got = sn._Kernel(n, "0.5", prec).eta_moduli(y, chi)
     with workprec(2 * prec):
         r = mp.sqrt(1 + y * y)
         s = n * mp.pi * y
